@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, FunDef, IntLit, Lambda, Match,
@@ -157,9 +157,6 @@ def expr_free_vars(e: Node) -> list[str]:
             inner.update(pattern_vars(n.params))
             for x in n.body.exprs:
                 visit(x, inner)
-        elif isinstance(n, (Block, Body)):
-            for x in children(n):
-                visit(x, bound)
         else:
             for x in children(n):
                 visit(x, bound)
@@ -188,17 +185,22 @@ def visible_bindings(e: Node) -> list[str]:
     return out
 
 
+def effect_free(e: Node, call_ok: Callable[[StaticCall], bool]) -> bool:
+    """True iff evaluating e can emit no side effect: no print, no dynamic
+    call, and only static calls that call_ok accepts; creating a closure has
+    no effects, so lambda bodies are not inspected."""
+    if isinstance(e, (Print, DynCall)):
+        return False
+    if isinstance(e, Lambda):
+        return True
+    if isinstance(e, StaticCall) and not call_ok(e):
+        return False
+    return all(effect_free(c, call_ok) for c in children(e))
+
+
 def standalone_pure(e: Node) -> bool:
     """Purity with no module context: any call is treated as effectful."""
-
-    def visit(n: Node) -> bool:
-        if isinstance(n, (Print, DynCall, StaticCall)):
-            return False
-        if isinstance(n, Lambda):
-            return True  # creating a closure has no effects
-        return all(visit(c) for c in children(n))
-
-    return visit(e)
+    return effect_free(e, lambda call: False)
 
 
 def occurs_var(name: str, n: Node) -> bool:
@@ -360,14 +362,18 @@ def _expr_node(snap: Snapshot, e: NodeRef) -> Node:
     return n
 
 
+def _occurrences_around(snap: Snapshot, e: NodeRef) -> tuple[BindingInfo, set[int]]:
+    """The binding classification of e's function, and the node ids in e."""
+    n = _expr_node(snap, e)
+    info = binding_info(snap, snap.ref(snap.fundef_of(n.node_id)))
+    return info, {x.node_id for x in walk(n)}
+
+
 def free_vars(snap: Snapshot, e: NodeRef) -> list[str]:
     """Variables referenced in e but not bound within it, in first-occurrence
     order. Uses the whole-function binding classification so that a pattern
     occurrence re-matching an outer binding counts as a reference."""
-    n = _expr_node(snap, e)
-    d = snap.fundef_of(n.node_id)
-    info = binding_info(snap, snap.ref(d))
-    inside = {x.node_id for x in walk(n)}
+    info, inside = _occurrences_around(snap, e)
     out: list[str] = []
     for o in info.occurrences:
         if o.node_id not in inside:
@@ -384,10 +390,7 @@ def closed(snap: Snapshot, e: NodeRef) -> bool:
 
 def non_bind(snap: Snapshot, e: NodeRef) -> bool:
     """True iff no variable bound inside e is referenced outside e."""
-    n = _expr_node(snap, e)
-    d = snap.fundef_of(n.node_id)
-    info = binding_info(snap, snap.ref(d))
-    inside = {x.node_id for x in walk(n)}
+    info, inside = _occurrences_around(snap, e)
     for o in info.occurrences:
         if o.kind == "binding" and o.node_id in inside:
             for r in info.references_of(o.node_id):
@@ -402,25 +405,14 @@ def fun_purity(module: ModuleAst) -> dict[FunKey, bool]:
     keys = {FunKey(d.name, d.arity): d for d in module.definitions}
     pure_map = {k: True for k in keys}
 
-    def body_pure(d: FunDef) -> bool:
-        def visit(n: Node) -> bool:
-            if isinstance(n, (Print, DynCall)):
-                return False
-            if isinstance(n, Lambda):
-                return True
-            if isinstance(n, StaticCall):
-                callee = FunKey(n.name, len(n.args))
-                if callee not in pure_map or not pure_map[callee]:
-                    return False
-            return all(visit(c) for c in children(n))
-
-        return all(visit(x) for x in d.body.exprs)
+    def call_ok(call: StaticCall) -> bool:
+        return pure_map.get(FunKey(call.name, len(call.args)), False)
 
     changed = True
     while changed:
         changed = False
         for k, d in keys.items():
-            if pure_map[k] and not body_pure(d):
+            if pure_map[k] and not effect_free(d.body, call_ok):
                 pure_map[k] = False
                 changed = True
     return pure_map
@@ -431,18 +423,7 @@ def pure(snap: Snapshot, e: NodeRef) -> bool:
     call, and no static call reaching either (lambda bodies excluded)."""
     n = _expr_node(snap, e)
     purity = fun_purity(snap.module)
-
-    def visit(x: Node) -> bool:
-        if isinstance(x, (Print, DynCall)):
-            return False
-        if isinstance(x, Lambda):
-            return True
-        if isinstance(x, StaticCall):
-            if not purity.get(FunKey(x.name, len(x.args)), False):
-                return False
-        return all(visit(c) for c in children(x))
-
-    return visit(n)
+    return effect_free(n, lambda call: purity.get(FunKey(call.name, len(call.args)), False))
 
 
 def fresh(snap: Snapshot, name: str, ctx: NodeRef) -> bool:
@@ -465,15 +446,8 @@ def fresh_outside(snap: Snapshot, name: str, fundef: FunDef, excluded: Node) -> 
 
 def scope(snap: Snapshot, e: NodeRef) -> NodeRef:
     """The body sequence of the nearest enclosing scope introducer."""
-    n = _expr_node(snap, e)
-    cur = n.node_id
-    while True:
-        p = snap.parent_of(cur)
-        if p is None:
-            raise NotApplicableError("node has no enclosing scope")
-        if isinstance(p, Body):
-            return snap.ref(p.node_id)
-        cur = p.node_id
+    top = top_expression(snap, e)
+    return snap.ref(snap.parent_of(top.node_id).node_id)
 
 
 def top_expression(snap: Snapshot, e: NodeRef) -> NodeRef:
@@ -496,25 +470,23 @@ def function(snap: Snapshot, e: NodeRef) -> NodeRef:
     return snap.ref(snap.fundef_of(n.node_id).node_id)
 
 
-def name(snap: Snapshot, f: NodeRef) -> str:
+def _fundef(snap: Snapshot, f: NodeRef) -> FunDef:
     d = snap.node(f)
     if not isinstance(d, FunDef):
         raise NotApplicableError("not a function definition")
-    return d.name
+    return d
+
+
+def name(snap: Snapshot, f: NodeRef) -> str:
+    return _fundef(snap, f).name
 
 
 def function_params(snap: Snapshot, f: NodeRef) -> tuple[Pattern, ...]:
-    d = snap.node(f)
-    if not isinstance(d, FunDef):
-        raise NotApplicableError("not a function definition")
-    return d.params
+    return _fundef(snap, f).params
 
 
 def body(snap: Snapshot, f: NodeRef) -> NodeRef:
-    d = snap.node(f)
-    if not isinstance(d, FunDef):
-        raise NotApplicableError("not a function definition")
-    return snap.ref(d.body.node_id)
+    return snap.ref(_fundef(snap, f).body.node_id)
 
 
 def references(snap: Snapshot, key: FunKey) -> list[NodeRef]:
@@ -522,9 +494,14 @@ def references(snap: Snapshot, key: FunKey) -> list[NodeRef]:
     out: list[NodeRef] = []
     for d in snap.module.definitions:
         for n in walk(d):
-            if isinstance(n, StaticCall) and n.name == key.name and len(n.args) == key.arity:
+            if is_call_to(n, key):
                 out.append(snap.ref(n.node_id))
     return out
+
+
+def is_call_to(n: Node, key: FunKey) -> bool:
+    """True iff n is a static call of the function key names."""
+    return isinstance(n, StaticCall) and n.name == key.name and len(n.args) == key.arity
 
 
 def function_part(snap: Snapshot, e: NodeRef) -> NodeRef:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import tempfile
 from typing import Optional, Sequence
@@ -57,6 +58,7 @@ def _write_atomic(path: str, text: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        shutil.copymode(path, tmp)  # mkstemp creates the file 0600
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -69,7 +71,7 @@ def _write_atomic(path: str, text: str):
 def _load(path: str) -> Optional[Snapshot]:
     try:
         return Snapshot.from_source(_read(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _err(f"cannot read {path}: {exc}")
         return None
     except ParseError as exc:
@@ -103,7 +105,10 @@ def _resolve_target(snap: Snapshot, args) -> Optional[NodeRef]:
         except ParseError as exc:
             _err(f"--expr: {exc}")
             return None
-        occurrence = args.occurrence or 1
+        occurrence = 1 if args.occurrence is None else args.occurrence
+        if occurrence < 1:
+            _err(f"--occurrence must be at least 1, got {occurrence}")
+            return None
         count = 0
         for d in snap.module.definitions:
             for n in walk(d):

@@ -38,7 +38,8 @@ from .syntax import (
 
 
 class PlanError(Exception):
-    """A trial-plan entry is missing from one of the modules."""
+    """A trial plan with no trials, or with an entry missing from one of
+    the modules."""
 
 
 class GenerationExhausted(Exception):
@@ -156,6 +157,8 @@ class TrialPlan:
 
 def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> Verdict:
     """Run every plan entry on both modules with identical arguments."""
+    if plan.trials < 1:
+        raise PlanError(f"a trial plan needs at least one trial, got {plan.trials}")
     before_keys = {FunKey(d.name, d.arity) for d in before.definitions}
     after_keys = {FunKey(d.name, d.arity) for d in after.definitions}
     for entry in plan.entries:

@@ -33,7 +33,7 @@ from .syntax import (
     Match, ModuleAst, PAtom, PInt, PTuple, PVar, Pattern, Print,
     StaticCall, TupleExpr, VarRef, struct_eq, walk,
 )
-from .analysis import FunKey
+from .analysis import FunKey, pattern_vars
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ class _Evaluator:
                 raise _Raise("badfun")
             if len(args) != len(callee.params):
                 raise _Raise("badarity")
-            base = env_remove(callee.env, pattern_names(callee.params))
+            base = env_remove(callee.env, pattern_vars(callee.params))
             bound = get_matching(args, callee.params, base)
             if bound is None:
                 raise _Raise("badmatch")
@@ -322,7 +322,7 @@ class _Evaluator:
         raise TypeError(f"cannot evaluate {t.__name__}")
 
     def _close(self, lam: Lambda, env: Env) -> ClosureV:
-        own = set(pattern_names(lam.params))
+        own = set(pattern_vars(lam.params))
         used = {n.name for n in walk(lam.body) if isinstance(n, (VarRef, PVar))}
         captured = {k: v for k, v in env.items() if k in used and k not in own}
         return ClosureV(lam.params, lam.body, captured)
@@ -345,15 +345,6 @@ class _Evaluator:
         if op == "<":
             return TRUE if a.value < b.value else FALSE
         raise TypeError(f"unknown operator {op}")
-
-
-def pattern_names(pats: Sequence[Pattern]) -> list[str]:
-    out: list[str] = []
-    for p in pats:
-        for n in walk(p):
-            if isinstance(n, PVar) and n.name not in out:
-                out.append(n.name)
-    return out
 
 
 def eval_expr(e: Expr, env: Env, fuel: int = DEFAULT_FUEL, *,

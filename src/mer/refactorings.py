@@ -26,18 +26,16 @@ stay untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, StaleRef
 from .rewrite import (
-    Applied, Condition, NotApplicable, PreconditionViolated, StepOutcome,
-    is_applied, parse_rule_text,
+    Applied, NotApplicable, PreconditionViolated, StepOutcome, is_applied,
 )
 from .schemes import (
-    FunctionRefactoring, IntroduceFunction, IntroduceVariable, Local,
-    SignatureRefactoring, run_function_refactoring, run_introduce_function,
+    parse_scheme_instance, run_function_refactoring, run_introduce_function,
     run_introduce_variable, run_local, run_signature_refactoring,
 )
 from .syntax import FunDef, Match, Pattern
@@ -86,16 +84,30 @@ RENAME_FUNCTION_RULE_TEXT = """\
 @NewName(@Args...)
 """
 
-WRAP_RULE = parse_rule_text(WRAP_RULE_TEXT, "expr")
-_WRAP_INSTANCE = Local(WRAP_RULE)
-_EXTRACT_VAR_REF_RULE = parse_rule_text(EXTRACT_TO_VARIABLE_REF_TEXT, "expr")
-_OUTER_VAR_REF_RULE = parse_rule_text(OUTER_VARIABLE_REF_TEXT, "expr")
-_VAR_TO_PARAM = FunctionRefactoring(
-    parse_rule_text(VAR_TO_PARAM_DEF_TEXT, "head"),
-    parse_rule_text(VAR_TO_PARAM_REF_TEXT, "args"),
-    Condition.parse(VAR_TO_PARAM_CONDITION),
+# the six primes as scheme-instance blocks, the one source of their rules
+PRIME_BLOCKS = (
+    "LOCAL REFACTORING wrap()\n" + WRAP_RULE_TEXT,
+    "INTRODUCE VARIABLE extract_to_variable(Name)\n"
+    "DEFINITION IN SCOPE\n@Name = @E\nREFERENCE\n" + EXTRACT_TO_VARIABLE_REF_TEXT,
+    "INTRODUCE VARIABLE outer_variable()\n"
+    "DEFINITION IN OUTER SCOPE\n@Name = @E\nREFERENCE\n" + OUTER_VARIABLE_REF_TEXT,
+    # no WHEN is_subset(free_vars(@E), vars(@Params...)): the scheme
+    # itself checks that the parameters cover the free variables
+    "INTRODUCE FUNCTION extract_to_function(Name, Params...)\n"
+    "DEFINITION\n@Name(@Params...) -> @E .\n"
+    "REFERENCE\n@E\n-----\n@Name(@Params...)\n",
+    "FUNCTION REFACTORING var_to_param(X)\n"
+    "DEFINITION\n" + VAR_TO_PARAM_DEF_TEXT + "REFERENCE\n" + VAR_TO_PARAM_REF_TEXT
+    + "WHEN " + VAR_TO_PARAM_CONDITION + "\n",
+    "FUNCTION SIGNATURE REFACTORING rename_function(NewName)\n" + RENAME_FUNCTION_RULE_TEXT,
 )
-_RENAME_RULE = parse_rule_text(RENAME_FUNCTION_RULE_TEXT, "signature")
+
+(_WRAP_INSTANCE, _EXTRACT_VAR, _OUTER_VAR, _EXTRACT_FUN, _VAR_TO_PARAM,
+ _RENAME) = (parse_scheme_instance(block)[2] for block in PRIME_BLOCKS)
+WRAP_RULE = _WRAP_INSTANCE.rule
+_EXTRACT_VAR_REF_RULE = _EXTRACT_VAR.ref_rule
+_OUTER_VAR_REF_RULE = _OUTER_VAR.ref_rule
+_RENAME_RULE = _RENAME.head_rule
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +120,16 @@ def wrap(snap: Snapshot, target: NodeRef) -> StepOutcome:
 
 
 def extract_to_variable(snap: Snapshot, target: NodeRef, name: str) -> StepOutcome:
-    inst = IntroduceVariable("in_scope", _EXTRACT_VAR_REF_RULE, name=name)
-    return run_introduce_variable(inst, snap, target)
+    return run_introduce_variable(replace(_EXTRACT_VAR, name=name), snap, target)
 
 
 def outer_variable(snap: Snapshot, target: NodeRef) -> StepOutcome:
-    inst = IntroduceVariable("outer_scope", _OUTER_VAR_REF_RULE)
-    return run_introduce_variable(inst, snap, target)
+    return run_introduce_variable(_OUTER_VAR, snap, target)
 
 
 def extract_to_function(snap: Snapshot, target: NodeRef, name: str,
                         params: Sequence[Pattern]) -> StepOutcome:
-    inst = IntroduceFunction(name, tuple(params))
-    return run_introduce_function(inst, snap, target)
+    return run_introduce_function(_EXTRACT_FUN(name, params), snap, target)
 
 
 def var_to_param(snap: Snapshot, fn: NodeRef, match_node: NodeRef) -> StepOutcome:
@@ -135,7 +144,7 @@ def var_to_param(snap: Snapshot, fn: NodeRef, match_node: NodeRef) -> StepOutcom
 
 
 def rename_function(snap: Snapshot, fn: NodeRef, new_name: str) -> StepOutcome:
-    inst = SignatureRefactoring(_RENAME_RULE, {"NewName": new_name})
+    inst = replace(_RENAME, pre_binding={"NewName": new_name})
     return run_signature_refactoring(inst, snap, fn)
 
 
@@ -184,29 +193,6 @@ class CompositeProgram:
 
 class CompositeError(Exception):
     pass
-
-
-@dataclass
-class Transaction:
-    """Snapshot history for one composite run; failures roll back to the
-    original (snapshots are immutable, so rollback is restoration of the
-    original reference, byte-identical when printed)."""
-
-    original: Snapshot
-    current: Snapshot = None  # type: ignore[assignment]
-    history: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.current is None:
-            self.current = self.original
-
-    def advance(self, label: str, snap: Snapshot):
-        self.history.append((label, snap))
-        self.current = snap
-
-    def rollback(self) -> Snapshot:
-        self.current = self.original
-        return self.original
 
 
 TraceFn = Callable[[int, str, tuple, Snapshot], None]
@@ -279,9 +265,13 @@ def _fresh_fun_name(snap: Snapshot, base: str, arity: int) -> str:
 
 
 class _Runner:
-    def __init__(self, tx: Transaction, on_step: Optional[TraceFn],
+    """Runs a composite over a current snapshot. Snapshots are immutable, so
+    a failed run leaves the caller's input snapshot as it was: rollback is
+    keeping the original reference, byte-identical when printed."""
+
+    def __init__(self, snap: Snapshot, on_step: Optional[TraceFn],
                  fail_at: Optional[int]):
-        self.tx = tx
+        self.current = snap
         self.on_step = on_step
         self.fail_at = fail_at
         self.trace_count = 0
@@ -310,15 +300,15 @@ class _Runner:
             if traced and self.on_step:
                 self.on_step(self.trace_count, step.trace_as,
                              tuple(self._fmt_arg(a, locals_) for a in step.args),
-                             self.tx.current)
-        return Applied(self.tx.current, self._rehomed(last_result))
+                             self.current)
+        return Applied(self.current, self._rehomed(last_result))
 
     def _rehomed(self, ref: NodeRef) -> NodeRef:
         try:
-            return self.tx.current.ref(ref.node_id)
+            return self.current.ref(ref.node_id)
         except StaleRef:
-            ds = self.tx.current.module.definitions
-            return self.tx.current.ref(ds[-1].node_id)
+            ds = self.current.module.definitions
+            return self.current.ref(ds[-1].node_id)
 
     def _fmt_arg(self, a: Arg, locals_: dict):
         if isinstance(a, Lit):
@@ -338,7 +328,7 @@ class _Runner:
                 out.append(locals_[a.name])
             elif isinstance(a, FreshFunName):
                 params = locals_.get(a.params_local, ())
-                out.append(_fresh_fun_name(self.tx.current, a.base, len(params)))
+                out.append(_fresh_fun_name(self.current, a.base, len(params)))
             else:
                 raise CompositeError(f"unknown argument kind {a!r}")
         return out
@@ -362,7 +352,7 @@ class _Runner:
 
         if step.op in _SELECTORS:
             try:
-                value = _SELECTORS[step.op](self.tx.current, target, *args)
+                value = _SELECTORS[step.op](self.current, target, *args)
             except (NotApplicableError, StaleRef) as exc:
                 return NotApplicable(str(exc), step=idx)
             self._assign(step, locals_, assigned, value)
@@ -370,7 +360,7 @@ class _Runner:
 
         if step.op in _COMPOSITES:
             sub = _COMPOSITES[step.op]
-            before = self.tx.current
+            before = self.current
             outcome = self.run(sub, target, args, toplevel=False)
             if not is_applied(outcome):
                 return type(outcome)(**{**outcome.__dict__, "step": idx,
@@ -383,24 +373,24 @@ class _Runner:
             if step.iterate:
                 current_target = target
                 while True:
-                    outcome = _PRIMES[step.op](self.tx.current, current_target, *args)
+                    outcome = _PRIMES[step.op](self.current, current_target, *args)
                     if isinstance(outcome, NotApplicable):
                         break
                     if isinstance(outcome, PreconditionViolated):
                         return PreconditionViolated(outcome.predicate, outcome.location,
                                                     step=idx, step_name=step.op)
-                    before = self.tx.current
-                    self.tx.advance(step.op, outcome.snapshot)
+                    before = self.current
+                    self.current = outcome.snapshot
                     self._rehome_locals(locals_, before, outcome.snapshot)
                     current_target = outcome.result
                 self._assign(step, locals_, assigned, current_target)
-                return Applied(self.tx.current, current_target)
-            outcome = _PRIMES[step.op](self.tx.current, target, *args)
+                return Applied(self.current, current_target)
+            outcome = _PRIMES[step.op](self.current, target, *args)
             if not is_applied(outcome):
                 return type(outcome)(**{**outcome.__dict__, "step": idx,
                                         "step_name": step.op})
-            before = self.tx.current
-            self.tx.advance(step.op, outcome.snapshot)
+            before = self.current
+            self.current = outcome.snapshot
             self._rehome_locals(locals_, before, outcome.snapshot)
             self._assign(step, locals_, assigned, outcome.result)
             return outcome
@@ -421,12 +411,7 @@ def run_composite(program: CompositeProgram, snap: Snapshot, target: NodeRef,
                   fail_at: Optional[int] = None) -> StepOutcome:
     """Run a composite program; on failure the input snapshot is untouched
     and the outcome carries the 1-based index of the failing step."""
-    tx = Transaction(snap)
-    runner = _Runner(tx, on_step, fail_at)
-    outcome = runner.run(program, target, args)
-    if not is_applied(outcome):
-        tx.rollback()
-    return outcome
+    return _Runner(snap, on_step, fail_at).run(program, target, args)
 
 
 def to_function_parameter(snap: Snapshot, match_node: NodeRef, *,

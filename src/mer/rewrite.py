@@ -24,19 +24,18 @@ rule-level equivalence checker) otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from . import analysis
 from .analysis import NodeRef, Snapshot
 from .syntax import (
-    AtomLit, BinOp, Block, Body, DynCall, Expr, FunDef, IdGen, IntLit,
-    Lambda, Match, MetaSeq, MetaVar, ModuleAst, Node, PAtom, PInt, PTuple,
-    PVar, Pattern, Print, StaticCall, TupleExpr, VarRef,
-    check_module, clone_fresh, expr_to_pattern, is_expr, is_pattern,
-    module_node_ids, module_replace, node_ids, parse_expr_text,
-    parse_exprseq_text, parse_patterns_text, pattern_to_expr, pretty_expr,
-    struct_eq, syntactic_flaws, walk,
+    FIELDS, MIRROR, SLOTS, AtomLit, Expr, FunDef, IdGen, IntLit, MetaSeq,
+    MetaVar, ModuleAst, Node, PAtom, PInt, PVar, Pattern, StaticCall,
+    SyntacticFlaw, VarRef, check_module, clone_fresh, expr_to_pattern,
+    is_expr, is_pattern, module_node_ids, module_replace, node_ids,
+    parse_expr_text, parse_exprseq_text, parse_patterns_text,
+    pattern_to_expr, pretty_expr, remake, struct_eq, walk,
 )
 
 
@@ -121,32 +120,19 @@ def _validate_seq(seq: Sequence[Node], what: str):
 
 
 def validate_template(t: Template):
-    if isinstance(t, HeadTemplate):
-        _validate_seq(t.params, "parameter list")
-        _validate_seq(t.body, "body sequence")
-        for e in t.params + t.body:
-            validate_template(e)
+    """Reject a sequence slot holding more than one list metavariable."""
+    if isinstance(t, Node):
+        for n in walk(t):
+            for f, seq, _ in SLOTS.get(type(n), ()):
+                if seq:
+                    _validate_seq(getattr(n, f), f"{type(n).__name__}.{f}")
         return
-    if isinstance(t, ArgsTemplate):
-        _validate_seq(t.args, "argument list")
-        for e in t.args:
-            validate_template(e)
-        return
-    if isinstance(t, SigTemplate):
-        _validate_seq(t.args, "argument list")
-        for e in t.args:
-            validate_template(e)
-        return
-    for n in walk(t):
-        slots = {
-            Body: "exprs", StaticCall: "args", DynCall: "args",
-            Lambda: "params",
-        }
-        for typ, fieldname in slots.items():
-            if isinstance(n, typ):
-                _validate_seq(getattr(n, fieldname), "sequence")
-        if isinstance(n, Lambda):
-            _validate_seq(n.body.exprs, "lambda body")
+    for f in fields(t):
+        seq = getattr(t, f.name)
+        if isinstance(seq, tuple):
+            _validate_seq(seq, f"{type(t).__name__}.{f.name}")
+            for e in seq:
+                validate_template(e)
 
 
 def template_metavars(t: Template) -> set[str]:
@@ -219,19 +205,18 @@ def parse_template_signature(text: str) -> SigTemplate:
 # Matching
 
 
-def _binding_equal(a: Fragment, b: Fragment) -> bool:
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(_binding_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, Node) and isinstance(b, Node):
-        return struct_eq(a, b)
-    return a == b
-
-
 def _bind(binding: Binding, name: str, value: Fragment) -> bool:
     if name in binding:
-        return _binding_equal(binding[name], value)
+        return struct_eq(binding[name], value)
     binding[name] = value
     return True
+
+
+def _match_name(pat: str, name: str, binding: Binding) -> bool:
+    """A function name against a literal name or an '@X' name metavariable."""
+    if pat.startswith("@"):
+        return _bind(binding, pat[1:], name)
+    return pat == name
 
 
 def match_fragment(pat: Node, subj: Node, binding: Binding) -> bool:
@@ -250,33 +235,25 @@ def match_fragment(pat: Node, subj: Node, binding: Binding) -> bool:
     if tp in (VarRef, PVar, AtomLit, PAtom):
         return pat.name == subj.name
     if tp is StaticCall:
-        if pat.name.startswith("@"):
-            if not _bind(binding, pat.name[1:], subj.name):
-                return False
-        elif pat.name != subj.name:
-            return False
-        return match_seq(pat.args, subj.args, binding)
+        return (_match_name(pat.name, subj.name, binding)
+                and match_seq(pat.args, subj.args, binding))
     # generic structural descent
     return _match_children(pat, subj, binding)
 
 
 def _match_children(pat: Node, subj: Node, binding: Binding) -> bool:
-    from .syntax import _CHILD_FIELDS  # shared child-slot table
-    slots = _CHILD_FIELDS.get(type(pat))
+    slots = SLOTS.get(type(pat))
     if not slots:
         return struct_eq(pat, subj)
-    # non-child scalar fields must agree (e.g. the operator of a BinOp)
-    for f in ("op",):
-        if hasattr(pat, f) and getattr(pat, f) != getattr(subj, f):
-            return False
-    for name, is_seq in slots:
+    # non-child fields must agree (e.g. the operator of a BinOp)
+    child_fields = {f for f, _, _ in slots}
+    if any(getattr(pat, f) != getattr(subj, f)
+           for f in FIELDS[type(pat)] if f not in child_fields):
+        return False
+    for name, is_seq, _ in slots:
         pv, sv = getattr(pat, name), getattr(subj, name)
-        if is_seq:
-            if not match_seq(pv, sv, binding):
-                return False
-        else:
-            if not match_fragment(pv, sv, binding):
-                return False
+        if not (match_seq(pv, sv, binding) if is_seq else match_fragment(pv, sv, binding)):
+            return False
     return True
 
 
@@ -324,12 +301,8 @@ def match_template(t: Template, subject, binding: Optional[Binding] = None) -> O
             subj_name, subj_args = subject.name, subject.args
         else:
             return None
-        if t.name.startswith("@"):
-            if not _bind(b, t.name[1:], subj_name):
-                return None
-        elif t.name != subj_name:
-            return None
-        return b if match_seq(t.args, subj_args, b) else None
+        ok = _match_name(t.name, subj_name, b) and match_seq(t.args, subj_args, b)
+        return b if ok else None
     if not isinstance(subject, Node):
         return None
     return b if match_fragment(t, subject, b) else None
@@ -373,26 +346,17 @@ class SubstCtx:
         return n
 
 
-def _to_expr(frag: Fragment, ctx: SubstCtx) -> Expr:
+def _as_sort(frag: Fragment, ctx: SubstCtx, slot: str) -> Node:
+    """A bound fragment as a node of the slot's sort: a name becomes a
+    variable, and a fragment of the other sort is mirrored."""
+    to_pattern = slot == "pattern"
     if isinstance(frag, str):
-        return VarRef(frag, node_id=ctx.fresh())
-    if isinstance(frag, Node):
-        if is_expr(frag):
+        return (PVar if to_pattern else VarRef)(frag, node_id=ctx.fresh())
+    if isinstance(frag, Node) and (is_expr(frag) or is_pattern(frag)):
+        if is_pattern(frag) == to_pattern:
             return ctx.take(frag)
-        if is_pattern(frag):
-            return pattern_to_expr(frag, ctx.gen)
-    raise UnboundMetavariable(f"cannot use {frag!r} as an expression")
-
-
-def _to_pattern(frag: Fragment, ctx: SubstCtx) -> Pattern:
-    if isinstance(frag, str):
-        return PVar(frag, node_id=ctx.fresh())
-    if isinstance(frag, Node):
-        if is_pattern(frag):
-            return ctx.take(frag)
-        if is_expr(frag):
-            return expr_to_pattern(frag, ctx.gen)
-    raise UnboundMetavariable(f"cannot use {frag!r} as a pattern")
+        return expr_to_pattern(frag, ctx.gen) if to_pattern else pattern_to_expr(frag, ctx.gen)
+    raise UnboundMetavariable(f"cannot use {frag!r} as {'a pattern' if to_pattern else 'an expression'}")
 
 
 def _lookup(binding: Binding, name: str) -> Fragment:
@@ -403,86 +367,69 @@ def _lookup(binding: Binding, name: str) -> Fragment:
 
 def subst_seq(pats: Sequence[Node], binding: Binding, ctx: SubstCtx, slot: str) -> tuple:
     out = []
-    conv = _to_pattern if slot == "pattern" else _to_expr
     for p in pats:
         if isinstance(p, MetaSeq):
             frag = _lookup(binding, p.name)
             if not isinstance(frag, tuple):
                 raise UnboundMetavariable(f"{p.name} is not a sequence")
-            out.extend(conv(f, ctx) for f in frag)
+            out.extend(_as_sort(f, ctx, slot) for f in frag)
         else:
             out.append(subst_fragment(p, binding, ctx, slot))
     return tuple(out)
 
 
+def _subst_name(name: str, binding: Binding) -> str:
+    if not name.startswith("@"):
+        return name
+    frag = _lookup(binding, name[1:])
+    if not isinstance(frag, str):
+        raise UnboundMetavariable(f"{name[1:]} is not a name")
+    return frag
+
+
 def subst_fragment(pat: Node, binding: Binding, ctx: SubstCtx, slot: str) -> Node:
-    if isinstance(pat, MetaVar):
-        frag = _lookup(binding, pat.name)
-        return _to_pattern(frag, ctx) if slot == "pattern" else _to_expr(frag, ctx)
     t = type(pat)
-    if t is IntLit:
-        return IntLit(pat.value, node_id=ctx.fresh()) if slot == "expr" else PInt(pat.value, node_id=ctx.fresh())
-    if t is PInt:
-        return PInt(pat.value, node_id=ctx.fresh()) if slot == "pattern" else IntLit(pat.value, node_id=ctx.fresh())
-    if t is AtomLit:
-        return AtomLit(pat.name, node_id=ctx.fresh()) if slot == "expr" else PAtom(pat.name, node_id=ctx.fresh())
-    if t is PAtom:
-        return PAtom(pat.name, node_id=ctx.fresh()) if slot == "pattern" else AtomLit(pat.name, node_id=ctx.fresh())
-    if t is VarRef:
-        return VarRef(pat.name, node_id=ctx.fresh()) if slot == "expr" else PVar(pat.name, node_id=ctx.fresh())
-    if t is PVar:
-        return PVar(pat.name, node_id=ctx.fresh()) if slot == "pattern" else VarRef(pat.name, node_id=ctx.fresh())
-    if t is BinOp:
-        return BinOp(pat.op, subst_fragment(pat.left, binding, ctx, "expr"),
-                     subst_fragment(pat.right, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is Match:
-        return Match(subst_fragment(pat.pattern, binding, ctx, "pattern"),
-                     subst_fragment(pat.rhs, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is Block:
-        return Block(subst_seq(pat.body, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is Body:
-        return Body(subst_seq(pat.exprs, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is Lambda:
-        return Lambda(subst_seq(pat.params, binding, ctx, "pattern"),
-                      subst_fragment(pat.body, binding, ctx, "expr"), node_id=ctx.fresh())
+    if t is MetaVar:
+        return _as_sort(_lookup(binding, pat.name), ctx, slot)
+    slots = SLOTS.get(t)
+    if t in MIRROR and not slots:
+        # a leaf takes the sort of its slot
+        out = t if is_pattern(pat) == (slot == "pattern") else MIRROR[t]
+        return remake(out, pat, {}, ctx.fresh())
+    if slots is None:
+        raise TypeError(f"cannot substitute into {t.__name__}")
+    changes = {}
     if t is StaticCall:
-        name = pat.name
-        if name.startswith("@"):
-            frag = _lookup(binding, name[1:])
-            if not isinstance(frag, str):
-                raise UnboundMetavariable(f"{name[1:]} is not a name")
-            name = frag
-        return StaticCall(name, subst_seq(pat.args, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is DynCall:
-        return DynCall(subst_fragment(pat.callee, binding, ctx, "expr"),
-                       subst_seq(pat.args, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is Print:
-        return Print(subst_fragment(pat.arg, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is TupleExpr:
-        return TupleExpr(subst_seq(pat.elements, binding, ctx, "expr"), node_id=ctx.fresh())
-    if t is PTuple:
-        return PTuple(subst_seq(pat.elements, binding, ctx, "pattern"), node_id=ctx.fresh())
-    raise TypeError(f"cannot substitute into {t.__name__}")
+        changes["name"] = _subst_name(pat.name, binding)
+    for f, seq, sort in slots:
+        sub = subst_seq if seq else subst_fragment
+        changes[f] = sub(getattr(pat, f), binding, ctx, sort)
+    return remake(t, pat, changes, ctx.fresh())
 
 
-def substitute(t: Template, binding: Binding, ctx: SubstCtx):
+def substitute(t: Template, binding: Binding, ctx: SubstCtx, arg_slot: str = "pattern"):
     """Instantiate a template; returns a node, or structured parts for
-    head/args/signature templates."""
+    head/args/signature templates. arg_slot is the sort of a signature's
+    arguments: patterns in a head, expressions at a call site."""
     if isinstance(t, HeadTemplate):
         return (subst_seq(t.params, binding, ctx, "pattern"),
                 subst_seq(t.body, binding, ctx, "expr"))
     if isinstance(t, ArgsTemplate):
         return subst_seq(t.args, binding, ctx, "expr")
     if isinstance(t, SigTemplate):
-        if t.name.startswith("@"):
-            frag = _lookup(binding, t.name[1:])
-            if not isinstance(frag, str):
-                raise UnboundMetavariable(f"{t.name[1:]} is not a name")
-            name = frag
-        else:
-            name = t.name
-        return name, subst_seq(t.args, binding, ctx, "pattern")
+        return _subst_name(t.name, binding), subst_seq(t.args, binding, ctx, arg_slot)
     return subst_fragment(t, binding, ctx, "expr")
+
+
+def finish_step(module: ModuleAst, result_id: int) -> StepOutcome:
+    """Applied with a snapshot of module, or NotApplicable when the edit left
+    a shape the language cannot express."""
+    try:
+        check_module(module)
+    except SyntacticFlaw as flaw:
+        return NotApplicable(str(flaw))
+    snap = Snapshot(module)
+    return Applied(snap, snap.ref(result_id))
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +691,7 @@ def eval_condition(cond: Condition, binding: Binding, ctx: CondContext) -> Bindi
         v = value_of(c.expr)
         if c.bind_to is not None:
             if c.bind_to in b:
-                if not _binding_equal(b[c.bind_to], v):
+                if not struct_eq(b[c.bind_to], v):
                     raise ConditionFailure("binding", c.bind_to)
             else:
                 b[c.bind_to] = v
@@ -813,9 +760,4 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef,
     ctx = SubstCtx.for_module(snap.module, freed=[subj])
     new_frag = subst_fragment(rule.rhs, b, ctx, "expr")
     new_module = module_replace(snap.module, {subj.node_id: new_frag}, ctx.gen.high)
-    flaws = syntactic_flaws(new_module)
-    if flaws:
-        return NotApplicable(flaws[0])
-    check_module(new_module)
-    new_snap = Snapshot(new_module)
-    return Applied(new_snap, new_snap.ref(new_frag.node_id))
+    return finish_step(new_module, new_frag.node_id)

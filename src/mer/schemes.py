@@ -23,20 +23,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import analysis
-from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot
+from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
-    Applied, Binding, CondContext, Condition, ConditionFailure,
-    NotApplicable, PreconditionViolated, RewriteRule, SigTemplate,
-    StepOutcome, SubstCtx, TemplateError, apply_rule, eval_condition,
-    match_template, parse_rule_text, subst_seq, substitute,
+    Binding, CondContext, Condition, ConditionFailure, NotApplicable,
+    PreconditionViolated, RewriteRule, SigTemplate, StepOutcome, SubstCtx,
+    TemplateError, apply_rule, eval_condition, finish_step, match_template,
+    parse_rule_text, substitute, template_metavars,
 )
 from .syntax import (
     Body, FunDef, Match, ModuleAst, Node, Pattern, PVar, StaticCall,
-    check_module, is_expr, module_replace, pattern_to_expr, rebuild,
-    syntactic_flaws, walk,
+    is_expr, module_replace, pattern_to_expr, rebuild, walk,
 )
 
 
@@ -100,15 +99,6 @@ def _loc(snap: Snapshot, node: Node) -> str:
         return "<detached>"
 
 
-def _finish(module: ModuleAst, result_id: int) -> StepOutcome:
-    flaws = syntactic_flaws(module)
-    if flaws:
-        return NotApplicable(flaws[0])
-    check_module(module)
-    snap = Snapshot(module)
-    return Applied(snap, snap.ref(result_id))
-
-
 # ---------------------------------------------------------------------------
 # Local
 
@@ -166,12 +156,8 @@ def _introduce_in_scope(inst: IntroduceVariable, snap: Snapshot,
     body_node = snap.node(scope_ref)
     ctx = SubstCtx.for_module(snap.module, freed=[subj])
     new_match = Match(PVar(name, node_id=ctx.fresh()), ctx.take(bound), node_id=ctx.fresh())
-    replacement = substitute(inst.ref_rule.rhs, b, ctx)
-    new_exprs = (new_match,) + tuple(rebuild(e, {subj.node_id: replacement})
-                                     for e in body_node.exprs)
-    new_body = Body(new_exprs, node_id=body_node.node_id)
-    module = module_replace(snap.module, {body_node.node_id: new_body}, ctx.gen.high)
-    return _finish(module, new_match.node_id)
+    return _bind_at_front(snap, body_node, new_match, subj,
+                          substitute(inst.ref_rule.rhs, b, ctx), ctx)
 
 
 def _introduce_outer_scope(inst: IntroduceVariable, snap: Snapshot,
@@ -217,12 +203,22 @@ def _introduce_outer_scope(inst: IntroduceVariable, snap: Snapshot,
 
     ctx = SubstCtx.for_module(snap.module, freed=[subj])
     new_match = Match(ctx.take(pattern), ctx.take(bound), node_id=ctx.fresh())
-    replacement = substitute(inst.ref_rule.rhs, b, ctx)
-    new_exprs = (new_match,) + tuple(rebuild(e, {subj.node_id: replacement})
-                                     for e in outer_body.exprs)
-    new_body = Body(new_exprs, node_id=outer_body.node_id)
-    module = module_replace(snap.module, {outer_body.node_id: new_body}, ctx.gen.high)
-    return _finish(module, new_match.node_id)
+    return _bind_at_front(snap, outer_body, new_match, subj,
+                          substitute(inst.ref_rule.rhs, b, ctx), ctx)
+
+
+def _bind_at_front(snap: Snapshot, body: Body, binding: Match, subj: Node,
+                   replacement: Node, ctx: SubstCtx) -> StepOutcome:
+    """Put binding first in body and replacement in place of subj."""
+    def edit(n: Node) -> Node:
+        if n.node_id == subj.node_id:
+            return replacement
+        if n.node_id == body.node_id:
+            return Body((binding,) + n.exprs, node_id=n.node_id)
+        return n
+
+    defs = tuple(rebuild(d, edit) for d in snap.module.definitions)
+    return finish_step(ModuleAst(defs, ctx.gen.high), binding.node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +266,11 @@ def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
         replacement = Body((call,), node_id=ctx.fresh())
     module = module_replace(snap.module, {subj.node_id: replacement}, ctx.gen.high)
     module = ModuleAst(module.definitions + (new_def,), module.next_node_id)
-    return _finish(module, new_def.node_id)
+    return finish_step(module, new_def.node_id)
 
 
 # ---------------------------------------------------------------------------
 # Function refactoring
-
-
-def _calls_to(node: Node, key: FunKey) -> bool:
-    return any(isinstance(x, StaticCall) and x.name == key.name and len(x.args) == key.arity
-               for x in walk(node))
 
 
 class _SiteFailure(Exception):
@@ -287,30 +278,22 @@ class _SiteFailure(Exception):
         self.outcome = outcome
 
 
-def _transform_calls(node: Node, key: FunKey, make) -> Node:
-    """Rewrite every reference to key bottom-up, nested calls included."""
-    from .syntax import _CHILD_FIELDS, _rebuilt
-    slots = _CHILD_FIELDS.get(type(node))
-    if slots:
-        new_children: dict[str, object] = {}
-        changed = False
-        for fname, is_seq in slots:
-            val = getattr(node, fname)
-            if is_seq:
-                new = tuple(_transform_calls(c, key, make) for c in val)
-                if any(a is not b for a, b in zip(new, val)):
-                    changed = True
-                new_children[fname] = new
-            else:
-                nv = _transform_calls(val, key, make)
-                if nv is not val:
-                    changed = True
-                new_children[fname] = nv
-        if changed:
-            node = _rebuilt(node, new_children)
-    if isinstance(node, StaticCall) and node.name == key.name and len(node.args) == key.arity:
-        return make(node)
-    return node
+def _replace_def(snap: Snapshot, d: FunDef, new_def: FunDef,
+                 make: Callable[[StaticCall], Node], ctx: SubstCtx) -> StepOutcome:
+    """Put new_def in place of d and rewrite every call to d with make,
+    bottom-up, nested calls included; a site make rejects aborts the step."""
+    key = FunKey(d.name, d.arity)
+
+    def edit(n: Node) -> Node:
+        return make(n) if is_call_to(n, key) else n
+
+    try:
+        new_def = rebuild(new_def, edit)
+        defs = tuple(new_def if old.node_id == d.node_id else rebuild(old, edit)
+                     for old in snap.module.definitions)
+    except _SiteFailure as sf:
+        return sf.outcome
+    return finish_step(ModuleAst(defs, ctx.gen.high), d.node_id)
 
 
 def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
@@ -331,13 +314,12 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
     old_key = FunKey(d.name, d.arity)
     # metavariables the reference rule re-inserts but does not itself match
     # hold code relocated from the definition to every call site
-    from .rewrite import template_metavars
     relocated = template_metavars(inst.ref_rule.rhs) - template_metavars(inst.ref_rule.lhs)
     for mv in sorted(relocated):
         frag = b.get(mv)
         if not isinstance(frag, Node):
             continue
-        if _calls_to(frag, old_key):
+        if any(is_call_to(x, old_key) for x in walk(frag)):
             return PreconditionViolated(
                 "no_self_reference",
                 f"{old_key} called inside the relocated expression")
@@ -366,15 +348,7 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
         new_args = substitute(inst.ref_rule.rhs, rb, ctx)
         return StaticCall(call.name, new_args, node_id=call.node_id)
 
-    try:
-        new_def = _transform_calls(new_def, old_key, rewrite_ref)
-        defs = tuple(new_def if old.node_id == d.node_id
-                     else _transform_calls(old, old_key, rewrite_ref)
-                     for old in snap.module.definitions)
-    except _SiteFailure as sf:
-        return sf.outcome
-    module = ModuleAst(defs, ctx.gen.high)
-    return _finish(module, d.node_id)
+    return _replace_def(snap, d, new_def, rewrite_ref, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -417,31 +391,11 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
                                 CondContext(snap, snap.ref(call.node_id)))
         except ConditionFailure as f:
             raise _SiteFailure(PreconditionViolated(f.predicate, f.location))
-        ref_name, ref_args = _subst_signature(inst.head_rule.rhs, rb, ctx, "expr")
+        ref_name, ref_args = substitute(inst.head_rule.rhs, rb, ctx, "expr")
         return StaticCall(ref_name, ref_args, node_id=call.node_id)
 
-    try:
-        new_def = FunDef(new_name, new_params,
-                         _transform_calls(d.body, old_key, rewrite_ref),
-                         node_id=d.node_id)
-        defs = tuple(new_def if old.node_id == d.node_id
-                     else _transform_calls(old, old_key, rewrite_ref)
-                     for old in snap.module.definitions)
-    except _SiteFailure as sf:
-        return sf.outcome
-    module = ModuleAst(defs, ctx.gen.high)
-    return _finish(module, d.node_id)
-
-
-def _subst_signature(t: SigTemplate, binding: Binding, ctx: SubstCtx, slot: str):
-    if t.name.startswith("@"):
-        frag = binding.get(t.name[1:])
-        if not isinstance(frag, str):
-            raise TemplateError(f"{t.name[1:]} is not bound to a name")
-        name = frag
-    else:
-        name = t.name
-    return name, subst_seq(t.args, binding, ctx, slot)
+    new_def = FunDef(new_name, new_params, d.body, node_id=d.node_id)
+    return _replace_def(snap, d, new_def, rewrite_ref, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,20 @@ Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
 node references stay valid across refactoring snapshots. Modules and
 nodes are immutable after construction.
+
+``SLOTS`` and ``MIRROR`` are the one place a node type is registered:
+``SLOTS`` lists each compound type's child fields and whether each holds
+expressions or patterns, and ``MIRROR`` pairs each expression type with
+the pattern type of the same shape. Traversal, rebuild, cloning,
+structural equality, and the template matcher, substituter and validator
+are all derived from these two tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterator, Optional, Union
 
 
 class ParseError(Exception):
@@ -259,35 +267,73 @@ class IdGen:
 
 
 # ---------------------------------------------------------------------------
+# Node schema
+
+
+# compound node type -> its child slots in source order, each
+# (field, holds a sequence, sort "expr" | "pattern")
+SLOTS: dict[type, tuple[tuple[str, bool, str], ...]] = {
+    BinOp: (("left", False, "expr"), ("right", False, "expr")),
+    Match: (("pattern", False, "pattern"), ("rhs", False, "expr")),
+    Block: (("body", True, "expr"),),
+    Body: (("exprs", True, "expr"),),
+    Lambda: (("params", True, "pattern"), ("body", False, "expr")),
+    StaticCall: (("args", True, "expr"),),
+    DynCall: (("callee", False, "expr"), ("args", True, "expr")),
+    Print: (("arg", False, "expr"),),
+    TupleExpr: (("elements", True, "expr"),),
+    PTuple: (("elements", True, "pattern"),),
+    FunDef: (("params", True, "pattern"), ("body", False, "expr")),
+}
+
+# expression type <-> pattern type of the same shape; a pair shares its
+# field names
+MIRROR: dict[type, type] = {VarRef: PVar, IntLit: PInt, AtomLit: PAtom, TupleExpr: PTuple}
+MIRROR.update({p: e for e, p in list(MIRROR.items())})
+
+# node type -> its fields other than node_id and span, in declaration order
+FIELDS = {t: tuple(f.name for f in fields(t) if f.name not in ("node_id", "span"))
+          for t in Node.__subclasses__()}
+
+
+def _children_getter(slots):
+    # children() is on every traversal's path: a lone sequence slot, or
+    # scalar slots only, are read by one C-level attrgetter
+    names = tuple(f for f, _, _ in slots)
+    if len(slots) == 1 and slots[0][1]:
+        return attrgetter(names[0])
+    if len(slots) > 1 and not any(seq for _, seq, _ in slots):
+        return attrgetter(*names)
+    spec = tuple((f, seq) for f, seq, _ in slots)
+
+    def get(n):
+        out = ()
+        for f, seq in spec:
+            v = getattr(n, f)
+            out += v if seq else (v,)
+        return out
+
+    return get
+
+
+_CHILDREN = {t: _children_getter(slots) for t, slots in SLOTS.items()}
+
+
+def remake(cls: type, n: Node, changes: dict, node_id: int,
+           span: Optional[SourceSpan] = None) -> Node:
+    """A cls node with n's fields, except those in changes."""
+    return cls(*[changes[f] if f in changes else getattr(n, f) for f in FIELDS[cls]],
+               node_id=node_id, span=span)
+
+
+# ---------------------------------------------------------------------------
 # Generic tree access
 
 
 def children(n: Node) -> tuple[Node, ...]:
     """Direct children in source order."""
-    t = type(n)
-    if t is BinOp:
-        return (n.left, n.right)
-    if t is Match:
-        return (n.pattern, n.rhs)
-    if t is Block:
-        return n.body
-    if t is Body:
-        return n.exprs
-    if t is Lambda:
-        return n.params + (n.body,)
-    if t is StaticCall:
-        return n.args
-    if t is DynCall:
-        return (n.callee,) + n.args
-    if t is Print:
-        return (n.arg,)
-    if t is TupleExpr:
-        return n.elements
-    if t is PTuple:
-        return n.elements
-    if t is FunDef:
-        return n.params + (n.body,)
-    return ()
+    get = _CHILDREN.get(type(n))
+    return get(n) if get else ()
 
 
 def walk(n: Node) -> Iterator[Node]:
@@ -318,20 +364,11 @@ def is_pattern(n: Node) -> bool:
     return isinstance(n, PATTERN_TYPES)
 
 
-_STRUCT_IGNORED = ("node_id", "span")
-
-
 def struct_eq(a, b) -> bool:
     """Structural equality ignoring node ids and source spans."""
     if isinstance(a, Node) or isinstance(b, Node):
-        if type(a) is not type(b):
-            return False
-        for f in fields(a):
-            if f.name in _STRUCT_IGNORED:
-                continue
-            if not struct_eq(getattr(a, f.name), getattr(b, f.name)):
-                return False
-        return True
+        t = type(a)
+        return t is type(b) and all(struct_eq(getattr(a, f), getattr(b, f)) for f in FIELDS[t])
     if isinstance(a, tuple) and isinstance(b, tuple):
         return len(a) == len(b) and all(struct_eq(x, y) for x, y in zip(a, b))
     return a == b
@@ -341,155 +378,69 @@ def module_struct_eq(a: ModuleAst, b: ModuleAst) -> bool:
     return struct_eq(a.definitions, b.definitions)
 
 
+def _map_children(n: Node, fn: Callable[[Node], Node]) -> dict:
+    """{slot field: fn applied to each child held there} for n's slots."""
+    out = {}
+    for f, seq, _ in SLOTS.get(type(n), ()):
+        v = getattr(n, f)
+        out[f] = tuple(fn(c) for c in v) if seq else fn(v)
+    return out
+
+
 def clone_fresh(n: Node, gen: IdGen) -> Node:
     """Deep copy with all-new node ids and no spans."""
-    t = type(n)
-    if t is BinOp:
-        return BinOp(n.op, clone_fresh(n.left, gen), clone_fresh(n.right, gen), node_id=gen.fresh())
-    if t is Match:
-        return Match(clone_fresh(n.pattern, gen), clone_fresh(n.rhs, gen), node_id=gen.fresh())
-    if t is Block:
-        return Block(tuple(clone_fresh(e, gen) for e in n.body), node_id=gen.fresh())
-    if t is Body:
-        return Body(tuple(clone_fresh(e, gen) for e in n.exprs), node_id=gen.fresh())
-    if t is Lambda:
-        return Lambda(tuple(clone_fresh(p, gen) for p in n.params), clone_fresh(n.body, gen), node_id=gen.fresh())
-    if t is StaticCall:
-        return StaticCall(n.name, tuple(clone_fresh(a, gen) for a in n.args), node_id=gen.fresh())
-    if t is DynCall:
-        return DynCall(clone_fresh(n.callee, gen), tuple(clone_fresh(a, gen) for a in n.args), node_id=gen.fresh())
-    if t is Print:
-        return Print(clone_fresh(n.arg, gen), node_id=gen.fresh())
-    if t is TupleExpr:
-        return TupleExpr(tuple(clone_fresh(e, gen) for e in n.elements), node_id=gen.fresh())
-    if t is PTuple:
-        return PTuple(tuple(clone_fresh(e, gen) for e in n.elements), node_id=gen.fresh())
-    if t is FunDef:
-        return FunDef(n.name, tuple(clone_fresh(p, gen) for p in n.params), clone_fresh(n.body, gen), node_id=gen.fresh())
-    if t is IntLit:
-        return IntLit(n.value, node_id=gen.fresh())
-    if t is AtomLit:
-        return AtomLit(n.name, node_id=gen.fresh())
-    if t is VarRef:
-        return VarRef(n.name, node_id=gen.fresh())
-    if t is PVar:
-        return PVar(n.name, node_id=gen.fresh())
-    if t is PInt:
-        return PInt(n.value, node_id=gen.fresh())
-    if t is PAtom:
-        return PAtom(n.name, node_id=gen.fresh())
-    if t is MetaVar:
-        return MetaVar(n.name, node_id=gen.fresh())
-    if t is MetaSeq:
-        return MetaSeq(n.name, node_id=gen.fresh())
-    raise TypeError(f"cannot clone {t.__name__}")
+    return remake(type(n), n, _map_children(n, lambda c: clone_fresh(c, gen)), gen.fresh())
 
 
-def _rebuilt(n: Node, new_children: dict[str, object]) -> Node:
-    t = type(n)
-    if t is BinOp:
-        return BinOp(n.op, new_children["left"], new_children["right"], node_id=n.node_id, span=n.span)
-    if t is Match:
-        return Match(new_children["pattern"], new_children["rhs"], node_id=n.node_id, span=n.span)
-    if t is Block:
-        return Block(new_children["body"], node_id=n.node_id, span=n.span)
-    if t is Body:
-        return Body(new_children["exprs"], node_id=n.node_id, span=n.span)
-    if t is Lambda:
-        return Lambda(new_children["params"], new_children["body"], node_id=n.node_id, span=n.span)
-    if t is StaticCall:
-        return StaticCall(n.name, new_children["args"], node_id=n.node_id, span=n.span)
-    if t is DynCall:
-        return DynCall(new_children["callee"], new_children["args"], node_id=n.node_id, span=n.span)
-    if t is Print:
-        return Print(new_children["arg"], node_id=n.node_id, span=n.span)
-    if t is TupleExpr:
-        return TupleExpr(new_children["elements"], node_id=n.node_id, span=n.span)
-    if t is PTuple:
-        return PTuple(new_children["elements"], node_id=n.node_id, span=n.span)
-    if t is FunDef:
-        return FunDef(n.name, new_children["params"], new_children["body"], node_id=n.node_id, span=n.span)
-    raise TypeError(f"no child slots on {t.__name__}")
+def rebuild(n: Node, f: Callable[[Node], Node]) -> Node:
+    """Bottom-up rewrite: rebuild n's children, then apply f to the result.
 
-
-_CHILD_FIELDS = {
-    BinOp: (("left", False), ("right", False)),
-    Match: (("pattern", False), ("rhs", False)),
-    Block: (("body", True),),
-    Body: (("exprs", True),),
-    Lambda: (("params", True), ("body", False)),
-    StaticCall: (("args", True),),
-    DynCall: (("callee", False), ("args", True)),
-    Print: (("arg", False),),
-    TupleExpr: (("elements", True),),
-    PTuple: (("elements", True),),
-    FunDef: (("params", True), ("body", False)),
-}
-
-
-def rebuild(n: Node, replacements: dict[int, Node]) -> Node:
-    """Replace nodes by id throughout n; unchanged subtrees are shared.
-
-    A replacement subtree is inserted as-is (not descended into).
+    Unchanged subtrees are shared, and f's result is not descended into.
     """
-    r = replacements.get(n.node_id)
-    if r is not None:
-        return r
-    slots = _CHILD_FIELDS.get(type(n))
-    if not slots:
-        return n
-    changed = False
-    new_children: dict[str, object] = {}
-    for name, is_seq in slots:
-        val = getattr(n, name)
-        if is_seq:
-            new_seq = tuple(rebuild(c, replacements) for c in val)
-            if any(a is not b for a, b in zip(new_seq, val)):
-                changed = True
-            new_children[name] = new_seq
-        else:
-            new_val = rebuild(val, replacements)
-            if new_val is not val:
-                changed = True
-            new_children[name] = new_val
-    if not changed:
-        return n
-    return _rebuilt(n, new_children)
+    slots = SLOTS.get(type(n))
+    if slots:
+        changes = {}
+        for name, seq, _ in slots:
+            old = getattr(n, name)
+            if seq:
+                new = tuple(rebuild(c, f) for c in old)
+                if any(a is not b for a, b in zip(new, old)):
+                    changes[name] = new
+            else:
+                new = rebuild(old, f)
+                if new is not old:
+                    changes[name] = new
+        if changes:
+            n = remake(type(n), n, changes, n.node_id, n.span)
+    return f(n)
 
 
 def module_replace(m: ModuleAst, replacements: dict[int, Node], next_node_id: int) -> ModuleAst:
-    defs = tuple(rebuild(d, replacements) for d in m.definitions)
-    return ModuleAst(defs, next_node_id)
+    """Replace nodes by id throughout m; a replacement is inserted as-is."""
+    def f(n: Node) -> Node:
+        return replacements.get(n.node_id, n)
+
+    return ModuleAst(tuple(rebuild(d, f) for d in m.definitions), next_node_id)
+
+
+def _mirror(n: Node, gen: IdGen, to_pattern: bool) -> Node:
+    t = type(n)
+    if t is MetaVar or t is MetaSeq:
+        return n
+    if t not in MIRROR or (t in PATTERN_TYPES) == to_pattern:
+        raise ValueError(f"no {'pattern' if to_pattern else 'expression'} mirrors {t.__name__}")
+    changes = _map_children(n, lambda c: _mirror(c, gen, to_pattern))
+    return remake(MIRROR[t], n, changes, gen.fresh())
 
 
 def pattern_to_expr(p: Pattern, gen: IdGen) -> Expr:
     """Fresh expression mirroring a pattern (for generated call arguments)."""
-    if isinstance(p, PVar):
-        return VarRef(p.name, node_id=gen.fresh())
-    if isinstance(p, PInt):
-        return IntLit(p.value, node_id=gen.fresh())
-    if isinstance(p, PAtom):
-        return AtomLit(p.name, node_id=gen.fresh())
-    if isinstance(p, PTuple):
-        return TupleExpr(tuple(pattern_to_expr(e, gen) for e in p.elements), node_id=gen.fresh())
-    if isinstance(p, (MetaVar, MetaSeq)):
-        return p
-    raise TypeError(f"not a pattern: {type(p).__name__}")
+    return _mirror(p, gen, False)
 
 
 def expr_to_pattern(e: Expr, gen: IdGen) -> Pattern:
     """Fresh pattern mirroring an expression; raises on non-pattern shapes."""
-    if isinstance(e, VarRef):
-        return PVar(e.name, node_id=gen.fresh())
-    if isinstance(e, IntLit):
-        return PInt(e.value, node_id=gen.fresh())
-    if isinstance(e, AtomLit):
-        return PAtom(e.name, node_id=gen.fresh())
-    if isinstance(e, TupleExpr):
-        return PTuple(tuple(expr_to_pattern(x, gen) for x in e.elements), node_id=gen.fresh())
-    if isinstance(e, (MetaVar, MetaSeq)):
-        return e
-    raise ValueError(f"not a pattern shape: {type(e).__name__}")
+    return _mirror(e, gen, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,8 +960,15 @@ def syntactic_flaws(m: ModuleAst) -> list[str]:
     return flaws
 
 
+class SyntacticFlaw(ValueError):
+    """A module shape the language cannot express (see syntactic_flaws)."""
+
+
 def check_module(m: ModuleAst):
-    """Assert module invariants; raises ValueError on violation."""
+    """Assert module invariants; raises SyntacticFlaw for the first shape
+    flaw, else ValueError on a duplicate definition or node id."""
+    for flaw in syntactic_flaws(m):
+        raise SyntacticFlaw(flaw)
     seen_keys: set[tuple[str, int]] = set()
     seen_ids: set[int] = set()
     for d in m.definitions:
@@ -1024,5 +982,3 @@ def check_module(m: ModuleAst):
             seen_ids.add(n.node_id)
             if n.node_id >= m.next_node_id:
                 raise ValueError(f"node id {n.node_id} beyond next_node_id {m.next_node_id}")
-    for flaw in syntactic_flaws(m):
-        raise ValueError(flaw)

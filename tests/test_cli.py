@@ -54,6 +54,13 @@ def test_check_empty_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_check_non_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin.mer"
+    p.write_bytes(b"f(X) -> \xff.\n")
+    assert main(["check", str(p)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_check_parse_error_position(tmp_path, capsys):
     p = tmp_path / "bad.mer"
     p.write_text("f(X) -> .\n")
@@ -70,6 +77,12 @@ def test_generalise_by_position(l1, capsys):
                  "--param", "Y"]) == 0
     out = capsys.readouterr().out
     assert defs_of(parse(out)) == GENERALISED_DEFS
+
+
+def test_generalise_occurrence_below_one_exits_2(l1, capsys):
+    assert main(["refactor", "generalise", str(l1), "--expr", "2",
+                 "--occurrence", "0", "--param", "Y"]) == 2
+    assert "--occurrence" in capsys.readouterr().err
 
 
 def test_generalise_by_expression_text(l1, capsys):
@@ -104,6 +117,14 @@ def test_generalise_clash_names_step_and_keeps_file(tmp_path, capsys):
     assert "rename_function" in err
     assert "signature_clash" in err
     assert p.read_text() == src  # untouched even with --write
+
+
+def test_step_write_keeps_file_mode(l1, capsys):
+    os.chmod(l1, 0o644)
+    assert main(["refactor", "step", "wrap", str(l1), "--pos", "1:19",
+                 "--write"]) == 0
+    assert "(fun() -> 2 end)()" in l1.read_text()
+    assert os.stat(l1).st_mode & 0o777 == 0o644
 
 
 def test_generalise_write_in_place(l1, capsys):
@@ -239,3 +260,11 @@ def test_verify_seed_determinism(l1, l2, capsys):
     main(["verify", str(l1), str(l2), "--entry", "f/1", "--seed", "9"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_zero_trials_exits_2(l1, l2, capsys):
+    code = main(["verify", str(l1), str(l2), "--entry", "f/1", "--trials", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "at least one trial" in captured.err

@@ -64,6 +64,16 @@ def test_one_list_metavar_per_sequence():
         parse_template_args("(@A..., @B...)")
 
 
+@pytest.mark.parametrize("lhs", [
+    "begin @A..., @B... end",  # Block
+    "{@A..., @B...}",          # TupleExpr
+    "{@A..., @B...} = @E",     # PTuple
+])
+def test_one_list_metavar_per_sequence_in_every_slot(lhs):
+    with pytest.raises(TemplateError):
+        parse_rule_text(f"{lhs}\n-----\n0\n")
+
+
 def test_match_list_metavar_prefix_suffix():
     t = parse_template_args("(1, @Mid..., @Last)")
     call = parse_expr_text("f(1, 2, 3, 4)")

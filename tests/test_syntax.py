@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from mer import syntax
 from mer.equiv import gen_module
 from mer.syntax import (
-    Block, Body, DynCall, DuplicateDefinition, FunDef, IntLit, Lambda, Match,
-    ModuleAst, NotFound, ParseError, PVar, StaticCall, VarRef, find_node,
-    module_node_ids, module_struct_eq, parse, pretty, pretty_def, pretty_expr,
-    parse_expr_text, struct_eq, walk,
+    FIELDS, SLOTS, Block, Body, DynCall, DuplicateDefinition, FunDef, IdGen,
+    IntLit, Lambda, Match, ModuleAst, Node, NotFound, ParseError, PVar,
+    StaticCall, VarRef, clone_fresh, find_node, module_node_ids,
+    module_struct_eq, parse, pretty, pretty_def, pretty_expr, parse_expr_text,
+    rebuild, struct_eq, walk,
 )
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC, DOUBLER_SRC_PRETTY
@@ -172,3 +174,35 @@ def test_tuple_and_atom_syntax():
     assert module_struct_eq(parse(pretty(m)), m)
     e = parse_expr_text("{}")
     assert pretty_expr(e) == "{}"
+
+
+# ---------------------------------------------------------------------------
+# node schema
+
+
+def _one_of_each_type() -> dict:
+    m = parse("f(X, 1, a, {Y}) -> Z = begin 1 + X, b end, "
+              "(fun(W) -> print(W) end)(X), V = fun() -> 0 end, V(), g({X}).\n")
+    t = parse_expr_text("h(@E, @Es...)", meta=True)
+    sample = {}
+    for root in m.definitions + (t,):
+        for n in walk(root):
+            sample.setdefault(type(n), n)
+    return sample
+
+
+def _holds_nodes(v) -> bool:
+    return isinstance(v, Node) or (isinstance(v, tuple) and any(isinstance(x, Node) for x in v))
+
+
+def test_schema_covers_every_node_type():
+    node_types = {t for t in vars(syntax).values()
+                  if isinstance(t, type) and issubclass(t, Node) and t is not Node}
+    sample = _one_of_each_type()
+    assert set(sample) == node_types
+    gen = IdGen(10_000)
+    for t, n in sample.items():
+        node_fields = {f for f in FIELDS[t] if _holds_nodes(getattr(n, f))}
+        assert node_fields == {f for f, _, _ in SLOTS.get(t, ())}, t.__name__
+        assert struct_eq(clone_fresh(n, gen), n), t.__name__
+        assert rebuild(n, lambda x: x) is n, t.__name__
