@@ -4,8 +4,12 @@ Scope introducers are function bodies and lambda bodies only; a
 ``begin .. end`` block is transparent, so bindings made inside it leak
 into the rest of the enclosing scope. Traversals follow evaluation
 order: the right-hand side of a match is evaluated before its pattern
-binds, sequences thread bindings left to right, and lambda bodies keep
-their bindings to themselves.
+binds, sequences thread bindings left to right, lambda bodies keep
+their bindings to themselves, parameters shadow, and a pattern variable
+that is already bound re-matches it. :func:`resolve` is the one place
+these rules live: ``free_vars``, ``closed``, ``non_bind`` and their
+standalone forms ``expr_free_vars`` and ``visible_bindings`` all read
+its occurrences.
 
 All queries are pure functions over an immutable :class:`Snapshot`;
 node references carry the snapshot version and fail with
@@ -22,7 +26,7 @@ from typing import Callable, Optional
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, FunDef, IntLit, Lambda, Match,
     ModuleAst, Node, PVar, Pattern, Print, StaticCall, TupleExpr, VarRef,
-    children, is_expr, parse, walk,
+    children, is_expr, node_ids, parse, walk,
 )
 
 
@@ -139,52 +143,6 @@ def pattern_vars(pats) -> list[str]:
     return out
 
 
-def expr_free_vars(e: Node) -> list[str]:
-    """Free variables of a standalone expression or body, in first-occurrence
-    order. Pattern variables bind for the remainder of their scope; lambda
-    bodies neither leak bindings nor shadow the free set of the whole."""
-    free: list[str] = []
-
-    def visit(n: Node, bound: set[str]):
-        if isinstance(n, VarRef):
-            if n.name not in bound and n.name not in free:
-                free.append(n.name)
-        elif isinstance(n, Match):
-            visit(n.rhs, bound)
-            bound.update(pattern_vars(n.pattern))
-        elif isinstance(n, Lambda):
-            inner = set(bound)
-            inner.update(pattern_vars(n.params))
-            for x in n.body.exprs:
-                visit(x, inner)
-        else:
-            for x in children(n):
-                visit(x, bound)
-
-    visit(e, set())
-    return free
-
-
-def visible_bindings(e: Node) -> list[str]:
-    """Names bound by e that remain visible after it in the same scope."""
-    out: list[str] = []
-
-    def visit(n: Node):
-        if isinstance(n, Match):
-            visit(n.rhs)
-            for name in pattern_vars(n.pattern):
-                if name not in out:
-                    out.append(name)
-        elif isinstance(n, Lambda):
-            return  # lambda-body bindings die at the boundary
-        else:
-            for x in children(n):
-                visit(x)
-
-    visit(e)
-    return out
-
-
 def effect_free(e: Node, call_ok: Callable[[StaticCall], bool]) -> bool:
     """True iff evaluating e can emit no side effect: no print, no dynamic
     call, and only static calls that call_ok accepts; creating a closure has
@@ -203,11 +161,17 @@ def standalone_pure(e: Node) -> bool:
     return effect_free(e, lambda call: False)
 
 
-def occurs_var(name: str, n: Node) -> bool:
-    """True if name occurs in n as a variable (reference or pattern)."""
-    for x in walk(n):
+def occurs_var(name: str, n: Node, excluded: Optional[Node] = None) -> bool:
+    """True if name occurs in n as a variable (reference or pattern),
+    outside the subtree excluded."""
+    stack = [n]
+    while stack:
+        x = stack.pop()
+        if excluded is not None and x.node_id == excluded.node_id:
+            continue
         if isinstance(x, (VarRef, PVar)) and x.name == name:
             return True
+        stack.extend(children(x))
     return False
 
 
@@ -275,40 +239,32 @@ class Occurrence:
 
 @dataclass(frozen=True)
 class BindingInfo:
-    """Per-occurrence classification for one function definition."""
+    """Per-occurrence classification for one resolved node."""
 
     occurrences: tuple[Occurrence, ...]
 
-    def by_node(self) -> dict[int, Occurrence]:
-        return {o.node_id: o for o in self.occurrences}
 
-    def references_of(self, binder_id: int) -> list[Occurrence]:
-        return [o for o in self.occurrences
-                if o.kind == "reference" and o.binder_id == binder_id]
+def resolve(node: Node) -> BindingInfo:
+    """Classify every variable occurrence in node, in evaluation order.
 
-
-def binding_info(snap: Snapshot, fundef_ref: NodeRef) -> BindingInfo:
-    d = snap.node(fundef_ref)
-    if not isinstance(d, FunDef):
-        d = snap.fundef_of(d.node_id)
+    node is a function definition or a standalone expression or body. The
+    outermost scope of a standalone node has scope_body_id None; function
+    and lambda bodies open their own scopes.
+    """
     occs: list[Occurrence] = []
     # scope stack: (body id, {name: binder node id})
-    scopes: list[tuple[int, dict[str, int]]] = [(d.body.node_id, {})]
+    scopes: list[tuple[Optional[int], dict[str, int]]] = [(None, {})]
 
-    def lookup(name: str) -> Optional[tuple[int, int]]:
+    def lookup(name: str) -> Optional[tuple[int, Optional[int]]]:
         for body_id, binds in reversed(scopes):
             if name in binds:
                 return binds[name], body_id
         return None
 
-    def bind_param(p: Pattern):
-        # parameters always bind: the callee environment drops their names
-        # before matching, so they shadow any outer binding
+    def bind(n: PVar):
         body_id, binds = scopes[-1]
-        for n in walk(p):
-            if isinstance(n, PVar):
-                binds[n.name] = n.node_id
-                occs.append(Occurrence(n.node_id, n.name, "binding", n.node_id, body_id))
+        binds[n.name] = n.node_id
+        occs.append(Occurrence(n.node_id, n.name, "binding", n.node_id, body_id))
 
     def bind_match_pattern(p: Pattern):
         # a match-pattern variable that is already bound re-matches it
@@ -316,12 +272,9 @@ def binding_info(snap: Snapshot, fundef_ref: NodeRef) -> BindingInfo:
             if isinstance(n, PVar):
                 hit = lookup(n.name)
                 if hit is None:
-                    body_id, binds = scopes[-1]
-                    binds[n.name] = n.node_id
-                    occs.append(Occurrence(n.node_id, n.name, "binding", n.node_id, body_id))
+                    bind(n)
                 else:
-                    binder, body_id = hit
-                    occs.append(Occurrence(n.node_id, n.name, "reference", binder, body_id))
+                    occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
 
     def visit(n: Node):
         if isinstance(n, VarRef):
@@ -329,14 +282,18 @@ def binding_info(snap: Snapshot, fundef_ref: NodeRef) -> BindingInfo:
             if hit is None:
                 occs.append(Occurrence(n.node_id, n.name, "unbound", None, None))
             else:
-                occs.append(Occurrence(n.node_id, n.name, "reference", hit[0], hit[1]))
+                occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
         elif isinstance(n, Match):
             visit(n.rhs)
             bind_match_pattern(n.pattern)
-        elif isinstance(n, Lambda):
+        elif isinstance(n, (Lambda, FunDef)):
+            # parameters always bind: the callee environment drops their
+            # names before matching, so they shadow any outer binding
             scopes.append((n.body.node_id, {}))
             for p in n.params:
-                bind_param(p)
+                for x in walk(p):
+                    if isinstance(x, PVar):
+                        bind(x)
             for x in n.body.exprs:
                 visit(x)
             scopes.pop()
@@ -344,11 +301,43 @@ def binding_info(snap: Snapshot, fundef_ref: NodeRef) -> BindingInfo:
             for x in children(n):
                 visit(x)
 
-    for p in d.params:
-        bind_param(p)
-    for x in d.body.exprs:
-        visit(x)
+    visit(node)
     return BindingInfo(tuple(occs))
+
+
+def binding_info(snap: Snapshot, fundef_ref: NodeRef) -> BindingInfo:
+    """The binding classification of the function definition enclosing
+    (or at) fundef_ref."""
+    d = snap.node(fundef_ref)
+    if not isinstance(d, FunDef):
+        d = snap.fundef_of(d.node_id)
+    return resolve(d)
+
+
+def _free_names(occs: tuple[Occurrence, ...], inside: set[int]) -> list[str]:
+    """Names referenced at the node ids in inside but bound outside them (or
+    not at all), in first-occurrence order."""
+    out: list[str] = []
+    for o in occs:
+        bound_outside = o.kind == "unbound" or (
+            o.kind == "reference" and o.binder_id not in inside)
+        if bound_outside and o.node_id in inside and o.name not in out:
+            out.append(o.name)
+    return out
+
+
+def expr_free_vars(e: Node) -> list[str]:
+    """Free variables of a standalone expression or body, in first-occurrence
+    order."""
+    occs = resolve(e).occurrences
+    return _free_names(occs, {o.node_id for o in occs})
+
+
+def visible_bindings(e: Node) -> list[str]:
+    """Names bound by a standalone e that remain visible after it in the
+    same scope."""
+    return [o.name for o in resolve(e).occurrences
+            if o.kind == "binding" and o.scope_body_id is None]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +355,7 @@ def _occurrences_around(snap: Snapshot, e: NodeRef) -> tuple[BindingInfo, set[in
     """The binding classification of e's function, and the node ids in e."""
     n = _expr_node(snap, e)
     info = binding_info(snap, snap.ref(snap.fundef_of(n.node_id)))
-    return info, {x.node_id for x in walk(n)}
+    return info, node_ids(n)
 
 
 def free_vars(snap: Snapshot, e: NodeRef) -> list[str]:
@@ -374,14 +363,7 @@ def free_vars(snap: Snapshot, e: NodeRef) -> list[str]:
     order. Uses the whole-function binding classification so that a pattern
     occurrence re-matching an outer binding counts as a reference."""
     info, inside = _occurrences_around(snap, e)
-    out: list[str] = []
-    for o in info.occurrences:
-        if o.node_id not in inside:
-            continue
-        if o.kind == "unbound" or (o.kind == "reference" and o.binder_id not in inside):
-            if o.name not in out:
-                out.append(o.name)
-    return out
+    return _free_names(info.occurrences, inside)
 
 
 def closed(snap: Snapshot, e: NodeRef) -> bool:
@@ -391,12 +373,9 @@ def closed(snap: Snapshot, e: NodeRef) -> bool:
 def non_bind(snap: Snapshot, e: NodeRef) -> bool:
     """True iff no variable bound inside e is referenced outside e."""
     info, inside = _occurrences_around(snap, e)
-    for o in info.occurrences:
-        if o.kind == "binding" and o.node_id in inside:
-            for r in info.references_of(o.node_id):
-                if r.node_id not in inside:
-                    return False
-    return True
+    used_outside = {o.binder_id for o in info.occurrences
+                    if o.kind == "reference" and o.node_id not in inside}
+    return used_outside.isdisjoint(inside)
 
 
 def fun_purity(module: ModuleAst) -> dict[FunKey, bool]:
@@ -431,17 +410,6 @@ def fresh(snap: Snapshot, name: str, ctx: NodeRef) -> bool:
     n = snap.node(ctx)
     d = n if isinstance(n, FunDef) else snap.fundef_of(n.node_id)
     return not occurs_var(name, d)
-
-
-def fresh_outside(snap: Snapshot, name: str, fundef: FunDef, excluded: Node) -> bool:
-    """True iff name has no occurrence in fundef outside the excluded subtree."""
-    skip = {x.node_id for x in walk(excluded)}
-    for x in walk(fundef):
-        if x.node_id in skip:
-            continue
-        if isinstance(x, (VarRef, PVar)) and x.name == name:
-            return False
-    return True
 
 
 def scope(snap: Snapshot, e: NodeRef) -> NodeRef:

@@ -191,24 +191,23 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
 class GenConfig:
     """Knobs for the expression generator.
 
-    visible_match / visible_print control whether matches and prints may
-    appear outside lambda bodies (rule-level purity and binding conditions
-    need them confined or absent); lambda_applied_only keeps closures out
-    of result values so module entries stay ground.
+    allow_print permits print anywhere; visible_match permits matches
+    outside lambda bodies (rule-level binding conditions need them
+    confined); lambda_applied_only keeps closures out of result values so
+    module entries stay ground; allow_calls lists the functions a static
+    call may name.
     """
 
     allow_print: bool = True
     visible_match: bool = True
-    visible_print: bool = True
-    allow_lambda: bool = True
     lambda_applied_only: bool = False
     allow_calls: tuple[FunKey, ...] = ()
-    atoms: tuple[str, ...] = ("a", "b", "ok")
-    int_lo: int = 0
-    int_hi: int = 9
 
 
 class _ExprGen:
+    ATOMS = ("a", "b", "ok")
+    INT_LO, INT_HI = 0, 9
+
     def __init__(self, rng: random.Random, cfg: GenConfig, gen: IdGen):
         self.rng = rng
         self.cfg = cfg
@@ -224,14 +223,13 @@ class _ExprGen:
         if depth <= 0:
             return self.leaf(env)
         choices: list[str] = ["leaf", "binop", "binop", "tuple", "block"]
-        if self.cfg.allow_print and (self.cfg.visible_print or in_lambda):
+        if self.cfg.allow_print:
             choices.append("print")
         if self.cfg.visible_match or in_lambda:
             choices.append("match")
-        if self.cfg.allow_lambda:
-            choices.append("applied_lambda")
-            if not self.cfg.lambda_applied_only:
-                choices.append("lambda")
+        choices.append("applied_lambda")
+        if not self.cfg.lambda_applied_only:
+            choices.append("lambda")
         if self.cfg.allow_calls:
             choices += ["call", "call"]
         kind = rng.choice(choices)
@@ -288,10 +286,10 @@ class _ExprGen:
         roll = rng.random()
         if env and roll < 0.45:
             return VarRef(rng.choice(env), node_id=self.gen.fresh())
-        if roll < 0.9 or not self.cfg.atoms:
-            return IntLit(rng.randint(self.cfg.int_lo, self.cfg.int_hi),
+        if roll < 0.9:
+            return IntLit(rng.randint(self.INT_LO, self.INT_HI),
                           node_id=self.gen.fresh())
-        return AtomLit(rng.choice(self.cfg.atoms), node_id=self.gen.fresh())
+        return AtomLit(rng.choice(self.ATOMS), node_id=self.gen.fresh())
 
 
 def gen_expr(seed: int, depth: int, env_vars: Sequence[str],

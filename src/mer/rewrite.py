@@ -30,12 +30,12 @@ from typing import Optional, Sequence, Union
 from . import analysis
 from .analysis import NodeRef, Snapshot
 from .syntax import (
-    FIELDS, MIRROR, SLOTS, AtomLit, Expr, FunDef, IdGen, IntLit, MetaSeq,
-    MetaVar, ModuleAst, Node, PAtom, PInt, PVar, Pattern, StaticCall,
-    SyntacticFlaw, VarRef, check_module, clone_fresh, expr_to_pattern,
-    is_expr, is_pattern, module_node_ids, module_replace, node_ids,
-    parse_expr_text, parse_exprseq_text, parse_patterns_text,
-    pattern_to_expr, pretty_expr, remake, struct_eq, walk,
+    FIELDS, MIRROR, SLOTS, Expr, FunDef, IdGen, MetaSeq, MetaVar,
+    ModuleAst, Node, PVar, Pattern, StaticCall, SyntacticFlaw, VarRef,
+    check_module, clone_fresh, expr_to_pattern, is_expr, is_pattern,
+    module_node_ids, module_replace, node_ids, parse_expr_text,
+    parse_exprseq_text, parse_patterns_text, pattern_to_expr, pretty_expr,
+    remake, struct_eq, walk,
 )
 
 
@@ -222,33 +222,18 @@ def _match_name(pat: str, name: str, binding: Binding) -> bool:
 def match_fragment(pat: Node, subj: Node, binding: Binding) -> bool:
     if isinstance(pat, MetaVar):
         return _bind(binding, pat.name, subj)
-    tp, ts = type(pat), type(subj)
-    # literal templates match across the expression/pattern split
-    if tp is IntLit and ts is PInt or tp is PInt and ts is IntLit:
-        return pat.value == subj.value
-    if tp is AtomLit and ts is PAtom or tp is PAtom and ts is AtomLit:
-        return pat.name == subj.name
-    if tp is not ts:
+    tp = type(pat)
+    # a template matches its mirror across the expression/pattern split
+    if type(subj) is not tp and type(subj) is not MIRROR.get(tp):
         return False
-    if tp is IntLit or tp is PInt:
-        return pat.value == subj.value
-    if tp in (VarRef, PVar, AtomLit, PAtom):
-        return pat.name == subj.name
     if tp is StaticCall:
         return (_match_name(pat.name, subj.name, binding)
                 and match_seq(pat.args, subj.args, binding))
-    # generic structural descent
-    return _match_children(pat, subj, binding)
-
-
-def _match_children(pat: Node, subj: Node, binding: Binding) -> bool:
-    slots = SLOTS.get(type(pat))
-    if not slots:
-        return struct_eq(pat, subj)
-    # non-child fields must agree (e.g. the operator of a BinOp)
+    slots = SLOTS.get(tp, ())
+    # non-child fields must agree (a leaf's name or value, a BinOp's operator)
     child_fields = {f for f, _, _ in slots}
     if any(getattr(pat, f) != getattr(subj, f)
-           for f in FIELDS[type(pat)] if f not in child_fields):
+           for f in FIELDS[tp] if f not in child_fields):
         return False
     for name, is_seq, _ in slots:
         pv, sv = getattr(pat, name), getattr(subj, name)
@@ -737,8 +722,7 @@ def parse_rule_text(text: str, lhs_kind: str = "expr", rhs_kind: Optional[str] =
     return RewriteRule(lhs, rhs, cond)
 
 
-def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef,
-               pre_binding: Optional[Binding] = None) -> StepOutcome:
+def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcome:
     """Apply an expression rewrite rule at one node.
 
     NotApplicable when the left side fails to match; PreconditionViolated
@@ -750,7 +734,7 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef,
         return NotApplicable("rule left side is not an expression template")
     if not is_expr(subj):
         return NotApplicable("target is not an expression")
-    b = match_template(rule.lhs, subj, pre_binding)
+    b = match_template(rule.lhs, subj)
     if b is None:
         return NotApplicable("left side does not match")
     try:

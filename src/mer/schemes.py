@@ -22,7 +22,7 @@ input snapshot untouched; there are no partial edits.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from . import analysis
@@ -72,9 +72,8 @@ class IntroduceFunction:
 
 @dataclass(frozen=True)
 class FunctionRefactoring:
-    def_rule: RewriteRule  # head/body shaped
+    def_rule: RewriteRule  # head/body shaped, carrying the WHEN clause
     ref_rule: RewriteRule  # argument-list shaped
-    condition: Condition = Condition(())
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,8 @@ def _loc(snap: Snapshot, node: Node) -> str:
 # Local
 
 
-def run_local(inst: Local, snap: Snapshot, target: NodeRef,
-              pre_binding: Optional[Binding] = None) -> StepOutcome:
-    return apply_rule(inst.rule, snap, target, pre_binding)
+def run_local(inst: Local, snap: Snapshot, target: NodeRef) -> StepOutcome:
+    return apply_rule(inst.rule, snap, target)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ def _introduce_outer_scope(inst: IntroduceVariable, snap: Snapshot,
 
     fundef = snap.fundef_of(subj.node_id)
     for nm in analysis.pattern_vars(pattern):
-        if not analysis.fresh_outside(snap, nm, fundef, owner):
+        if analysis.occurs_var(nm, fundef, owner):
             return PreconditionViolated("fresh", f"{nm} in {_loc(snap, subj)}")
     if not analysis.pure(snap, snap.ref(bound.node_id)):
         return PreconditionViolated("pure", _loc(snap, subj))
@@ -297,17 +295,15 @@ def _replace_def(snap: Snapshot, d: FunDef, new_def: FunDef,
 
 
 def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
-                             target: NodeRef,
-                             pre_binding: Optional[Binding] = None) -> StepOutcome:
+                             target: NodeRef) -> StepOutcome:
     d = snap.node(target)
     if not isinstance(d, FunDef):
         return NotApplicable("target is not a function definition")
-    b = match_template(inst.def_rule.lhs, d, pre_binding)
+    b = match_template(inst.def_rule.lhs, d)
     if b is None:
         return NotApplicable("definition rule does not match")
-    cond = inst.condition if inst.condition.conjuncts else inst.def_rule.condition
     try:
-        b = eval_condition(cond, b, CondContext(snap, target))
+        b = eval_condition(inst.def_rule.condition, b, CondContext(snap, target))
     except ConditionFailure as f:
         return PreconditionViolated(f.predicate, f.location)
 
@@ -477,8 +473,8 @@ def parse_scheme_instance(text: str):
         sections = _split_sections(body, ("DEFINITION", "REFERENCE", "WHEN"))
         if "DEFINITION" not in sections or "REFERENCE" not in sections:
             raise TemplateError("function refactoring needs DEFINITION and REFERENCE rules")
-        cond = Condition.parse(sections.get("WHEN", ""))
         def_rule = parse_rule_text(sections["DEFINITION"], "head")
+        def_rule = replace(def_rule, condition=Condition.parse(sections.get("WHEN", "")))
         ref_rule = parse_rule_text(sections["REFERENCE"], "args")
-        return kind, name, FunctionRefactoring(def_rule, ref_rule, cond)
+        return kind, name, FunctionRefactoring(def_rule, ref_rule)
     raise TemplateError(f"unhandled scheme kind {kind}")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from mer.analysis import Snapshot
-from mer.syntax import parse, pretty
 
 DOUBLER_SRC = "f(X) -> begin X * 2 end.\ng(X) -> f(X+1).\n"
 GENERALISED_SRC = (

@@ -9,8 +9,8 @@ from mer.analysis import FunKey, NotApplicableError, Snapshot, StaleRef
 from mer.equiv import GenConfig, gen_expr, gen_module
 from mer.interp import IntV, eval_expr
 from mer.syntax import (
-    Body, DynCall, FunDef, IdGen, Lambda, Match, ModuleAst, PVar, VarRef,
-    is_expr, parse, pretty_expr, walk,
+    Body, FunDef, Lambda, Match, PVar, VarRef, is_expr, parse_expr_text,
+    pretty_expr, walk,
 )
 
 from conftest import DOUBLER_SRC, target_of
@@ -296,14 +296,57 @@ def test_function_part(generalised):
 # properties against the independent classifier
 
 
+_EVENT_KIND = {"binding": "bind", "reference": "ref", "unbound": "free"}
+
+
+def _check_resolve_against_oracle(e):
+    """resolve's occurrences of a standalone e, one by one, against the
+    classifier's events; lambda parameters bind without an event."""
+    params = {x.node_id for n in walk(e) if isinstance(n, Lambda)
+              for p in n.params for x in walk(p) if isinstance(x, PVar)}
+    occs = analysis.resolve(e).occurrences
+    by_id = {o.node_id: o for o in occs}
+    events = _classify(e)
+    got = [o for o in occs if o.node_id not in params]
+    assert [(o.name, _EVENT_KIND[o.kind]) for o in got] == \
+        [(name, kind) for name, kind, _ in events]
+    # a binding belongs to the top scope exactly when it is outside lambdas
+    assert [o.scope_body_id is None for o in got if o.kind == "binding"] == \
+        [depth == 0 for _, kind, depth in events if kind == "bind"]
+    for o in occs:
+        if o.kind == "reference":
+            binder = by_id[o.binder_id]
+            assert binder.kind == "binding" and binder.name == o.name
+            assert binder.scope_body_id == o.scope_body_id
+        if o.node_id in params:
+            assert o.kind == "binding" and o.scope_body_id is not None
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_free_vars_and_bindings_match_oracle_on_generated(seed):
     cfg = GenConfig(visible_match=True, lambda_applied_only=False)
     rng = random.Random(seed)
     for i in range(250):
         e = gen_expr(seed * 1000 + i, rng.randint(0, 4), ("X", "Z"), cfg)
-        assert analysis.expr_free_vars(e) == oracle_free_vars(e)
-        assert analysis.visible_bindings(e) == oracle_visible_bindings(e)
+        # the bare lambda over e opens its own scope below the top one
+        lam = Lambda((PVar("X", node_id=-3),), Body((e,), node_id=-2), node_id=-1)
+        for x in (e, lam):
+            assert analysis.expr_free_vars(x) == oracle_free_vars(x)
+            assert analysis.visible_bindings(x) == oracle_visible_bindings(x)
+            _check_resolve_against_oracle(x)
+        assert analysis.visible_bindings(lam) == []
+
+
+def test_resolve_standalone_rematch_and_shadowing():
+    e = parse_expr_text("begin Y = X, Y = 2, fun(Y) -> Y + X end, Y end")
+    got = [(o.name, o.kind, o.scope_body_id is None)
+           for o in analysis.resolve(e).occurrences]
+    assert got == [("X", "unbound", True), ("Y", "binding", True),
+                   ("Y", "reference", True), ("Y", "binding", False),
+                   ("Y", "reference", False), ("X", "unbound", True),
+                   ("Y", "reference", True)]
+    assert analysis.expr_free_vars(e) == ["X"]
+    assert analysis.visible_bindings(e) == ["Y"]
 
 
 def test_non_bind_matches_bruteforce_on_generated():

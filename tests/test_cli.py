@@ -5,7 +5,7 @@ import os
 import pytest
 
 from mer.cli import main
-from mer.syntax import parse, pretty
+from mer.syntax import parse
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC, defs_of
 

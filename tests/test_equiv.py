@@ -2,19 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from mer.analysis import FunKey, Snapshot
+from mer.analysis import FunKey
 from mer.equiv import (
-    DIFFERENT, EQUAL, UNKNOWN, Equivalent, GenConfig, GenerationExhausted,
-    Inequivalent, PlanError, TrialPlan, Unknown, check_module_equiv,
-    check_rule_equiv, eq_outcomes, format_verdict, gen_args, gen_expr,
-    gen_module,
+    DIFFERENT, EQUAL, UNKNOWN, Equivalent, GenerationExhausted, Inequivalent,
+    PlanError, TrialPlan, Unknown, check_module_equiv, check_rule_equiv,
+    eq_outcomes, format_verdict, gen_args, gen_expr, gen_module,
 )
 from mer.interp import Exn, IntV, Ok, Timeout, eval_call
 from mer.refactorings import WRAP_RULE
 from mer.rewrite import Condition, parse_rule_text
-from mer.syntax import (
-    IntLit, VarRef, module_struct_eq, parse, parse_expr_text, pretty, walk,
-)
+from mer.syntax import IntLit, VarRef, module_struct_eq, parse, pretty
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC
 

@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from mer.analysis import FunKey, Snapshot
-from mer.equiv import GenConfig, gen_expr, gen_module
+from mer.analysis import FunKey
+from mer.equiv import GenConfig, gen_expr
 from mer.interp import (
-    AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, TupleV,
-    UnboundVariable, env_concat, env_lookup, env_remove, eval_call,
-    eval_expr, get_matching, is_matching, values_equal,
+    AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, UnboundVariable,
+    env_concat, env_lookup, env_remove, eval_call, eval_expr, get_matching,
+    is_matching, values_equal,
 )
-from mer.syntax import PVar, IdGen, parse, parse_expr_text, walk
+from mer.syntax import PVar, IdGen, parse, parse_expr_text
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC
 

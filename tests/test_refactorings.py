@@ -5,15 +5,15 @@ import pytest
 from mer.analysis import FunKey, Snapshot
 from mer.equiv import TrialPlan, check_module_equiv, Equivalent
 from mer.refactorings import (
-    GENERALISE_FUNCTION, CompositeProgram, CompositeError, Lit, LocalVar,
-    Step, extract_to_function, extract_to_variable, generalise_function,
+    GENERALISE_FUNCTION, CompositeProgram, CompositeError, Lit, Step,
+    extract_to_function, extract_to_variable, generalise_function,
     outer_variable, rename_function, run_composite, to_function_parameter,
     var_to_param, wrap,
 )
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated
 from mer.syntax import Match, parse_patterns_text, pretty, pretty_def, walk
 
-from conftest import DOUBLER_SRC, GENERALISED_SRC, defs_of, target_of
+from conftest import DOUBLER_SRC, defs_of, target_of
 
 
 GENERALISED_DEFS = {

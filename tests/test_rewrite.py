@@ -7,15 +7,15 @@ import pytest
 from mer.analysis import Snapshot
 from mer.equiv import GenConfig, gen_expr
 from mer.rewrite import (
-    Applied, Condition, NotApplicable, PreconditionViolated, RewriteRule,
-    SubstCtx, TemplateError, UnboundMetavariable, apply_rule, match_template,
+    Applied, Condition, NotApplicable, PreconditionViolated, SubstCtx,
+    TemplateError, UnboundMetavariable, apply_rule, match_template,
     parse_rule_text, parse_template_args, parse_template_expr,
     parse_template_head, parse_template_signature, subst_fragment, substitute,
 )
 from mer.refactorings import WRAP_RULE
 from mer.syntax import (
-    Block, IdGen, Lambda, Match, MetaSeq, MetaVar, PVar, StaticCall, VarRef,
-    node_ids, parse, parse_expr_text, pretty_expr, struct_eq, walk,
+    Block, IdGen, Lambda, MetaSeq, MetaVar, PVar, node_ids, parse,
+    parse_expr_text, pretty_expr, struct_eq, walk,
 )
 
 from conftest import target_of
@@ -51,6 +51,16 @@ def test_match_call_template_against_block_fails():
     t = parse_template_signature("@Name(@Args...)")
     subj = parse_expr_text("begin 1 end")
     assert match_template(t, subj) is None
+
+
+def test_signature_template_matches_its_mirror_at_call_sites():
+    # signature arguments are patterns; at a call site each one matches
+    # the expression of the same shape
+    t = parse_template_signature("f(X, 1, ok, {Y})")
+    assert match_template(t, parse_expr_text("f(X, 1, ok, {Y})")) == {}
+    assert match_template(t, parse_expr_text("f(Z, 1, ok, {Y})")) is None
+    assert match_template(t, parse_expr_text("f(X, 2, ok, {Y})")) is None
+    assert match_template(t, parse_expr_text("f(X, 1, ok, Y)")) is None
 
 
 def test_nonlinear_metavar_requires_equal_fragments():

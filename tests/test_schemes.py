@@ -2,22 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
 
 from mer.analysis import FunKey, Snapshot, references
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated
 from mer.schemes import (
-    FunctionRefactoring, IntroduceFunction, IntroduceVariable, Local,
-    SignatureRefactoring, parse_scheme_instance, run_function_refactoring,
-    run_introduce_function, run_introduce_variable, run_local,
-    run_signature_refactoring,
+    IntroduceFunction, IntroduceVariable, Local, SignatureRefactoring,
+    parse_scheme_instance, run_function_refactoring, run_introduce_function,
+    run_introduce_variable, run_local, run_signature_refactoring,
 )
 from mer.refactorings import (
     EXTRACT_TO_VARIABLE_REF_TEXT, OUTER_VARIABLE_REF_TEXT, WRAP_RULE,
     WRAP_RULE_TEXT, _EXTRACT_VAR_REF_RULE, _OUTER_VAR_REF_RULE, _RENAME_RULE,
     _VAR_TO_PARAM,
 )
-from mer.syntax import parse, parse_patterns_text, pretty, pretty_def
+from mer.syntax import parse_patterns_text, pretty
 
 from conftest import defs_of, target_of
 
@@ -445,3 +443,15 @@ def test_parse_signature_block():
         dataclasses.replace(inst, pre_binding={"NewName": "h"}), snap, fn)
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == "h(X) -> X.\n"
+
+
+def test_signature_rule_with_a_concrete_variable_rewrites_call_sites():
+    _, _, inst = parse_scheme_instance(
+        "FUNCTION SIGNATURE REFACTORING rename_f(NewName)\n"
+        "f(X)\n-----\n@NewName(X)\n")
+    snap = _snap("f(X) -> X.\ng(X) -> f(X).\n")
+    fn = snap.ref(snap.module.definitions[0].node_id)
+    out = run_signature_refactoring(
+        dataclasses.replace(inst, pre_binding={"NewName": "h"}), snap, fn)
+    assert isinstance(out, Applied)
+    assert pretty(out.snapshot.module) == "h(X) -> X.\ng(X) -> h(X).\n"

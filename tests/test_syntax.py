@@ -6,10 +6,9 @@ from mer import syntax
 from mer.equiv import gen_module
 from mer.syntax import (
     FIELDS, SLOTS, Block, Body, DynCall, DuplicateDefinition, FunDef, IdGen,
-    IntLit, Lambda, Match, ModuleAst, Node, NotFound, ParseError, PVar,
-    StaticCall, VarRef, clone_fresh, find_node, module_node_ids,
-    module_struct_eq, parse, pretty, pretty_def, pretty_expr, parse_expr_text,
-    rebuild, struct_eq, walk,
+    IntLit, Lambda, Match, Node, NotFound, ParseError, PVar, StaticCall,
+    VarRef, clone_fresh, find_node, module_struct_eq, parse, pretty,
+    pretty_def, pretty_expr, parse_expr_text, rebuild, struct_eq, walk,
 )
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC, DOUBLER_SRC_PRETTY
