@@ -16,8 +16,8 @@ from .rewrite import (
 )
 from .refactorings import (
     extract_to_function, extract_to_variable, generalise_function,
-    outer_variable, rename_function, run_composite, to_function_parameter,
-    var_to_param, wrap,
+    outer_variable, parse_composite, rename_function, run_composite,
+    to_function_parameter, var_to_param, wrap,
 )
 from .equiv import (
     Equivalent, Inequivalent, TrialPlan, Unknown, Verdict,

@@ -25,7 +25,7 @@ import tempfile
 from typing import Optional, Sequence
 
 from . import refactorings
-from .analysis import FunKey, NodeRef, Snapshot
+from .analysis import FunKey, NodeRef, Snapshot, function
 from .equiv import (
     Equivalent, Inequivalent, PlanError, TrialPlan, check_module_equiv,
     format_verdict,
@@ -175,9 +175,9 @@ def cmd_refactor_generalise(args) -> int:
     if target is None:
         return EXIT_INPUT
 
-    def trace(idx: int, label: str, step_args: tuple, at: Snapshot):
-        print(f"### step {idx} {label}"
-              + (f" {step_args}" if step_args else ""), file=sys.stderr)
+    def trace(idx: int, label: str, step_args: tuple[str, ...], at: Snapshot):
+        shown = f" {', '.join(step_args)}" if step_args else ""
+        print(f"### step {idx} {label}{shown}", file=sys.stderr)
         sys.stderr.write(pretty(at.module))
 
     outcome = refactorings.generalise_function(
@@ -230,9 +230,7 @@ def cmd_refactor_step(args) -> int:
             return EXIT_INPUT
         outcome = refactorings.extract_to_function(snap, target, args.name, params)
     elif name == "var_to_param":
-        from .analysis import function
-        fn = function(snap, target)
-        outcome = refactorings.var_to_param(snap, fn, target)
+        outcome = refactorings.var_to_param(snap, function(snap, target), target)
     else:
         _err(f"unknown step {name!r}; expected one of {', '.join(_STEP_NAMES)}")
         return EXIT_INPUT

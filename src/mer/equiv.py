@@ -159,6 +159,8 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
     """Run every plan entry on both modules with identical arguments."""
     if plan.trials < 1:
         raise PlanError(f"a trial plan needs at least one trial, got {plan.trials}")
+    if plan.fuel < 1:
+        raise PlanError(f"a trial plan needs a fuel of at least 1, got {plan.fuel}")
     before_keys = {FunKey(d.name, d.arity) for d in before.definitions}
     after_keys = {FunKey(d.name, d.arity) for d in after.definitions}
     for entry in plan.entries:

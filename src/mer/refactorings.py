@@ -11,10 +11,13 @@ Primes (each one scheme instance):
                                  passing the bound expression at call sites
 * rename_function(NewName)    -- rename a definition and its references
 
-Composites are step sequences threading a reassignable THIS plus
-single-assignment named locals; ITERATE repeats a step until it reports
-NotApplicable. The first failing step aborts the whole composition and
-the caller keeps the pristine input snapshot.
+Composites are COMPOSITE blocks, one step per line in the notation
+``[Local :=] [ITERATE] op(Target, Arg, ..) [TRACED]``. An argument is a
+local (capitalised; THIS is reassignable, the others are assigned once),
+an atom, or a selector call. A selector yields a value; a prime or
+composite yields an outcome, and ITERATE repeats it until it reports
+NotApplicable. on_step sees the TRACED steps. The first failing step
+aborts the whole composition and the caller keeps the pristine input.
 
 generalise_function(ParamName) lifts a sub-expression of a function
 body into a fresh parameter: the generalised definition gains one
@@ -26,8 +29,10 @@ stay untouched.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from itertools import chain, count
+from typing import Callable, Optional, Sequence
 
 from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, StaleRef
@@ -35,10 +40,11 @@ from .rewrite import (
     Applied, NotApplicable, PreconditionViolated, StepOutcome, is_applied,
 )
 from .schemes import (
-    parse_scheme_instance, run_function_refactoring, run_introduce_function,
-    run_introduce_variable, run_local, run_signature_refactoring,
+    CompositeError, CompositeProgram, parse_scheme_instance,
+    run_function_refactoring, run_introduce_function, run_introduce_variable,
+    run_local, run_signature_refactoring,
 )
-from .syntax import FunDef, Match, Pattern
+from .syntax import FunDef, Match, Node, Pattern, is_pattern, pretty_expr, pretty_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +111,6 @@ PRIME_BLOCKS = (
 (_WRAP_INSTANCE, _EXTRACT_VAR, _OUTER_VAR, _EXTRACT_FUN, _VAR_TO_PARAM,
  _RENAME) = (parse_scheme_instance(block)[2] for block in PRIME_BLOCKS)
 WRAP_RULE = _WRAP_INSTANCE.rule
-_EXTRACT_VAR_REF_RULE = _EXTRACT_VAR.ref_rule
-_OUTER_VAR_REF_RULE = _OUTER_VAR.ref_rule
-_RENAME_RULE = _RENAME.head_rule
 
 
 # ---------------------------------------------------------------------------
@@ -152,258 +155,112 @@ def rename_function(snap: Snapshot, fn: NodeRef, new_name: str) -> StepOutcome:
 # Composite programs
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: object
-
-
-@dataclass(frozen=True)
-class LocalVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class FreshFunName:
-    """Resolves to the first of base, base1, base2, .. undefined at the
-    needed arity (taken from the local holding the parameter patterns)."""
-
-    base: str = "tmp"
-    params_local: str = "Params"
-
-
-Arg = Union[Lit, LocalVar, FreshFunName]
-
-
-@dataclass(frozen=True)
-class Step:
-    op: str
-    target: str = "THIS"
-    args: tuple[Arg, ...] = ()
-    assign: Optional[str] = None
-    iterate: bool = False
-    trace_as: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class CompositeProgram:
-    name: str
-    params: tuple[str, ...]
-    steps: tuple[Step, ...]
-
-
-class CompositeError(Exception):
-    pass
-
-
-TraceFn = Callable[[int, str, tuple, Snapshot], None]
-
-# selector registry: name -> callable(snap, target_ref, *args) -> value
-_SELECTORS = {
-    "function_part": analysis.function_part,
-    "function": analysis.function,
-    "name": analysis.name,
-    "function_params": analysis.function_params,
-    "body": analysis.body,
-}
-
-# prime registry: name -> callable(snap, target_ref, *args) -> StepOutcome
-_PRIMES = {
-    "wrap": wrap,
-    "extract_to_variable": extract_to_variable,
-    "outer_variable": outer_variable,
-    "extract_to_function": extract_to_function,
-    "var_to_param": lambda snap, target, fn: var_to_param(snap, fn, target),
-    "rename_function": rename_function,
-}
-
-
-TO_FUNCTION_PARAMETER = CompositeProgram(
-    "to_function_parameter",
-    params=(),
-    steps=(
-        Step("outer_variable", target="THIS", assign="THIS", iterate=True),
-        Step("function", target="THIS", assign="Fn"),
-        # var_to_param targets the enclosing function, passing the binding
-        Step("var_to_param", target="THIS", args=(LocalVar("Fn"),)),
-    ),
+COMPOSITE_BLOCKS = (
+    """\
+COMPOSITE to_function_parameter()
+THIS := ITERATE outer_variable(THIS)
+Fn := function(THIS)
+var_to_param(Fn, THIS)
+""",
+    """\
+COMPOSITE generalise_function(ParamName)
+THIS := wrap(THIS) TRACED
+THIS := function_part(THIS) TRACED
+Old := function(THIS)
+Name := name(Old)
+Params := function_params(Old)
+OldBody := body(Old)
+New := extract_to_function(OldBody, fresh_fun_name(tmp, Params), Params) TRACED
+Var := extract_to_variable(THIS, ParamName) TRACED
+to_function_parameter(Var) TRACED
+rename_function(New, Name) TRACED
+""",
 )
 
-GENERALISE_FUNCTION = CompositeProgram(
-    "generalise_function",
-    params=("ParamName",),
-    steps=(
-        Step("wrap", target="THIS", assign="THIS", trace_as="wrap"),
-        Step("function_part", target="THIS", assign="THIS", trace_as="function_part"),
-        Step("function", target="THIS", assign="Old"),
-        Step("name", target="Old", assign="Name"),
-        Step("function_params", target="Old", assign="Params"),
-        Step("body", target="Old", assign="OldBody"),
-        Step("extract_to_function", target="OldBody",
-             args=(FreshFunName("tmp", "Params"), LocalVar("Params")),
-             assign="New", trace_as="extract_to_function"),
-        Step("extract_to_variable", target="THIS", args=(LocalVar("ParamName"),),
-             assign="Var", trace_as="extract_to_variable"),
-        Step("to_function_parameter", target="Var",
-             trace_as="to_function_parameter"),
-        Step("rename_function", target="New", args=(LocalVar("Name"),),
-             trace_as="rename_function"),
-    ),
-)
-
-_COMPOSITES = {
-    "to_function_parameter": TO_FUNCTION_PARAMETER,
-}
+TraceFn = Callable[[int, str, tuple[str, ...], Snapshot], None]
 
 
-def _fresh_fun_name(snap: Snapshot, base: str, arity: int) -> str:
-    if snap.find_def(FunKey(base, arity)) is None:
-        return base
-    i = 1
-    while snap.find_def(FunKey(f"{base}{i}", arity)) is not None:
-        i += 1
-    return f"{base}{i}"
+def _fresh_fun_name(snap: Snapshot, base: str, params: Sequence[Pattern]) -> str:
+    """The first of base, base1, base2, .. undefined at len(params)."""
+    names = chain([base], (f"{base}{i}" for i in count(1)))
+    return next(n for n in names if snap.find_def(FunKey(n, len(params))) is None)
 
 
+def _text(snap: Snapshot, v) -> str:
+    """A step argument (a name, a node, or a tuple of them) as object-language text."""
+    if isinstance(v, tuple):
+        return "(" + ", ".join(_text(snap, x) for x in v) + ")"
+    if isinstance(v, NodeRef):
+        v = snap.node(v)
+    if isinstance(v, Node):
+        return pretty_pattern(v) if is_pattern(v) else pretty_expr(v)
+    return str(v)
+
+
+@dataclass
 class _Runner:
     """Runs a composite over a current snapshot. Snapshots are immutable, so
     a failed run leaves the caller's input snapshot as it was: rollback is
-    keeping the original reference, byte-identical when printed."""
+    keeping the original reference, byte-identical when printed. A
+    NotApplicableError or StaleRef (a consumed node) fails the step."""
 
-    def __init__(self, snap: Snapshot, on_step: Optional[TraceFn],
-                 fail_at: Optional[int]):
-        self.current = snap
-        self.on_step = on_step
-        self.fail_at = fail_at
-        self.trace_count = 0
+    current: Snapshot
+    on_step: Optional[TraceFn]
+    fail_at: Optional[int]
 
     def run(self, program: CompositeProgram, target: NodeRef,
-            args: Sequence[object], *, toplevel: bool = True) -> StepOutcome:
+            args: Sequence[object]) -> StepOutcome:
         if len(args) != len(program.params):
-            raise CompositeError(
-                f"{program.name} expects {len(program.params)} argument(s)")
-        locals_: dict[str, object] = {"THIS": target}
-        locals_.update(zip(program.params, args))
-        assigned = set(locals_)
-        last_result = target
-
-        for idx, step in enumerate(program.steps, start=1):
-            traced = step.trace_as is not None and toplevel
+            raise CompositeError(f"{program.name} expects {len(program.params)} argument(s)")
+        locals_ = {"THIS": target, **dict(zip(program.params, args))}
+        result, traced_count = target, 0
+        for idx, (assign, iterate, (op, terms), traced) in enumerate(program.steps, 1):
             if traced:
-                self.trace_count += 1
-            if traced and self.fail_at == self.trace_count:
-                return PreconditionViolated("injected", f"step {self.trace_count}", step=idx)
-            outcome = self._run_step(program, step, locals_, assigned, idx)
-            if outcome is not None:
-                if not is_applied(outcome):
-                    return outcome
-                last_result = outcome.result
-            if traced and self.on_step:
-                self.on_step(self.trace_count, step.trace_as,
-                             tuple(self._fmt_arg(a, locals_) for a in step.args),
-                             self.current)
-        return Applied(self.current, self._rehomed(last_result))
-
-    def _rehomed(self, ref: NodeRef) -> NodeRef:
-        try:
-            return self.current.ref(ref.node_id)
-        except StaleRef:
-            ds = self.current.module.definitions
-            return self.current.ref(ds[-1].node_id)
-
-    def _fmt_arg(self, a: Arg, locals_: dict):
-        if isinstance(a, Lit):
-            return a.value
-        if isinstance(a, LocalVar):
-            return locals_.get(a.name)
-        return a
-
-    def _resolve_args(self, step: Step, locals_: dict) -> list[object]:
-        out = []
-        for a in step.args:
-            if isinstance(a, Lit):
-                out.append(a.value)
-            elif isinstance(a, LocalVar):
-                if a.name not in locals_:
-                    raise CompositeError(f"local {a.name} used before assignment")
-                out.append(locals_[a.name])
-            elif isinstance(a, FreshFunName):
-                params = locals_.get(a.params_local, ())
-                out.append(_fresh_fun_name(self.current, a.base, len(params)))
-            else:
-                raise CompositeError(f"unknown argument kind {a!r}")
-        return out
-
-    def _assign(self, step: Step, locals_: dict, assigned: set, value):
-        if step.assign is None:
-            return
-        if step.assign != "THIS" and step.assign in assigned:
-            raise CompositeError(f"local {step.assign} assigned twice")
-        locals_[step.assign] = value
-        assigned.add(step.assign)
-
-    def _run_step(self, program: CompositeProgram, step: Step, locals_: dict,
-                  assigned: set, idx: int) -> Optional[StepOutcome]:
-        if step.target not in locals_:
-            raise CompositeError(f"local {step.target} used before assignment")
-        target = locals_[step.target]
-        if not isinstance(target, NodeRef):
-            raise CompositeError(f"local {step.target} does not hold a node reference")
-        args = self._resolve_args(step, locals_)
-
-        if step.op in _SELECTORS:
+                traced_count += 1
+                if traced_count == self.fail_at:
+                    return PreconditionViolated("injected", f"step {traced_count}", step=idx)
+            before = self.current
             try:
-                value = _SELECTORS[step.op](self.current, target, *args)
+                values = [self.value(t, locals_) for t in terms]
+                got = (_SELECTORS[op](before, *values) if op in _SELECTORS
+                       else self.apply(_STEPS[op], values, iterate, locals_))
             except (NotApplicableError, StaleRef) as exc:
-                return NotApplicable(str(exc), step=idx)
-            self._assign(step, locals_, assigned, value)
-            return None
+                got = NotApplicable(str(exc))
+            if isinstance(got, (NotApplicable, PreconditionViolated)):
+                return replace(got, step=idx, step_name=got.step_name or op)
+            if isinstance(got, Applied):
+                got = result = got.result
+            if assign:
+                locals_[assign] = got
+            if traced and self.on_step:
+                self.on_step(traced_count, op,
+                             tuple(_text(before, v) for v in values[1:]), self.current)
+        return Applied(self.current, result)
 
-        if step.op in _COMPOSITES:
-            sub = _COMPOSITES[step.op]
-            before = self.current
-            outcome = self.run(sub, target, args, toplevel=False)
-            if not is_applied(outcome):
-                return type(outcome)(**{**outcome.__dict__, "step": idx,
-                                        "step_name": outcome.step_name or step.op})
-            self._rehome_locals(locals_, before, outcome.snapshot)
-            self._assign(step, locals_, assigned, outcome.result)
-            return outcome
+    def value(self, term, locals_: dict):
+        if isinstance(term, tuple):
+            op, terms = term
+            return _SELECTORS[op](self.current, *(self.value(t, locals_) for t in terms))
+        return locals_.get(term, term)  # an atom never names a local
 
-        if step.op in _PRIMES:
-            if step.iterate:
-                current_target = target
-                while True:
-                    outcome = _PRIMES[step.op](self.current, current_target, *args)
-                    if isinstance(outcome, NotApplicable):
-                        break
-                    if isinstance(outcome, PreconditionViolated):
-                        return PreconditionViolated(outcome.predicate, outcome.location,
-                                                    step=idx, step_name=step.op)
-                    before = self.current
-                    self.current = outcome.snapshot
-                    self._rehome_locals(locals_, before, outcome.snapshot)
-                    current_target = outcome.result
-                self._assign(step, locals_, assigned, current_target)
-                return Applied(self.current, current_target)
-            outcome = _PRIMES[step.op](self.current, target, *args)
+    def apply(self, fn: Callable, values: list, iterate: bool,
+              locals_: dict) -> StepOutcome:
+        """Run a prime or composite; ITERATE reruns it on its own result
+        until it reports NotApplicable."""
+        while True:
+            outcome = fn(self.current, *values)
             if not is_applied(outcome):
-                return type(outcome)(**{**outcome.__dict__, "step": idx,
-                                        "step_name": step.op})
-            before = self.current
+                if iterate and isinstance(outcome, NotApplicable):
+                    return Applied(self.current, values[0])
+                return outcome
+            for k, v in locals_.items():
+                if isinstance(v, NodeRef) and v.version == self.current.version:
+                    with suppress(StaleRef):  # a node the step consumed stays stale
+                        locals_[k] = outcome.snapshot.ref(v.node_id)
             self.current = outcome.snapshot
-            self._rehome_locals(locals_, before, outcome.snapshot)
-            self._assign(step, locals_, assigned, outcome.result)
-            return outcome
-
-        raise CompositeError(f"unknown operation {step.op!r}")
-
-    def _rehome_locals(self, locals_: dict, before: Snapshot, after: Snapshot):
-        for k, v in list(locals_.items()):
-            if isinstance(v, NodeRef) and v.version == before.version:
-                try:
-                    locals_[k] = after.ref(v.node_id)
-                except StaleRef:
-                    pass  # the node was consumed by the step; leave it stale
+            if not iterate:
+                return outcome
+            values = [outcome.result, *values[1:]]
 
 
 def run_composite(program: CompositeProgram, snap: Snapshot, target: NodeRef,
@@ -427,9 +284,40 @@ def generalise_function(snap: Snapshot, target: NodeRef, param_name: str, *,
                         fail_at: Optional[int] = None) -> StepOutcome:
     """Generalise the function enclosing the target expression.
 
-    on_step receives (index, label, args, snapshot) after each of the six
-    traced steps; fail_at forces the step with that index to fail (a test
-    hook exercising rollback).
+    on_step receives (index, op, args, snapshot) after each of the six
+    traced steps, args being the step's arguments after its target as
+    object-language text; fail_at forces the traced step with that index
+    to fail (a test hook exercising rollback).
     """
     return run_composite(GENERALISE_FUNCTION, snap, target, (param_name,),
                          on_step=on_step, fail_at=fail_at)
+
+
+# selectors: name -> callable(snap, target, *args) -> value
+_SELECTORS = {
+    "function_part": analysis.function_part,
+    "function": analysis.function,
+    "name": analysis.name,
+    "function_params": analysis.function_params,
+    "body": analysis.body,
+    "fresh_fun_name": _fresh_fun_name,
+}
+
+# primes and composites: name -> callable(snap, target, *args) -> StepOutcome
+_STEPS = {
+    "wrap": wrap,
+    "extract_to_variable": extract_to_variable,
+    "outer_variable": outer_variable,
+    "extract_to_function": extract_to_function,
+    "var_to_param": var_to_param,
+    "rename_function": rename_function,
+    "to_function_parameter": to_function_parameter,
+}
+
+
+def parse_composite(text: str) -> CompositeProgram:
+    """A COMPOSITE block over this module's selectors, primes and composites."""
+    return parse_scheme_instance(text, _SELECTORS, _STEPS)[2]
+
+
+TO_FUNCTION_PARAMETER, GENERALISE_FUNCTION = map(parse_composite, COMPOSITE_BLOCKS)

@@ -59,7 +59,6 @@ Binding = dict  # metavariable name -> Fragment or tuple of Fragments
 class Applied:
     snapshot: Snapshot
     result: NodeRef
-    step: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,20 @@ SchemeInstance = (Local, IntroduceVariable, IntroduceFunction,
                   FunctionRefactoring, SignatureRefactoring)
 
 
+@dataclass(frozen=True)
+class CompositeProgram:
+    """A step is (assign or None, iterate, call, traced); a call is
+    (op, terms); a term is a local name, an atom, or a selector call."""
+
+    name: str
+    params: tuple[str, ...]
+    steps: tuple[tuple, ...]
+
+
+class CompositeError(TemplateError):
+    pass
+
+
 _NAME_RE = re.compile(r"^[a-z]\w*$")
 _VAR_RE = re.compile(r"^[A-Z_]\w*$")
 
@@ -404,7 +418,10 @@ _HEADERS = (
     ("INTRODUCE VARIABLE", "introduce_variable"),
     ("INTRODUCE FUNCTION", "introduce_function"),
     ("LOCAL REFACTORING", "local"),
+    ("COMPOSITE", "composite"),
 )
+
+_STEP_RE = re.compile(r"(?:([A-Z_]\w*)\s*:=\s*)?(ITERATE\s+)?(\w+\s*\(.*\))(\s+TRACED)?")
 
 
 def _split_sections(body: str, keywords: Sequence[str]) -> dict[str, str]:
@@ -422,13 +439,57 @@ def _split_sections(body: str, keywords: Sequence[str]) -> dict[str, str]:
     return sections
 
 
-def parse_scheme_instance(text: str):
+def _parse_term(tokens: list[str], ops, selectors, assigned: set):
+    """Take one term off the front of tokens (which end in ""): a local, an
+    atom, or op(term, ..) with op in ops; nested calls are selectors."""
+    tok = tokens.pop(0)
+    if tokens[:1] != ["("]:
+        if _VAR_RE.match(tok) and tok not in assigned:
+            raise CompositeError(f"local {tok} used before assignment")
+        if not (_VAR_RE.match(tok) or _NAME_RE.match(tok)):
+            raise CompositeError(f"expected a local or an atom, got {tok!r}")
+        return tok
+    if tok not in ops:
+        raise CompositeError(f"unknown operation {tok!r}")
+    tokens.pop(0)
+    terms = [_parse_term(tokens, selectors, selectors, assigned)]
+    while (sep := tokens.pop(0)) == ",":
+        terms.append(_parse_term(tokens, selectors, selectors, assigned))
+    if sep != ")":
+        raise CompositeError(f"expected ',' or ')', got {sep!r}")
+    return tok, tuple(terms)
+
+
+def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
+    params = tuple(p.strip() for p in argspec.split(",") if p.strip())
+    if not all(map(_VAR_RE.match, params)):
+        raise CompositeError(f"composite parameters must be variables: {argspec!r}")
+    assigned, out = {"THIS", *params}, []
+    for line in filter(None, map(str.strip, body.splitlines())):
+        m = _STEP_RE.fullmatch(line)
+        if not m:
+            raise CompositeError(f"malformed step: {line!r}")
+        assign, iterate, call_text, traced = m.groups()
+        tokens = re.findall(r"\w+|\S", call_text) + [""]
+        call = _parse_term(tokens, {*selectors, *steps}, selectors, assigned)
+        if tokens != [""]:
+            raise CompositeError(f"malformed step: {line!r}")
+        if assign in assigned - {"THIS", None}:
+            raise CompositeError(f"local {assign} assigned twice")
+        assigned.add(assign)
+        out.append((assign, bool(iterate), call, bool(traced)))
+    return CompositeProgram(name, params, tuple(out))
+
+
+def parse_scheme_instance(text: str, selectors=(), steps=()):
     """Parse a scheme-instance block into (kind, name, instance factory).
 
     The factory takes the instance arguments named in the header (for
     example the variable name for extract_to_variable) and returns the
     SchemeInstance. Supported blocks mirror the fixed per-scheme formats
-    with DEFINITION / REFERENCE / WHEN sections.
+    with DEFINITION / REFERENCE / WHEN sections. A COMPOSITE block, one
+    ``[Local :=] [ITERATE] op(Target, Arg, ..) [TRACED]`` step per line
+    over the named selectors and steps, parses to a CompositeProgram.
     """
     stripped = text.strip()
     for header, kind in _HEADERS:
@@ -477,4 +538,6 @@ def parse_scheme_instance(text: str):
         def_rule = replace(def_rule, condition=Condition.parse(sections.get("WHEN", "")))
         ref_rule = parse_rule_text(sections["REFERENCE"], "args")
         return kind, name, FunctionRefactoring(def_rule, ref_rule)
+    if kind == "composite":
+        return kind, name, _parse_composite(name, argspec, body, selectors, steps)
     raise TemplateError(f"unhandled scheme kind {kind}")

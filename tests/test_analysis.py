@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from mer.equiv import GenConfig, gen_expr, gen_module
 from mer.interp import IntV, eval_expr
 from mer.syntax import (
     Body, FunDef, Lambda, Match, PVar, VarRef, is_expr, parse_expr_text,
-    pretty_expr, walk,
+    pretty_expr, rebuild, walk,
 )
 
 from conftest import DOUBLER_SRC, target_of
@@ -322,19 +323,38 @@ def _check_resolve_against_oracle(e):
             assert o.kind == "binding" and o.scope_body_id is not None
 
 
+def _fold_names(e):
+    """e with each generated local V<n> and lambda parameter L<n> renamed to
+    X or Y by the parity of n, so that matches re-match and parameters
+    shadow; a lambda's parameters are numbered consecutively, so its
+    parameter list stays linear."""
+    def fold(n):
+        if isinstance(n, (PVar, VarRef)) and n.name[0] in "VL":
+            return replace(n, name="XY"[int(n.name[1:]) % 2])
+        return n
+    return rebuild(e, fold)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_free_vars_and_bindings_match_oracle_on_generated(seed):
     cfg = GenConfig(visible_match=True, lambda_applied_only=False)
     rng = random.Random(seed)
+    rematches = 0
     for i in range(250):
         e = gen_expr(seed * 1000 + i, rng.randint(0, 4), ("X", "Z"), cfg)
-        # the bare lambda over e opens its own scope below the top one
-        lam = Lambda((PVar("X", node_id=-3),), Body((e,), node_id=-2), node_id=-1)
-        for x in (e, lam):
-            assert analysis.expr_free_vars(x) == oracle_free_vars(x)
-            assert analysis.visible_bindings(x) == oracle_visible_bindings(x)
-            _check_resolve_against_oracle(x)
-        assert analysis.visible_bindings(lam) == []
+        folded = _fold_names(e)
+        for x in (e, folded):
+            # the bare lambda over x opens its own scope below the top one
+            lam = Lambda((PVar("X", node_id=-3),), Body((x,), node_id=-2), node_id=-1)
+            for y in (x, lam):
+                assert analysis.expr_free_vars(y) == oracle_free_vars(y)
+                assert analysis.visible_bindings(y) == oracle_visible_bindings(y)
+                _check_resolve_against_oracle(y)
+            assert analysis.visible_bindings(lam) == []
+        patterns = {n.node_id for n in walk(folded) if isinstance(n, PVar)}
+        rematches += sum(o.kind == "reference" and o.node_id in patterns
+                         for o in analysis.resolve(folded).occurrences)
+    assert rematches > 0
 
 
 def test_resolve_standalone_rematch_and_shadowing():

@@ -141,9 +141,14 @@ def test_generalise_trace_blocks(l1, capsys):
                  "--param", "Y", "--trace"]) == 0
     err = capsys.readouterr().err
     headers = [line for line in err.splitlines() if line.startswith("### step")]
-    assert len(headers) == 6
-    assert headers[0].startswith("### step 1 wrap")
-    assert headers[5].startswith("### step 6 rename_function")
+    assert headers == [
+        "### step 1 wrap",
+        "### step 2 function_part",
+        "### step 3 extract_to_function tmp, (X)",
+        "### step 4 extract_to_variable Y",
+        "### step 5 to_function_parameter",
+        "### step 6 rename_function f",
+    ]
 
 
 def test_generalise_target_position_outside(l1, capsys):
@@ -268,3 +273,12 @@ def test_verify_zero_trials_exits_2(l1, l2, capsys):
     assert code == 2
     assert captured.out == ""
     assert "at least one trial" in captured.err
+
+
+@pytest.mark.parametrize("fuel", ["0", "-3"])
+def test_verify_fuel_below_one_exits_2(l1, l2, capsys, fuel):
+    code = main(["verify", str(l1), str(l2), "--entry", "f/1", "--fuel", fuel])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "fuel of at least 1" in captured.err

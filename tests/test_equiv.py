@@ -96,6 +96,13 @@ def test_missing_entry_is_plan_error():
         check_module_equiv(parse(DOUBLER_SRC), parse("f(X) -> X.\n"), PLAN)
 
 
+@pytest.mark.parametrize("fuel", [0, -3])
+def test_fuel_below_one_is_plan_error(fuel):
+    m = parse(DOUBLER_SRC)
+    with pytest.raises(PlanError, match="fuel of at least 1"):
+        check_module_equiv(m, m, TrialPlan(entries=(FunKey("f", 1),), fuel=fuel))
+
+
 def test_timeouts_yield_unknown():
     m = parse(DOUBLER_SRC)
     v = check_module_equiv(m, m, TrialPlan(entries=(FunKey("f", 1),),

@@ -5,10 +5,9 @@ import pytest
 from mer.analysis import FunKey, Snapshot
 from mer.equiv import TrialPlan, check_module_equiv, Equivalent
 from mer.refactorings import (
-    GENERALISE_FUNCTION, CompositeProgram, CompositeError, Lit, Step,
-    extract_to_function, extract_to_variable, generalise_function,
-    outer_variable, rename_function, run_composite, to_function_parameter,
-    var_to_param, wrap,
+    GENERALISE_FUNCTION, CompositeError, extract_to_function,
+    extract_to_variable, generalise_function, outer_variable, parse_composite,
+    rename_function, run_composite, to_function_parameter, var_to_param, wrap,
 )
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated
 from mer.syntax import Match, parse_patterns_text, pretty, pretty_def, walk
@@ -276,7 +275,7 @@ def test_generalise_fresh_param_required(doubler):
 
 
 def test_empty_program_is_identity(doubler):
-    prog = CompositeProgram("nothing", (), ())
+    prog = parse_composite("COMPOSITE nothing()\n")
     target = target_of(doubler, "2")
     out = run_composite(prog, doubler, target)
     assert isinstance(out, Applied)
@@ -296,21 +295,68 @@ def test_generalise_program_equals_dedicated(doubler):
 
 
 def test_failure_reports_step_index(doubler):
-    prog = CompositeProgram("bad", (), (
-        Step("wrap", target="THIS", assign="THIS"),
-        Step("function_part", target="THIS", assign="THIS"),
-        Step("rename_function", target="THIS", args=(Lit("zz"),)),
-    ))
+    prog = parse_composite("""\
+COMPOSITE bad()
+THIS := wrap(THIS)
+THIS := function_part(THIS)
+rename_function(THIS, zz)
+""")
     out = run_composite(prog, doubler, target_of(doubler, "2"))
     assert isinstance(out, NotApplicable)
     assert out.step == 3  # rename of a lambda target cannot apply
+    assert out.step_name == "rename_function"
     assert pretty(doubler.module) == pretty(Snapshot.from_source(DOUBLER_SRC).module)
+    # a selector's refusal fails its step the same way
+    sel = parse_composite("COMPOSITE sel()\nLam := function_part(THIS)\n")
+    assert run_composite(sel, doubler, target_of(doubler, "2")) == NotApplicable(
+        "not a direct lambda application", step=1, step_name="function_part")
 
 
-def test_single_assignment_locals(doubler):
-    prog = CompositeProgram("dup", (), (
-        Step("function", target="THIS", assign="A"),
-        Step("function", target="THIS", assign="A"),
-    ))
+def test_single_assignment_locals():
+    with pytest.raises(CompositeError, match="A assigned twice"):
+        parse_composite("COMPOSITE dup()\nA := function(THIS)\nA := function(THIS)\n")
+    with pytest.raises(CompositeError, match="P assigned twice"):
+        parse_composite("COMPOSITE dup(P)\nP := function(THIS)\n")
+    # THIS alone is reassignable
+    prog = parse_composite("COMPOSITE ok()\nTHIS := wrap(THIS)\nTHIS := function_part(THIS)\n")
+    assert [assign for assign, _, _, _ in prog.steps] == ["THIS", "THIS"]
+
+
+@pytest.mark.parametrize("line", [
+    "wrap THIS",
+    "A = wrap(THIS)",
+    "wrap(THIS",
+    "wrap(THIS))",
+    "wrap(THIS) extra",
+    "wrap()",
+    "wrap(THIS,)",
+    "rename_function(THIS, 3)",
+    "ITERATE",
+    "THIS := wrap(THIS) TRACED TRACED",
+])
+def test_composite_malformed_step_rejected(line):
     with pytest.raises(CompositeError):
-        run_composite(prog, doubler, target_of(doubler, "2"))
+        parse_composite(f"COMPOSITE bad()\n{line}\n")
+
+
+def test_composite_unknown_op_rejected():
+    with pytest.raises(CompositeError, match="unknown operation 'unwrap'"):
+        parse_composite("COMPOSITE bad()\nunwrap(THIS)\n")
+    # a nested call is a selector, never a prime
+    with pytest.raises(CompositeError, match="unknown operation 'wrap'"):
+        parse_composite("COMPOSITE bad()\nextract_to_variable(THIS, wrap(THIS))\n")
+
+
+def test_composite_local_used_before_assignment_rejected():
+    with pytest.raises(CompositeError, match="local Fn used before assignment"):
+        parse_composite("COMPOSITE bad()\nvar_to_param(Fn, THIS)\nFn := function(THIS)\n")
+    with pytest.raises(CompositeError, match="local Ps used before assignment"):
+        parse_composite("COMPOSITE bad()\n"
+                        "extract_to_function(THIS, fresh_fun_name(tmp, Ps), Ps)\n")
+
+
+def test_generalise_program_traces_six_steps():
+    assert [op for _, _, (op, _), traced in GENERALISE_FUNCTION.steps if traced] == [
+        "wrap", "function_part", "extract_to_function", "extract_to_variable",
+        "to_function_parameter", "rename_function",
+    ]

@@ -12,8 +12,7 @@ from mer.schemes import (
 )
 from mer.refactorings import (
     EXTRACT_TO_VARIABLE_REF_TEXT, OUTER_VARIABLE_REF_TEXT, WRAP_RULE,
-    WRAP_RULE_TEXT, _EXTRACT_VAR_REF_RULE, _OUTER_VAR_REF_RULE, _RENAME_RULE,
-    _VAR_TO_PARAM,
+    WRAP_RULE_TEXT, _EXTRACT_VAR, _OUTER_VAR, _RENAME, _VAR_TO_PARAM,
 )
 from mer.syntax import parse_patterns_text, pretty
 
@@ -53,7 +52,7 @@ def test_run_local_not_applicable_on_fundef(doubler):
 
 
 def _in_scope(name):
-    return IntroduceVariable("in_scope", _EXTRACT_VAR_REF_RULE, name=name)
+    return IntroduceVariable("in_scope", _EXTRACT_VAR.ref_rule, name=name)
 
 
 def test_introduce_variable_in_scope():
@@ -88,7 +87,7 @@ def test_introduce_variable_closed_violation(doubler):
 # introduce variable (outer scope)
 
 
-OUTER = IntroduceVariable("outer_scope", _OUTER_VAR_REF_RULE)
+OUTER = IntroduceVariable("outer_scope", _OUTER_VAR.ref_rule)
 
 
 def test_outer_scope_lift():
@@ -233,7 +232,7 @@ def test_function_refactoring_empty_result_body():
 
 
 def _rename(new_name):
-    return SignatureRefactoring(_RENAME_RULE, {"NewName": new_name})
+    return SignatureRefactoring(_RENAME.head_rule, {"NewName": new_name})
 
 
 def test_rename_function():
