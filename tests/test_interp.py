@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from mer.analysis import FunKey
-from mer.equiv import GenConfig, gen_expr
+from mer.analysis import FunKey, pattern_vars
+from mer.equiv import GenConfig, gen_args, gen_expr, gen_module
 from mer.interp import (
     AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, UnboundVariable,
-    env_concat, env_lookup, env_remove, eval_call, eval_expr, get_matching,
-    is_matching, values_equal,
+    env_concat, env_lookup, env_remove, eval_call, eval_expr, format_outcome,
+    get_matching, is_matching, values_equal,
 )
-from mer.syntax import PVar, IdGen, parse, parse_expr_text
+from mer.syntax import Lambda, PVar, IdGen, VarRef, parse, parse_expr_text, walk
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC
 
@@ -228,3 +229,57 @@ def test_values_equal_ignores_node_ids():
     assert values_equal(c1, c2)
     c3 = ev("fun() -> 3 end").value
     assert not values_equal(c1, c3)
+
+
+def test_closure_capture_set():
+    out = ev("begin Y = 1, W = 2, fun(Y) -> Y + X + Q end end", {"X": IntV(3)})
+    assert out.value.env == {"X": IntV(3)}
+    rng = random.Random(11)
+    checked = 0
+    for i in range(300):
+        e = gen_expr(i, rng.randint(1, 5), ("X", "Z"), GenConfig())
+        env = {"X": IntV(1), "Z": IntV(2), "V1": IntV(3), "L1": IntV(4)}
+        for lam in (n for n in walk(e) if isinstance(n, Lambda)):
+            closure = eval_expr(lam, env).value
+            under = {n.name for n in walk(lam.body) if isinstance(n, (VarRef, PVar))}
+            assert closure.env.keys() == (under - set(pattern_vars(lam.params))) & env.keys()
+            checked += 1
+    assert checked > 100
+
+
+# SHA-256 over every outcome below, taken from the tree-walking evaluator
+# this module's compiled evaluator replaced: the outcome type, its
+# printed form (value or exception kind, and trace) and the sorted names
+# of the environment after. Fuels are small enough that many runs time
+# out part-way, so the digest also pins where each timeout happens.
+GOLDEN_DIGEST = "7ce2b0f3a6880ef286dfa945905c6d659d2138cbf55a0800d040af19f5c62707"
+
+
+def test_outcomes_match_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+
+    def record(o):
+        nonlocal count
+        keys = ",".join(sorted(o.env_after)) if isinstance(o, Ok) else ""
+        h.update(f"{type(o).__name__}|{format_outcome(o)}|{keys}\n".encode())
+        count += 1
+
+    for seed in range(200):
+        m = gen_module(seed, 3)
+        for i, d in enumerate(m.definitions):
+            args = gen_args(seed * 10 + i, d.arity)
+            for fuel in (1, 3, 7, 20, 60, 100_000):
+                record(eval_call(m, FunKey(d.name, d.arity), args, fuel))
+    for i in range(1000):
+        rng = random.Random(i)
+        m = gen_module(i, 3)
+        calls = tuple(FunKey(d.name, d.arity) for d in m.definitions) if i % 2 else ()
+        e = gen_expr(i, rng.randint(0, 5), ("X", "Z"), GenConfig(allow_calls=calls))
+        # V1 and L2 are names the generator binds, so matches re-match
+        env = {"X": IntV(rng.randint(-5, 5)), "V1": IntV(rng.randint(0, 3)),
+               "L2": IntV(1)}
+        for fuel in (4, 15, 100_000):
+            record(eval_expr(e, env, fuel, module=m))
+    assert count == 5322
+    assert h.hexdigest() == GOLDEN_DIGEST
