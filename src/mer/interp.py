@@ -21,12 +21,29 @@ structural comparison of closure values meaningful across refactored
 trees. Values and environments are never mutated; exception outcomes
 carry the trace accumulated strictly before the raise, and running out
 of fuel is a distinct Timeout outcome, never an exception.
+
+The evaluator compiles rather than walks the tree, after Feeley &
+Lapalme, "Using closures for code generation" (Computer Languages,
+1987). A module is compiled once: its program (``_Evaluator``), the
+table of its definitions by name and arity, is built on the first call
+and kept on the ``ModuleAst`` object, and each definition is compiled on
+its own first call, so a run pays only for the definitions it reaches.
+Each expression node becomes one Python closure ``(state, env) ->
+(value, env)`` that spends one unit of fuel on entry, before its
+sub-expressions, so a run times out at the same step whatever the
+compilation did. Operators, literal values, pattern matchers and each
+lambda's capture set and parameter names are worked out at compile time,
+not per evaluation. Compiled code reaches definitions through the run's
+state, never through the module it was compiled in. Evaluation still
+nests Python calls, one per node of the expression being evaluated, so
+its depth is bounded by Python's recursion limit; hitting that limit is
+reported as a Timeout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Union
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, Expr, FunDef, IntLit, Lambda,
@@ -56,6 +73,8 @@ class ClosureV:
     params: tuple[Pattern, ...]
     body: Body
     env: dict  # never mutated; no entries for the closure's own params
+    # the compiled lambda; None for a closure built outside the evaluator
+    code: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
 Value = Union[IntV, AtomV, TupleV, ClosureV]
@@ -183,30 +202,11 @@ def get_matching(values: Sequence[Value], patterns: Sequence[Pattern],
     """
     if len(values) != len(patterns):
         return None
-    new: Env = {}
-
-    def match1(p: Pattern, v: Value) -> bool:
-        if isinstance(p, PVar):
-            if p.name in new:
-                return values_equal(new[p.name], v)
-            if p.name in env:
-                return values_equal(env[p.name], v)
-            new[p.name] = v
-            return True
-        if isinstance(p, PInt):
-            return isinstance(v, IntV) and v.value == p.value
-        if isinstance(p, PAtom):
-            return isinstance(v, AtomV) and v.name == p.name
-        if isinstance(p, PTuple):
-            if not isinstance(v, TupleV) or len(v.elements) != len(p.elements):
-                return False
-            return all(match1(sp, sv) for sp, sv in zip(p.elements, v.elements))
-        raise TypeError(f"not a concrete pattern: {type(p).__name__}")
-
-    for v, p in zip(values, patterns):
-        if not match1(p, v):
+    out = dict(env)
+    for p, v in zip(patterns, values):
+        if not _compile_pattern(p)(v, out):
             return None
-    return new
+    return {k: v for k, v in out.items() if k not in env}
 
 
 def is_matching(values: Sequence[Value], patterns: Sequence[Pattern], env: Env) -> bool:
@@ -214,7 +214,7 @@ def is_matching(values: Sequence[Value], patterns: Sequence[Pattern], env: Env) 
 
 
 # ---------------------------------------------------------------------------
-# Evaluator
+# Compiler
 
 
 class _Raise(Exception):
@@ -226,6 +226,57 @@ class _NoFuel(Exception):
     pass
 
 
+class _State:
+    """One run: the program static calls reach, the fuel left, and the
+    trace so far."""
+
+    __slots__ = ("program", "fuel", "trace")
+
+    def __init__(self, program: "_Evaluator", fuel: int):
+        self.program = program
+        self.fuel = fuel
+        self.trace: list[Value] = []
+
+
+# A compiled expression evaluates under (state, env) to (value, env); a
+# compiled pattern matches a value, adding bindings to a private env copy;
+# a compiled function takes (state, arguments, captured env) to a value.
+Code = Callable[[_State, Env], tuple[Value, Env]]
+Matcher = Callable[[Value, Env], bool]
+Function = Callable[[_State, list, Env], Value]
+
+
+class _Evaluator:
+    """A module's program: its definitions by (name, arity), each
+    compiled on its first call. Built once per module (see _program)."""
+
+    def __init__(self, module: Optional[ModuleAst]):
+        self.defs: dict[tuple[str, int], FunDef] = {}
+        if module is not None:
+            for d in module.definitions:
+                self.defs[d.name, d.arity] = d
+        self.functions: dict[tuple[str, int], Function] = {}
+
+    def function(self, key: tuple[str, int]) -> Optional[Function]:
+        fn = self.functions.get(key)
+        if fn is None:
+            d = self.defs.get(key)
+            if d is None:
+                return None
+            fn = self.functions[key] = _compile_function(d.params, d.body)
+        return fn
+
+
+def _program(m: ModuleAst) -> _Evaluator:
+    """The module's program, built on first use and kept on the module
+    object, which is immutable, so it lives exactly as long."""
+    program = vars(m).get("_program")
+    if program is None:
+        program = _Evaluator(m)
+        object.__setattr__(m, "_program", program)
+    return program
+
+
 def _erlang_div(a: int, b: int) -> int:
     # truncates toward zero
     q = a // b
@@ -234,152 +285,289 @@ def _erlang_div(a: int, b: int) -> int:
     return q
 
 
-class _Evaluator:
-    def __init__(self, module: Optional[ModuleAst], fuel: int):
-        self.defs: dict[FunKey, FunDef] = {}
-        if module is not None:
-            for d in module.definitions:
-                self.defs[FunKey(d.name, d.arity)] = d
-        self.fuel = fuel
-        self.trace: list[Value] = []
-
-    def tick(self):
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise _NoFuel()
-
-    def eval_seq(self, exprs: Sequence[Expr], env: Env) -> tuple[Value, Env]:
-        value: Value = AtomV("undefined")
-        for e in exprs:
-            value, env = self.eval(e, env)
-        return value, env
-
-    def eval(self, e: Expr, env: Env) -> tuple[Value, Env]:
-        self.tick()
-        t = type(e)
-        if t is IntLit:
-            return IntV(e.value), env
-        if t is AtomLit:
-            return AtomV(e.name), env
-        if t is VarRef:
-            if e.name not in env:
-                raise _Raise("unbound")
-            return env[e.name], env
-        if t is BinOp:
-            lv, env = self.eval(e.left, env)
-            rv, env = self.eval(e.right, env)
-            return self._binop(e.op, lv, rv), env
-        if t is Match:
-            v, env = self.eval(e.rhs, env)
-            new = get_matching([v], [e.pattern], env)
-            if new is None:
-                raise _Raise("badmatch")
-            return v, env_concat(env, new)
-        if t is Block:
-            return self.eval_seq(e.body, env)
-        if t is Lambda:
-            return self._close(e, env), env
-        if t is StaticCall:
-            args = []
-            for a in e.args:
-                v, env = self.eval(a, env)
-                args.append(v)
-            key = FunKey(e.name, len(args))
-            d = self.defs.get(key)
-            if d is None:
-                raise _Raise("undef")
-            bound = get_matching(args, d.params, {})
-            if bound is None:
-                raise _Raise("badmatch")
-            value, _ = self.eval_seq(d.body.exprs, bound)
-            return value, env
-        if t is DynCall:
-            callee, env = self.eval(e.callee, env)
-            args = []
-            for a in e.args:
-                v, env = self.eval(a, env)
-                args.append(v)
-            if not isinstance(callee, ClosureV):
-                raise _Raise("badfun")
-            if len(args) != len(callee.params):
-                raise _Raise("badarity")
-            base = env_remove(callee.env, pattern_vars(callee.params))
-            bound = get_matching(args, callee.params, base)
-            if bound is None:
-                raise _Raise("badmatch")
-            value, _ = self.eval_seq(callee.body.exprs, env_concat(base, bound))
-            return value, env
-        if t is Print:
-            v, env = self.eval(e.arg, env)
-            self.trace.append(v)
-            return v, env
-        if t is TupleExpr:
-            vs = []
-            for x in e.elements:
-                v, env = self.eval(x, env)
-                vs.append(v)
-            return TupleV(tuple(vs)), env
-        raise TypeError(f"cannot evaluate {t.__name__}")
-
-    def _close(self, lam: Lambda, env: Env) -> ClosureV:
-        own = set(pattern_vars(lam.params))
-        used = {n.name for n in walk(lam.body) if isinstance(n, (VarRef, PVar))}
-        captured = {k: v for k, v in env.items() if k in used and k not in own}
-        return ClosureV(lam.params, lam.body, captured)
-
-    def _binop(self, op: str, a: Value, b: Value) -> Value:
-        if op == "==":
-            return TRUE if values_equal(a, b) else FALSE
-        if not (isinstance(a, IntV) and isinstance(b, IntV)):
+def _int_op(f: Callable[[int, int], Value]) -> Callable[[Value, Value], Value]:
+    def op(a: Value, b: Value) -> Value:
+        if type(a) is not IntV or type(b) is not IntV:
             raise _Raise("badarith")
-        if op == "+":
-            return IntV(a.value + b.value)
-        if op == "-":
-            return IntV(a.value - b.value)
-        if op == "*":
-            return IntV(a.value * b.value)
-        if op == "div":
-            if b.value == 0:
-                raise _Raise("badarith")
-            return IntV(_erlang_div(a.value, b.value))
-        if op == "<":
-            return TRUE if a.value < b.value else FALSE
-        raise TypeError(f"unknown operator {op}")
+        return f(a.value, b.value)
+    return op
+
+
+def _div(a: int, b: int) -> Value:
+    if b == 0:
+        raise _Raise("badarith")
+    return IntV(_erlang_div(a, b))
+
+
+_BINOPS: dict[str, Callable[[Value, Value], Value]] = {
+    "==": lambda a, b: TRUE if values_equal(a, b) else FALSE,
+    "+": _int_op(lambda a, b: IntV(a + b)),
+    "-": _int_op(lambda a, b: IntV(a - b)),
+    "*": _int_op(lambda a, b: IntV(a * b)),
+    "div": _int_op(_div),
+    "<": _int_op(lambda a, b: TRUE if a < b else FALSE),
+}
+
+
+def _eval_all(codes: tuple[Code, ...], st: _State, env: Env) -> tuple[list, Env]:
+    values = []
+    for c in codes:
+        v, env = c(st, env)
+        values.append(v)
+    return values, env
+
+
+# Each compiled expression spends one unit of fuel on entry, before
+# anything else it does. The three lines are written out in each rather
+# than called: they run once per evaluation step.
+
+
+def _compile_const(v: Value) -> Code:
+    def const(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        return v, env
+    return const
+
+
+def _compile_var(e: VarRef) -> Code:
+    name = e.name
+
+    def var(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        v = env.get(name)
+        if v is None:
+            raise _Raise("unbound")
+        return v, env
+    return var
+
+
+def _compile_binop(e: BinOp) -> Code:
+    op = _BINOPS.get(e.op)
+    if op is None:
+        raise TypeError(f"unknown operator {e.op}")
+    left, right = _compile(e.left), _compile(e.right)
+
+    def binop(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        a, env = left(st, env)
+        b, env = right(st, env)
+        return op(a, b), env
+    return binop
+
+
+def _compile_match(e: Match) -> Code:
+    match, rhs = _compile_pattern(e.pattern), _compile(e.rhs)
+
+    def match_(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        v, env = rhs(st, env)
+        env = dict(env)
+        if not match(v, env):
+            raise _Raise("badmatch")
+        return v, env
+    return match_
+
+
+def _compile_block(e: Block) -> Code:
+    seq = _compile_seq(e.body)
+
+    def block(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        return seq(st, env)
+    return block
+
+
+def _compile_lambda(e: Lambda) -> Code:
+    params, body = e.params, e.body
+    own = set(pattern_vars(params))
+    captures = tuple(dict.fromkeys(
+        n.name for n in walk(body)
+        if isinstance(n, (VarRef, PVar)) and n.name not in own))
+    fn = _compile_function(params, body)
+
+    def lambda_(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        return ClosureV(params, body, {k: env[k] for k in captures if k in env}, fn), env
+    return lambda_
+
+
+def _compile_static_call(e: StaticCall) -> Code:
+    key, args = (e.name, len(e.args)), tuple(map(_compile, e.args))
+
+    def static_call(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        values, env = _eval_all(args, st, env)
+        fn = st.program.function(key)
+        if fn is None:
+            raise _Raise("undef")
+        return fn(st, values, {}), env
+    return static_call
+
+
+def _compile_dyn_call(e: DynCall) -> Code:
+    callee, args = _compile(e.callee), tuple(map(_compile, e.args))
+
+    def dyn_call(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        f, env = callee(st, env)
+        values, env = _eval_all(args, st, env)
+        if type(f) is not ClosureV:
+            raise _Raise("badfun")
+        if len(values) != len(f.params):
+            raise _Raise("badarity")
+        fn = f.code or _compile_function(f.params, f.body)
+        return fn(st, values, f.env), env
+    return dyn_call
+
+
+def _compile_print(e: Print) -> Code:
+    arg = _compile(e.arg)
+
+    def print_(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        v, env = arg(st, env)
+        st.trace.append(v)
+        return v, env
+    return print_
+
+
+def _compile_tuple(e: TupleExpr) -> Code:
+    elements = tuple(map(_compile, e.elements))
+
+    def tuple_(st, env):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise _NoFuel
+        values, env = _eval_all(elements, st, env)
+        return TupleV(tuple(values)), env
+    return tuple_
+
+
+_COMPILERS: dict[type, Callable[..., Code]] = {
+    IntLit: lambda e: _compile_const(IntV(e.value)),
+    AtomLit: lambda e: _compile_const(AtomV(e.name)),
+    VarRef: _compile_var,
+    BinOp: _compile_binop,
+    Match: _compile_match,
+    Block: _compile_block,
+    Lambda: _compile_lambda,
+    StaticCall: _compile_static_call,
+    DynCall: _compile_dyn_call,
+    Print: _compile_print,
+    TupleExpr: _compile_tuple,
+}
+
+
+def _compile(e: Expr) -> Code:
+    compiler = _COMPILERS.get(type(e))
+    if compiler is None:
+        raise TypeError(f"cannot evaluate {type(e).__name__}")
+    return compiler(e)
+
+
+def _compile_seq(exprs: Sequence[Expr]) -> Code:
+    """A body or block's expressions in turn, spending no fuel of their own."""
+    codes = tuple(map(_compile, exprs))
+    if len(codes) == 1:
+        return codes[0]
+
+    def seq(st, env):
+        for c in codes:
+            v, env = c(st, env)
+        return v, env
+    return seq
+
+
+def _compile_function(params: Sequence[Pattern], body: Body) -> Function:
+    """A definition or lambda: match the arguments in the captured env
+    (empty for a definition), then run the body there."""
+    own = frozenset(pattern_vars(params))
+    matchers = tuple(map(_compile_pattern, params))
+    run = _compile_seq(body.exprs)
+
+    def function(st, args, captured):
+        if not own.isdisjoint(captured):
+            captured = {k: v for k, v in captured.items() if k not in own}
+        env = dict(captured)
+        for match, v in zip(matchers, args):
+            if not match(v, env):
+                raise _Raise("badmatch")
+        return run(st, env)[0]
+    return function
+
+
+def _compile_pattern(p: Pattern) -> Matcher:
+    t = type(p)
+    if t is PVar:
+        name = p.name
+
+        def match_var(v, env):
+            bound = env.get(name)
+            if bound is None:
+                env[name] = v
+                return True
+            return values_equal(bound, v)
+        return match_var
+    if t is PInt:
+        value = p.value
+        return lambda v, env: type(v) is IntV and v.value == value
+    if t is PAtom:
+        name = p.name
+        return lambda v, env: type(v) is AtomV and v.name == name
+    if t is PTuple:
+        elements = tuple(map(_compile_pattern, p.elements))
+        n = len(elements)
+        return lambda v, env: (type(v) is TupleV and len(v.elements) == n and all(
+            m(x, env) for m, x in zip(elements, v.elements)))
+    raise TypeError(f"not a concrete pattern: {t.__name__}")
 
 
 def eval_expr(e: Expr, env: Env, fuel: int = DEFAULT_FUEL, *,
               module: Optional[ModuleAst] = None) -> Outcome:
     """Evaluate a standalone expression (or body) under env."""
-    ev = _Evaluator(module, fuel)
+    st = _State(_Evaluator(None) if module is None else _program(module), fuel)
     try:
-        if isinstance(e, Body):
-            value, env_after = ev.eval_seq(e.exprs, dict(env))
-        else:
-            value, env_after = ev.eval(e, dict(env))
-        return Ok(value, env_after, tuple(ev.trace))
+        run = _compile_seq(e.exprs) if isinstance(e, Body) else _compile(e)
+        value, env_after = run(st, dict(env))
+        return Ok(value, env_after, tuple(st.trace))
     except _Raise as r:
-        return Exn(r.kind, tuple(ev.trace))
+        return Exn(r.kind, tuple(st.trace))
     except (_NoFuel, RecursionError):
         # stack exhaustion is a resource limit like fuel, never a failure
-        return Timeout(tuple(ev.trace))
+        return Timeout(tuple(st.trace))
 
 
 def eval_call(m: ModuleAst, key: FunKey, args: Sequence[Value],
               fuel: int = DEFAULT_FUEL) -> Outcome:
     """Evaluate a module entry point; the outcome carries an empty env."""
-    ev = _Evaluator(m, fuel)
+    program = _program(m)
+    if (key.name, key.arity) not in program.defs:
+        return Exn("undef", ())
+    if len(args) != key.arity:
+        return Exn("badarity", ())
+    st = _State(program, fuel)
     try:
-        d = ev.defs.get(key)
-        if d is None:
-            return Exn("undef", ())
-        if len(args) != key.arity:
-            return Exn("badarity", ())
-        bound = get_matching(list(args), d.params, {})
-        if bound is None:
-            return Exn("badmatch", ())
-        value, _ = ev.eval_seq(d.body.exprs, bound)
-        return Ok(value, {}, tuple(ev.trace))
+        fn = program.function((key.name, key.arity))
+        return Ok(fn(st, args, {}), {}, tuple(st.trace))
     except _Raise as r:
-        return Exn(r.kind, tuple(ev.trace))
+        return Exn(r.kind, tuple(st.trace))
     except (_NoFuel, RecursionError):
-        return Timeout(tuple(ev.trace))
+        return Timeout(tuple(st.trace))

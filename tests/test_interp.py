@@ -6,8 +6,11 @@ import random
 
 import pytest
 
+from mer import interp
 from mer.analysis import FunKey, pattern_vars
-from mer.equiv import GenConfig, gen_args, gen_expr, gen_module
+from mer.equiv import (
+    GenConfig, TrialPlan, check_module_equiv, gen_args, gen_expr, gen_module,
+)
 from mer.interp import (
     AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, UnboundVariable,
     env_concat, env_lookup, env_remove, eval_call, eval_expr, format_outcome,
@@ -245,6 +248,23 @@ def test_closure_capture_set():
             assert closure.env.keys() == (under - set(pattern_vars(lam.params))) & env.keys()
             checked += 1
     assert checked > 100
+
+
+def test_module_compiled_once(monkeypatch):
+    built = []
+    init = interp._Evaluator.__init__
+
+    def counting_init(self, module):
+        built.append(module)
+        init(self, module)
+
+    monkeypatch.setattr(interp._Evaluator, "__init__", counting_init)
+    before, after = parse(DOUBLER_SRC), parse(GENERALISED_SRC)
+    plan = TrialPlan(entries=(FunKey("f", 1), FunKey("g", 1)), trials=30)
+    check_module_equiv(before, after, plan)
+    assert built == [before, after]
+    check_module_equiv(before, after, plan)
+    assert len(built) == 2
 
 
 # SHA-256 over every outcome below, taken from the tree-walking evaluator
