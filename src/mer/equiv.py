@@ -38,8 +38,8 @@ from .syntax import (
 
 
 class PlanError(Exception):
-    """A trial plan with no trials, or with an entry missing from one of
-    the modules."""
+    """A trial plan with no trials, a fuel below 1, or an entry missing
+    from one of the modules."""
 
 
 class GenerationExhausted(Exception):
@@ -155,12 +155,16 @@ class TrialPlan:
         return tuple(IntV(rng.randint(self.arg_lo, self.arg_hi)) for _ in range(arity))
 
 
+def _check_budget(trials: int, fuel: int):
+    if trials < 1:
+        raise PlanError(f"a trial plan needs at least one trial, got {trials}")
+    if fuel < 1:
+        raise PlanError(f"a trial plan needs a fuel of at least 1, got {fuel}")
+
+
 def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> Verdict:
     """Run every plan entry on both modules with identical arguments."""
-    if plan.trials < 1:
-        raise PlanError(f"a trial plan needs at least one trial, got {plan.trials}")
-    if plan.fuel < 1:
-        raise PlanError(f"a trial plan needs a fuel of at least 1, got {plan.fuel}")
+    _check_budget(plan.trials, plan.fuel)
     before_keys = {FunKey(d.name, d.arity) for d in before.definitions}
     after_keys = {FunKey(d.name, d.arity) for d in after.definitions}
     for entry in plan.entries:
@@ -362,6 +366,7 @@ def check_rule_equiv(lhs: Template, rhs: Template, condition: Condition,
     environment comparison (they are dead outside the instantiated code
     precisely because of the freshness condition).
     """
+    _check_budget(trials, fuel)
     rng = random.Random(seed)
     cfg = cfg or GenConfig(visible_match=False, lambda_applied_only=False)
     metavars = template_metavars(lhs) | template_metavars(rhs) | condition.metavars()

@@ -157,6 +157,15 @@ def test_broken_rule_detected():
     assert isinstance(v, Inequivalent)
 
 
+@pytest.mark.parametrize("bad", [0, -3])
+def test_rule_check_budget_below_one_is_plan_error(bad):
+    rule = (WRAP_RULE.lhs, WRAP_RULE.rhs, WRAP_RULE.condition)
+    with pytest.raises(PlanError, match="at least one trial"):
+        check_rule_equiv(*rule, trials=bad)
+    with pytest.raises(PlanError, match="fuel of at least 1"):
+        check_rule_equiv(*rule, trials=20, fuel=bad)
+
+
 def test_generation_exhausted_is_reported():
     # conjuncts evaluate left to right, so a metavariable used before its
     # binding equation rejects every candidate; the checker must say so
