@@ -21,6 +21,7 @@ input snapshot untouched; there are no partial edits.
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -439,9 +440,11 @@ def _split_sections(body: str, keywords: Sequence[str]) -> dict[str, str]:
     return sections
 
 
-def _parse_term(tokens: list[str], ops, selectors, assigned: set):
+def _parse_term(tokens: list[str], ops: dict, selectors: dict, assigned: set):
     """Take one term off the front of tokens (which end in ""): a local, an
-    atom, or op(term, ..) with op in ops; nested calls are selectors."""
+    atom, or op(term, ..) with op in ops, a name -> callable(snap, target,
+    *args) table, taking as many terms as op takes; nested calls are
+    selectors."""
     tok = tokens.pop(0)
     if tokens[:1] != ["("]:
         if _VAR_RE.match(tok) and tok not in assigned:
@@ -457,6 +460,10 @@ def _parse_term(tokens: list[str], ops, selectors, assigned: set):
         terms.append(_parse_term(tokens, selectors, selectors, assigned))
     if sep != ")":
         raise CompositeError(f"expected ',' or ')', got {sep!r}")
+    try:
+        inspect.signature(ops[tok]).bind(None, *terms)  # None stands for the snapshot
+    except TypeError:
+        raise CompositeError(f"{tok} cannot take {len(terms)} argument(s)") from None
     return tok, tuple(terms)
 
 
@@ -471,7 +478,7 @@ def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
             raise CompositeError(f"malformed step: {line!r}")
         assign, iterate, call_text, traced = m.groups()
         tokens = re.findall(r"\w+|\S", call_text) + [""]
-        call = _parse_term(tokens, {*selectors, *steps}, selectors, assigned)
+        call = _parse_term(tokens, {**selectors, **steps}, selectors, assigned)
         if tokens != [""]:
             raise CompositeError(f"malformed step: {line!r}")
         if assign in assigned - {"THIS", None}:
@@ -481,7 +488,8 @@ def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
     return CompositeProgram(name, params, tuple(out))
 
 
-def parse_scheme_instance(text: str, selectors=(), steps=()):
+def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
+                          steps: Optional[dict] = None):
     """Parse a scheme-instance block into (kind, name, instance factory).
 
     The factory takes the instance arguments named in the header (for
@@ -489,7 +497,8 @@ def parse_scheme_instance(text: str, selectors=(), steps=()):
     SchemeInstance. Supported blocks mirror the fixed per-scheme formats
     with DEFINITION / REFERENCE / WHEN sections. A COMPOSITE block, one
     ``[Local :=] [ITERATE] op(Target, Arg, ..) [TRACED]`` step per line
-    over the named selectors and steps, parses to a CompositeProgram.
+    over the selectors and steps, two name -> callable(snap, target, *args)
+    tables, parses to a CompositeProgram.
     """
     stripped = text.strip()
     for header, kind in _HEADERS:
@@ -539,5 +548,6 @@ def parse_scheme_instance(text: str, selectors=(), steps=()):
         ref_rule = parse_rule_text(sections["REFERENCE"], "args")
         return kind, name, FunctionRefactoring(def_rule, ref_rule)
     if kind == "composite":
-        return kind, name, _parse_composite(name, argspec, body, selectors, steps)
+        return kind, name, _parse_composite(name, argspec, body,
+                                             selectors or {}, steps or {})
     raise TemplateError(f"unhandled scheme kind {kind}")

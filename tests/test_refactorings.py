@@ -347,6 +347,15 @@ def test_composite_unknown_op_rejected():
         parse_composite("COMPOSITE bad()\nextract_to_variable(THIS, wrap(THIS))\n")
 
 
+def test_composite_arity_checked_at_parse():
+    with pytest.raises(CompositeError, match="wrap cannot take 2 argument"):
+        parse_composite("COMPOSITE c()\nwrap(THIS, THIS)\n")
+    with pytest.raises(CompositeError, match="function cannot take 2 argument"):
+        parse_composite("COMPOSITE c()\nextract_to_variable(THIS, function(THIS, x))\n")
+    with pytest.raises(CompositeError, match="extract_to_variable cannot take 1 argument"):
+        parse_composite("COMPOSITE c()\nextract_to_variable(THIS)\n")
+
+
 def test_composite_local_used_before_assignment_rejected():
     with pytest.raises(CompositeError, match="local Fn used before assignment"):
         parse_composite("COMPOSITE bad()\nvar_to_param(Fn, THIS)\nFn := function(THIS)\n")
