@@ -26,18 +26,18 @@ The evaluator compiles rather than walks the tree, after Feeley &
 Lapalme, "Using closures for code generation" (Computer Languages,
 1987). A module is compiled once: its program (``_Evaluator``), the
 table of its definitions by name and arity, is built on the first call
-and kept on the ``ModuleAst`` object, and each definition is compiled on
-its own first call, so a run pays only for the definitions it reaches.
-Each expression node becomes one Python closure ``(state, env) ->
-(value, env)`` that spends one unit of fuel on entry, before its
-sub-expressions, so a run times out at the same step whatever the
-compilation did. Operators, literal values, pattern matchers and each
-lambda's capture set and parameter names are worked out at compile time,
-not per evaluation. Compiled code reaches definitions through the run's
-state, never through the module it was compiled in. Evaluation still
-nests Python calls, one per node of the expression being evaluated, so
-its depth is bounded by Python's recursion limit; hitting that limit is
-reported as a Timeout.
+and kept on the ``ModuleAst`` object, and each definition or lambda body
+is compiled on its own first call, so a run pays only for the code it
+reaches. Each expression node becomes one Python closure ``(state, env)
+-> (value, env)`` that spends one unit of fuel on entry, before its
+sub-expressions, so a run times out at the same step as a tree walk
+would. Operators, literal values and pattern matchers are resolved when
+a node is compiled, and a lambda's capture set and parameter matchers
+when it is first evaluated, not each time a closure is made. Compiled
+code reaches definitions through the run's state, never through the
+module it was compiled in. Compiling and evaluating both nest Python
+calls, one per tree level, so evaluation depth is still bounded by
+Python's recursion limit; hitting that limit is reported as a Timeout.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, Expr, FunDef, IntLit, Lambda,
-    Match, ModuleAst, PAtom, PInt, PTuple, PVar, Pattern, Print,
-    StaticCall, TupleExpr, VarRef, struct_eq, walk,
+    Match, ModuleAst, Node, PAtom, PInt, PTuple, PVar, Pattern, Print,
+    StaticCall, TupleExpr, VarRef, children, struct_eq,
 )
 from .analysis import FunKey, pattern_vars
 
@@ -387,18 +387,31 @@ def _compile_block(e: Block) -> Code:
     return block
 
 
+def _names_under(n: Node, out: dict) -> dict:
+    """Adds the variable names occurring in n to out, in preorder."""
+    t = type(n)
+    if t is VarRef or t is PVar:
+        out[n.name] = None
+    else:
+        for c in children(n):
+            _names_under(c, out)
+    return out
+
+
 def _compile_lambda(e: Lambda) -> Code:
     params, body = e.params, e.body
-    own = set(pattern_vars(params))
-    captures = tuple(dict.fromkeys(
-        n.name for n in walk(body)
-        if isinstance(n, (VarRef, PVar)) and n.name not in own))
-    fn = _compile_function(params, body)
+    compiled = None  # (capture set, function), made on first evaluation
 
     def lambda_(st, env):
+        nonlocal compiled
         st.fuel -= 1
         if st.fuel < 0:
             raise _NoFuel
+        if compiled is None:
+            own = pattern_vars(params)
+            compiled = (tuple(k for k in _names_under(body, {}) if k not in own),
+                        _compile_function(params, body))
+        captures, fn = compiled
         return ClosureV(params, body, {k: env[k] for k in captures if k in env}, fn), env
     return lambda_
 
@@ -431,8 +444,11 @@ def _compile_dyn_call(e: DynCall) -> Code:
             raise _Raise("badfun")
         if len(values) != len(f.params):
             raise _Raise("badarity")
-        fn = f.code or _compile_function(f.params, f.body)
-        return fn(st, values, f.env), env
+        fn, captured = f.code, f.env
+        if fn is None:  # built outside the evaluator: may bind its own parameters
+            fn = _compile_function(f.params, f.body)
+            captured = env_remove(captured, pattern_vars(f.params))
+        return fn(st, values, captured), env
     return dyn_call
 
 
@@ -498,14 +514,15 @@ def _compile_seq(exprs: Sequence[Expr]) -> Code:
 
 def _compile_function(params: Sequence[Pattern], body: Body) -> Function:
     """A definition or lambda: match the arguments in the captured env
-    (empty for a definition), then run the body there."""
-    own = frozenset(pattern_vars(params))
+    (empty for a definition, never binding a parameter for a lambda),
+    then run the body there."""
     matchers = tuple(map(_compile_pattern, params))
-    run = _compile_seq(body.exprs)
+    run = None  # the body, compiled on the first call
 
     def function(st, args, captured):
-        if not own.isdisjoint(captured):
-            captured = {k: v for k, v in captured.items() if k not in own}
+        nonlocal run
+        if run is None:
+            run = _compile_seq(body.exprs)
         env = dict(captured)
         for match, v in zip(matchers, args):
             if not match(v, env):
