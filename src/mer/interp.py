@@ -243,7 +243,7 @@ class _State:
 # a compiled function takes (state, arguments, captured env) to a value.
 Code = Callable[[_State, Env], tuple[Value, Env]]
 Matcher = Callable[[Value, Env], bool]
-Function = Callable[[_State, list, Env], Value]
+Function = Callable[[_State, Sequence[Value], Env], Value]
 
 
 class _Evaluator:
@@ -251,10 +251,8 @@ class _Evaluator:
     compiled on its first call. Built once per module (see _program)."""
 
     def __init__(self, module: Optional[ModuleAst]):
-        self.defs: dict[tuple[str, int], FunDef] = {}
-        if module is not None:
-            for d in module.definitions:
-                self.defs[d.name, d.arity] = d
+        self.defs: dict[tuple[str, int], FunDef] = (
+            {} if module is None else {(d.name, d.arity): d for d in module.definitions})
         self.functions: dict[tuple[str, int], Function] = {}
 
     def function(self, key: tuple[str, int]) -> Optional[Function]:
@@ -277,14 +275,6 @@ def _program(m: ModuleAst) -> _Evaluator:
     return program
 
 
-def _erlang_div(a: int, b: int) -> int:
-    # truncates toward zero
-    q = a // b
-    if q < 0 and q * b != a:
-        q += 1
-    return q
-
-
 def _int_op(f: Callable[[int, int], Value]) -> Callable[[Value, Value], Value]:
     def op(a: Value, b: Value) -> Value:
         if type(a) is not IntV or type(b) is not IntV:
@@ -296,7 +286,10 @@ def _int_op(f: Callable[[int, int], Value]) -> Callable[[Value, Value], Value]:
 def _div(a: int, b: int) -> Value:
     if b == 0:
         raise _Raise("badarith")
-    return IntV(_erlang_div(a, b))
+    q = a // b
+    if q < 0 and q * b != a:
+        q += 1  # truncate toward zero
+    return IntV(q)
 
 
 _BINOPS: dict[str, Callable[[Value, Value], Value]] = {
