@@ -236,6 +236,11 @@ class ModuleAst:
     definitions: tuple[FunDef, ...]
     next_node_id: int
 
+    def __getstate__(self):
+        # the fields only: caches kept on the object, such as the
+        # evaluator's compiled program, are not copied or pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 Pattern = Union[PVar, PInt, PAtom, PTuple, MetaVar, MetaSeq]
 Expr = Union[

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -265,6 +266,14 @@ def test_module_compiled_once(monkeypatch):
     assert built == [before, after]
     check_module_equiv(before, after, plan)
     assert len(built) == 2
+
+
+def test_compiled_module_still_pickles():
+    m = parse(DOUBLER_SRC)
+    assert eval_call(m, FunKey("g", 1), [IntV(2)]) == Ok(IntV(6), {}, ())
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and "_program" not in vars(copy)
+    assert eval_call(copy, FunKey("g", 1), [IntV(2)]) == Ok(IntV(6), {}, ())
 
 
 # SHA-256 over every outcome below, taken from the tree-walking evaluator
