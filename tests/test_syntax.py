@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import random
+import re
+import string
+
 import pytest
 
 from mer import syntax
@@ -8,7 +13,8 @@ from mer.syntax import (
     FIELDS, SLOTS, Block, Body, DynCall, DuplicateDefinition, FunDef, IdGen,
     IntLit, Lambda, Match, Node, NotFound, ParseError, PVar, StaticCall,
     VarRef, clone_fresh, find_node, module_struct_eq, parse, pretty,
-    pretty_def, pretty_expr, parse_expr_text, rebuild, struct_eq, walk,
+    pretty_def, pretty_expr, parse_expr_text, parse_exprseq_text,
+    parse_patterns_text, rebuild, struct_eq, walk,
 )
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC, DOUBLER_SRC_PRETTY
@@ -205,3 +211,92 @@ def test_schema_covers_every_node_type():
         assert node_fields == {f for f, _, _ in SLOTS.get(t, ())}, t.__name__
         assert struct_eq(clone_fresh(n, gen), n), t.__name__
         assert rebuild(n, lambda x: x) is n, t.__name__
+
+
+# ---------------------------------------------------------------------------
+# parse golden digest
+#
+# One SHA-256 over every parse result of a fixed corpus: generated
+# modules, the case study, their definition bodies and parameter lists,
+# metavariable templates, and seeded token- and character-level mutants
+# of all of these. Each text goes through parse, parse_exprseq_text and
+# parse_patterns_text (the last two with and without metavariables);
+# each result is the repr of what was parsed (node ids and spans
+# included) or the error's type, message and position. The corpus is
+# ASCII only: str.isalpha and friends follow each Python version's
+# Unicode database, so the pin holds on every supported version.
+
+_EXTRA = (
+    "@E", "begin @Body... end", "@F(@Args...)", "fun(@Ps...) -> @Body... end",
+    "@X = @E, @Rest...", "{@A, @Bs...}", "@V(@E, 1), print(@E)", "@P, {@Q, 2}",
+    "X = Y = 5", "{X, ok, {1, 2}} = {A, b, C}", "(fun() -> 2 end)()",
+    "fun() -> 2 end()", "(1 + 2)(3)", "1 - -3 div 2 < 4 == 0 * X",
+    "f({X, X}, -1) -> g(), 1.\n", "X + 1 = 5", "f(X) -> X.\nf(Y) -> Y.\n",
+)
+
+# the language's tokens and keywords, '@' forms, whitespace, a comment
+# opener and a few names and literals; a fifth of the edits draw any
+# ASCII punctuation mark instead
+_VOCABULARY = (
+    "(", ")", "{", "}", ",", ".", "=", "<", "+", "-", "*", "->", "==",
+    "begin", "end", "fun", "div", "print", "%", "@", "...", "@E", "@Es...",
+    "\n", "\t", " ", "X", "_Y", "a", "b2", "0", "12",
+)
+
+_UNIT = re.compile(r"\w+|\.\.\.|->|==|\s|.")
+
+
+def _edit(rng: random.Random) -> str:
+    return rng.choice(string.punctuation if rng.random() < 0.2 else _VOCABULARY)
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    units = _UNIT.findall(text) if rng.random() < 0.5 else list(text)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("delete", "insert", "replace")) if units else "insert"
+        if op == "insert":
+            units.insert(rng.randint(0, len(units)), _edit(rng))
+        else:
+            i = rng.randrange(len(units))
+            if op == "delete":
+                del units[i]
+            else:
+                units[i] = _edit(rng)
+    return "".join(units)
+
+
+def _parse_corpus() -> list[str]:
+    bases = [DOUBLER_SRC, GENERALISED_SRC, *_EXTRA]
+    for seed in range(200):
+        text = pretty(gen_module(seed, 3))
+        bases.append(text)
+        for line in text.splitlines():
+            head, _, body = line.partition(" -> ")
+            bases.append(body[:-1])
+            bases.append(head[head.index("(") + 1:-1])
+    rng = random.Random(2017)
+    return bases + [_mutant(rng, rng.choice(bases)) for _ in range(3000)]
+
+
+def _parse_result(fn, text: str, **kw) -> str:
+    try:
+        return repr(fn(text, **kw))
+    except ParseError as exc:
+        return repr((type(exc).__name__, exc.message, exc.line, exc.col))
+
+
+PARSE_GOLDEN_DIGEST = "1b42b29cccd3776e64b612017cb4563bd56e08a1a64a15716e351ab8dbc21293"
+
+
+def test_parse_matches_golden_digest():
+    h = hashlib.sha256()
+    corpus = _parse_corpus()
+    assert all(t.isascii() for t in corpus)
+    for text in corpus:
+        results = [_parse_result(parse, text)]
+        for meta in (False, True):
+            results.append(_parse_result(parse_exprseq_text, text, meta=meta))
+            results.append(_parse_result(parse_patterns_text, text, meta=meta))
+        h.update(("\x00".join([text, *results]) + "\x01").encode())
+    assert len(corpus) == 3993
+    assert h.hexdigest() == PARSE_GOLDEN_DIGEST
