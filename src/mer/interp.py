@@ -144,9 +144,30 @@ def traces_equal(t1: Sequence[Value], t2: Sequence[Value]) -> bool:
     return len(t1) == len(t2) and all(values_equal(a, b) for a, b in zip(t1, t2))
 
 
+# str() refuses an int longer than sys.get_int_max_str_digits() (4,300
+# digits by default, 640 at the least): a longer one is printed in
+# chunks shorter than any limit, leaving the process-wide limit alone
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """Exact decimal text of n, however long."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(rest))
+    return ("-" if n < 0 else "") + "".join(reversed(chunks))
+
+
 def format_value(v: Value) -> str:
     if isinstance(v, IntV):
-        return str(v.value)
+        return _int_text(v.value)
     if isinstance(v, AtomV):
         return v.name
     if isinstance(v, TupleV):

@@ -15,7 +15,7 @@ from mer.equiv import (
 from mer.interp import (
     AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, UnboundVariable,
     env_concat, env_lookup, env_remove, eval_call, eval_expr, format_outcome,
-    get_matching, is_matching, values_equal,
+    format_value, get_matching, is_matching, values_equal,
 )
 from mer.syntax import Lambda, PVar, IdGen, VarRef, parse, parse_expr_text, walk
 
@@ -233,6 +233,20 @@ def test_values_equal_ignores_node_ids():
     assert values_equal(c1, c2)
     c3 = ev("fun() -> 3 end").value
     assert not values_equal(c1, c3)
+
+
+@pytest.mark.parametrize("n", [0, 7, -7, 10 ** 600, 10 ** 1200 - 1, 10 ** 5000, -(3 ** 20000)],
+                         ids=["0", "7", "-7", "10^600", "10^1200-1", "10^5000", "-3^20000"])
+def test_format_value_prints_any_int(n):
+    text = format_value(IntV(n))
+    digits = text.removeprefix("-")
+    assert (text != digits) == (n < 0)
+    assert digits == "0" or not digits.startswith("0")
+    value = 0  # rebuilt from pieces short enough for any int-string limit
+    for i in range(0, len(digits), 500):
+        piece = digits[i:i + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    assert value == abs(n)
 
 
 def test_closure_capture_set():
