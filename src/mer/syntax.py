@@ -7,6 +7,21 @@ blocks, ``fun(..) -> .. end`` lambdas, static calls ``name(..)``,
 dynamic calls ``Var(..)`` / ``(fun .. end)(..)``, ``print(E)`` as the
 sole effect primitive, and tuples. ``%`` starts a line comment.
 
+The lexer is one regular expression applied to each line with
+``finditer``: blanks and comments match and are dropped, a token's
+column is its offset in its line plus one, and a token is the tuple
+``(kind, text, line, col, end_col)``. Names start with a letter or
+``_``; integer literals are runs of Unicode decimal digits. The parser
+is recursive descent over operands and precedence climbing over binary
+operators (Pratt, "Top down operator precedence", POPL 1973): one loop
+in ``parse_expr`` reads each operator's precedence from ``_PREC``, the
+table ``pretty_expr`` uses to place parentheses. Expressions and tuple
+patterns nest at most ``MAX_NESTING`` levels; deeper input is a
+``ParseError`` at the first token too deep, never a ``RecursionError``.
+Node ids are allocated in parse order, each node after its children;
+the left side of a match is parsed as an expression, then mirrored into
+a pattern with fresh ids.
+
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
 node references stay valid across refactoring snapshots. Modules and
@@ -22,9 +37,10 @@ are all derived from these two tables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
@@ -45,8 +61,7 @@ class NotFound(Exception):
     """No expression node at the requested position."""
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Inclusive start, exclusive end, both 1-based line:col."""
 
     start_line: int
@@ -451,216 +466,199 @@ def expr_to_pattern(e: Expr, gen: IdGen) -> Pattern:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_KEYWORDS = {"begin", "end", "fun", "div", "print"}
-_PUNCT2 = {"->": "->", "==": "=="}
-_PUNCT1 = set("(){},.=<+-*")
+_KEYWORDS = frozenset({"begin", "end", "fun", "div", "print"})
+
+# One alternative per token class, tried in order at each position of a
+# line. Blanks and comments match without a group; everything else names
+# its class by the group that matched (m.lastindex), and the last group
+# catches any character no token starts with.
+_INT, _WORD, _META, _PUNCT = range(1, 5)
+_TOKEN = re.compile(r"""
+    [ \t\r]+ | %.*
+  | (\d+)                       # Unicode decimal digits
+  | (\w+)                       # a name, if it starts with a letter or _
+  | (@\w*(?:\.\.\.)?)           # metavariable; with ... a metasequence
+  | (->|==|[(){},.=<+\-*])
+  | (.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    @property
-    def end_col(self) -> int:
-        return self.col + len(self.text)
-
-
-def lex(source: str, *, meta: bool = False) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if c == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word in _KEYWORDS:
-                kind = word
-            elif word[0].isupper() or word[0] == "_":
-                kind = "var"
+def lex(source: str, *, meta: bool = False) -> list[tuple]:
+    """Tokens (kind, text, line, col, end_col), ending with an eof token."""
+    tokens = []
+    append = tokens.append
+    for line, text in enumerate(source.split("\n"), 1):
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group is None:
+                continue
+            tok = m[group]
+            col = m.start() + 1
+            if group == _WORD:
+                c = tok[0]
+                if tok in _KEYWORDS:
+                    kind = tok
+                elif not (c.isalpha() or c == "_"):
+                    raise ParseError(f"unexpected character {c!r}", line, col)
+                else:
+                    kind = "var" if c.isupper() or c == "_" else "atom"
+            elif group == _PUNCT:
+                kind = tok
+            elif group == _INT:
+                kind = "int"
+            elif group == _META and meta:
+                if tok == "@" or tok == "@...":
+                    raise ParseError("expected metavariable name after '@'", line, col)
+                kind = "metaseq" if tok.endswith("...") else "metavar"
             else:
-                kind = "atom"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "@" and meta:
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected metavariable name after '@'", line, col)
-            name = source[i + 1:j]
-            if source[j:j + 3] == "...":
-                tokens.append(Token("metaseq", source[i:j + 3], start_line, start_col))
-                col += j + 3 - i
-                i = j + 3
-            else:
-                tokens.append(Token("metavar", source[i:j], start_line, start_col))
-                col += j - i
-                i = j
-            continue
-        two = source[i:i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token(two, two, start_line, start_col))
-            col += 2
-            i += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token(c, c, start_line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+                raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+            append((kind, tok, line, col, m.end() + 1))
+    append(("eof", "", line, len(text) + 1, len(text) + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+# binary operator -> precedence; '=' (a match) is right-associative,
+# the others are left-associative
 _PREC = {"=": 1, "==": 2, "<": 2, "+": 3, "-": 3, "*": 4, "div": 4}
+
+# Deepest nesting of expressions and tuple patterns the parser accepts;
+# deeper input is a ParseError at the opening token of the first level
+# too deep. A level costs at most four Python frames, so the default
+# recursion limit of 1,000 leaves room for the caller's stack. The
+# operands of a left-associative chain do not nest.
+MAX_NESTING = 200
+
+
+def _span(start: tuple, end: tuple) -> SourceSpan:
+    # tuple.__new__ skips the Python-level __new__ NamedTuple generates
+    return tuple.__new__(SourceSpan, (start[2], start[3], end[2], end[4]))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], gen: IdGen, *, meta: bool = False):
-        self.toks = tokens
+    def __init__(self, tokens: list[tuple], gen: IdGen, *, meta: bool = False):
+        self.toks = tokens  # read at self.pos; the eof token ends the list
         self.pos = 0
         self.gen = gen
         self.meta = meta
+        self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Token:
+    def expect(self, kind: str) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        if t[0] != kind:
+            self.error(f"expected {kind!r}, found {t[1] or 'end of input'!r}")
+        self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.error(f"expected {kind!r}, found {t.text or 'end of input'!r}")
-        return self.next()
-
     def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        t = self.toks[self.pos]
+        raise ParseError(msg, t[2], t[3])
 
-    def _span(self, start: Token, end: Token) -> SourceSpan:
-        return SourceSpan(start.line, start.col, end.line, end.end_col)
-
-    def _last(self) -> Token:
+    def _last(self) -> tuple:
         return self.toks[self.pos - 1]
+
+    def _nest(self, t: tuple):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t[2], t[3])
+
+    def _int(self) -> Optional[tuple[int, tuple, tuple]]:
+        """(value, first token, last token) of an integer literal, or None."""
+        toks, pos = self.toks, self.pos
+        t = toks[pos]
+        sign = 1
+        if t[0] == "-" and toks[pos + 1][0] == "int":
+            sign, pos = -1, pos + 1
+        elif t[0] != "int":
+            return None
+        v = toks[pos]
+        self.pos = pos + 1
+        try:
+            return sign * int(v[1]), t, v
+        except ValueError:  # longer than the interpreter converts
+            raise ParseError(f"integer literal of {len(v[1])} digits is too long",
+                             v[2], v[3]) from None
 
     # ---- module level
 
     def parse_module(self) -> ModuleAst:
         defs: list[FunDef] = []
         seen: set[tuple[str, int]] = set()
-        while self.peek().kind != "eof":
+        while self.toks[self.pos][0] != "eof":
             d = self.parse_fundef()
             key = (d.name, d.arity)
             if key in seen:
-                raise DuplicateDefinition(
-                    f"duplicate definition {d.name}/{d.arity}",
-                    d.span.start_line if d.span else 0,
-                    d.span.start_col if d.span else 0,
-                )
+                raise DuplicateDefinition(f"duplicate definition {d.name}/{d.arity}",
+                                          d.span.start_line, d.span.start_col)
             seen.add(key)
             defs.append(d)
         return ModuleAst(tuple(defs), self.gen.high)
 
     def parse_fundef(self) -> FunDef:
-        start = self.peek()
-        if start.kind != "atom":
-            self.error(f"expected function name, found {start.text or 'end of input'!r}")
-        name = self.next().text
+        start = self.toks[self.pos]
+        if start[0] != "atom":
+            self.error(f"expected function name, found {start[1] or 'end of input'!r}")
+        self.pos += 1
+        params, body = self._clause()
+        end = self.expect(".")
+        return FunDef(start[1], params, body, node_id=self.gen.fresh(), span=_span(start, end))
+
+    def _clause(self) -> tuple[tuple[Pattern, ...], Body]:
+        """'(' patterns ')' '->' body, shared by definitions and lambdas."""
         self.expect("(")
         params = self.parse_pattern_list(")")
         self.expect(")")
         self.expect("->")
-        body_start = self.peek()
+        body_start = self.toks[self.pos]
         exprs = self.parse_exprseq()
-        body = Body(tuple(exprs), node_id=self.gen.fresh(),
-                    span=self._span(body_start, self._last()))
-        end = self.expect(".")
-        return FunDef(name, tuple(params), body, node_id=self.gen.fresh(),
-                      span=self._span(start, end))
+        return params, Body(exprs, node_id=self.gen.fresh(), span=_span(body_start, self._last()))
 
     # ---- patterns
 
-    def parse_pattern_list(self, closer: str) -> list[Pattern]:
-        pats: list[Pattern] = []
-        if self.peek().kind == closer:
-            return pats
-        pats.append(self.parse_pattern())
-        while self.peek().kind == ",":
-            self.next()
+    def parse_pattern_list(self, closer: str) -> tuple[Pattern, ...]:
+        if self.toks[self.pos][0] == closer:
+            return ()
+        pats = [self.parse_pattern()]
+        while self.toks[self.pos][0] == ",":
+            self.pos += 1
             pats.append(self.parse_pattern())
-        return pats
+        return tuple(pats)
 
     def parse_pattern(self) -> Pattern:
-        t = self.peek()
-        if t.kind == "var":
-            self.next()
-            return PVar(t.text, node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "int":
-            self.next()
-            return PInt(int(t.text), node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "-" and self.peek(1).kind == "int":
-            self.next()
-            v = self.next()
-            return PInt(-int(v.text), node_id=self.gen.fresh(), span=self._span(t, v))
-        if t.kind == "atom":
-            self.next()
-            return PAtom(t.text, node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "{":
-            self.next()
+        t = self.toks[self.pos]
+        kind = t[0]
+        if kind == "var":
+            self.pos += 1
+            return PVar(t[1], node_id=self.gen.fresh(), span=_span(t, t))
+        lit = self._int()
+        if lit is not None:
+            return PInt(lit[0], node_id=self.gen.fresh(), span=_span(lit[1], lit[2]))
+        if kind == "atom":
+            self.pos += 1
+            return PAtom(t[1], node_id=self.gen.fresh(), span=_span(t, t))
+        if kind == "{":
+            self._nest(t)
+            self.pos += 1
             elems = self.parse_pattern_list("}")
             end = self.expect("}")
-            p = PTuple(tuple(elems), node_id=self.gen.fresh(), span=self._span(t, end))
+            self.depth -= 1
+            p = PTuple(elems, node_id=self.gen.fresh(), span=_span(t, end))
             self._check_linear(p)
             return p
-        if t.kind == "metavar" and self.meta:
-            self.next()
-            return MetaVar(t.text[1:], node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "metaseq" and self.meta:
-            self.next()
-            return MetaSeq(t.text[1:-3], node_id=self.gen.fresh(), span=self._span(t, t))
-        self.error(f"expected pattern, found {t.text or 'end of input'!r}")
+        if self.meta and (kind == "metavar" or kind == "metaseq"):
+            self.pos += 1
+            return self._meta(t)
+        self.error(f"expected pattern, found {t[1] or 'end of input'!r}")
+
+    def _meta(self, t: tuple) -> Union[MetaVar, MetaSeq]:
+        if t[0] == "metaseq":
+            return MetaSeq(t[1][1:-3], node_id=self.gen.fresh(), span=_span(t, t))
+        return MetaVar(t[1][1:], node_id=self.gen.fresh(), span=_span(t, t))
 
     def _check_linear(self, p: Pattern):
-        names: list[str] = []
+        names: set[str] = set()
         for sub in walk(p):
             if isinstance(sub, PVar):
                 if sub.name in names:
@@ -669,187 +667,150 @@ class _Parser:
                         sub.span.start_line if sub.span else 0,
                         sub.span.start_col if sub.span else 0,
                     )
-                names.append(sub.name)
+                names.add(sub.name)
 
     # ---- expressions
 
-    def parse_exprseq(self) -> list[Expr]:
+    def parse_exprseq(self) -> tuple[Expr, ...]:
         exprs = [self.parse_expr()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.toks[self.pos][0] == ",":
+            self.pos += 1
             exprs.append(self.parse_expr())
-        return exprs
+        return tuple(exprs)
 
-    def parse_expr(self) -> Expr:
-        return self.parse_match()
-
-    def parse_match(self) -> Expr:
-        start = self.peek()
-        left = self.parse_binop(2)
-        if self.peek().kind == "=":
-            self.next()
-            try:
-                pat = expr_to_pattern(left, self.gen)
-            except ValueError:
-                raise ParseError("left side of '=' is not a pattern", start.line, start.col)
-            if not isinstance(pat, (MetaVar, MetaSeq)):
-                self._check_linear(pat)
-            rhs = self.parse_match()
-            return Match(pat, rhs, node_id=self.gen.fresh(), span=self._span(start, self._last()))
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over _PREC: operands, then every operator
+        binding at least as tightly as min_prec."""
+        toks = self.toks
+        start = toks[self.pos]
+        self._nest(start)
+        left = self.parse_primary()
+        while True:
+            op = toks[self.pos][0]
+            prec = _PREC.get(op)
+            if prec is None or prec < min_prec:
+                break
+            self.pos += 1
+            if op == "=":
+                try:
+                    pat = expr_to_pattern(left, self.gen)
+                except ValueError:
+                    raise ParseError("left side of '=' is not a pattern",
+                                     start[2], start[3]) from None
+                if not isinstance(pat, (MetaVar, MetaSeq)):
+                    self._check_linear(pat)
+                rhs = self.parse_expr(prec)
+                left = Match(pat, rhs, node_id=self.gen.fresh(), span=_span(start, self._last()))
+            else:
+                right = self.parse_expr(prec + 1)
+                left = BinOp(op, left, right, node_id=self.gen.fresh(),
+                             span=_span(start, self._last()))
+        self.depth -= 1
         return left
 
-    def parse_binop(self, level: int) -> Expr:
-        if level > 4:
-            return self.parse_application()
-        ops = {2: ("==", "<"), 3: ("+", "-"), 4: ("*", "div")}[level]
-        start = self.peek()
-        left = self.parse_binop(level + 1)
-        while self.peek().kind in ops:
-            op = self.next().kind
-            right = self.parse_binop(level + 1)
-            left = BinOp(op, left, right, node_id=self.gen.fresh(),
-                         span=self._span(start, self._last()))
-        return left
-
-    def parse_application(self) -> Expr:
-        start = self.peek()
-        primary = self.parse_primary()
-        if self.peek().kind == "(":
-            if isinstance(primary, VarRef):
-                args = self._parse_call_args()
-                return DynCall(primary, tuple(args), node_id=self.gen.fresh(),
-                               span=self._span(start, self._last()))
-            if isinstance(primary, Lambda):
-                self.error("parenthesize a lambda before applying it")
-        return primary
-
-    def _parse_call_args(self) -> list[Expr]:
-        self.expect("(")
-        args: list[Expr] = []
-        if self.peek().kind != ")":
-            args.append(self.parse_expr())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_expr())
+    def _call_args(self) -> tuple[Expr, ...]:
+        self.pos += 1  # the '(' the caller saw
+        if self.toks[self.pos][0] == ")":
+            self.pos += 1
+            return ()
+        args = self.parse_exprseq()
         self.expect(")")
         return args
 
     def parse_primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(int(t.text), node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "-" and self.peek(1).kind == "int":
-            self.next()
-            v = self.next()
-            return IntLit(-int(v.text), node_id=self.gen.fresh(), span=self._span(t, v))
-        if t.kind == "var":
-            self.next()
-            return VarRef(t.text, node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "atom":
-            self.next()
-            if self.peek().kind == "(":
-                args = self._parse_call_args()
-                return StaticCall(t.text, tuple(args), node_id=self.gen.fresh(),
-                                  span=self._span(t, self._last()))
-            return AtomLit(t.text, node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "print":
-            self.next()
+        """An operand: a literal, variable, call, block, lambda, tuple or
+        parenthesized expression, with its application if any."""
+        toks = self.toks
+        t = toks[self.pos]
+        kind = t[0]
+        gen = self.gen
+        if kind == "var":
+            self.pos += 1
+            v = VarRef(t[1], node_id=gen.fresh(), span=_span(t, t))
+            if toks[self.pos][0] == "(":
+                args = self._call_args()
+                return DynCall(v, args, node_id=gen.fresh(), span=_span(t, self._last()))
+            return v
+        if kind == "atom":
+            self.pos += 1
+            if toks[self.pos][0] == "(":
+                args = self._call_args()
+                return StaticCall(t[1], args, node_id=gen.fresh(), span=_span(t, self._last()))
+            return AtomLit(t[1], node_id=gen.fresh(), span=_span(t, t))
+        lit = self._int()
+        if lit is not None:
+            return IntLit(lit[0], node_id=gen.fresh(), span=_span(lit[1], lit[2]))
+        if kind == "(":
+            self.pos += 1
+            inner = self.parse_expr()
+            self.expect(")")
+            if toks[self.pos][0] == "(":
+                if isinstance(inner, Lambda):
+                    args = self._call_args()
+                    return DynCall(inner, args, node_id=gen.fresh(), span=_span(t, self._last()))
+                self.error("only a variable or a parenthesized lambda can be applied")
+            return inner
+        if kind == "print":
+            self.pos += 1
             self.expect("(")
             arg = self.parse_expr()
             end = self.expect(")")
-            return Print(arg, node_id=self.gen.fresh(), span=self._span(t, end))
-        if t.kind == "begin":
-            self.next()
+            return Print(arg, node_id=gen.fresh(), span=_span(t, end))
+        if kind == "begin":
+            self.pos += 1
             exprs = self.parse_exprseq()
             end = self.expect("end")
-            return Block(tuple(exprs), node_id=self.gen.fresh(), span=self._span(t, end))
-        if t.kind == "fun":
-            return self.parse_lambda()
-        if t.kind == "{":
-            self.next()
-            elems: list[Expr] = []
-            if self.peek().kind != "}":
-                elems.append(self.parse_expr())
-                while self.peek().kind == ",":
-                    self.next()
-                    elems.append(self.parse_expr())
+            return Block(exprs, node_id=gen.fresh(), span=_span(t, end))
+        if kind == "fun":
+            self.pos += 1
+            params, body = self._clause()
+            end = self.expect("end")
+            lam = Lambda(params, body, node_id=gen.fresh(), span=_span(t, end))
+            if toks[self.pos][0] == "(":
+                self.error("parenthesize a lambda before applying it")
+            return lam
+        if kind == "{":
+            self.pos += 1
+            elems = () if toks[self.pos][0] == "}" else self.parse_exprseq()
             end = self.expect("}")
-            return TupleExpr(tuple(elems), node_id=self.gen.fresh(), span=self._span(t, end))
-        if t.kind == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            if self.peek().kind == "(":
-                if isinstance(inner, Lambda):
-                    args = self._parse_call_args()
-                    return DynCall(inner, tuple(args), node_id=self.gen.fresh(),
-                                   span=self._span(t, self._last()))
-                self.error("only a variable or a parenthesized lambda can be applied")
-            return inner
-        if t.kind == "metavar" and self.meta:
-            self.next()
-            if self.peek().kind == "(":
-                # metavariable in function-name position: a static call template
-                args = self._parse_call_args()
-                return StaticCall(t.text, tuple(args), node_id=self.gen.fresh(),
-                                  span=self._span(t, self._last()))
-            return MetaVar(t.text[1:], node_id=self.gen.fresh(), span=self._span(t, t))
-        if t.kind == "metaseq" and self.meta:
-            self.next()
-            return MetaSeq(t.text[1:-3], node_id=self.gen.fresh(), span=self._span(t, t))
-        self.error(f"expected expression, found {t.text or 'end of input'!r}")
-
-    def parse_lambda(self) -> Lambda:
-        start = self.expect("fun")
-        self.expect("(")
-        params = self.parse_pattern_list(")")
-        self.expect(")")
-        self.expect("->")
-        body_start = self.peek()
-        exprs = self.parse_exprseq()
-        body = Body(tuple(exprs), node_id=self.gen.fresh(),
-                    span=self._span(body_start, self._last()))
-        end = self.expect("end")
-        return Lambda(tuple(params), body, node_id=self.gen.fresh(), span=self._span(start, end))
+            return TupleExpr(elems, node_id=gen.fresh(), span=_span(t, end))
+        if self.meta and kind == "metavar" and toks[self.pos + 1][0] == "(":
+            # metavariable in function-name position: a static call template
+            self.pos += 1
+            args = self._call_args()
+            return StaticCall(t[1], args, node_id=gen.fresh(), span=_span(t, self._last()))
+        if self.meta and (kind == "metavar" or kind == "metaseq"):
+            self.pos += 1
+            return self._meta(t)
+        self.error(f"expected expression, found {t[1] or 'end of input'!r}")
 
 
 def parse(source: str) -> ModuleAst:
     """Parse module source; raises ParseError / DuplicateDefinition."""
-    gen = IdGen()
-    p = _Parser(lex(source), gen)
-    return p.parse_module()
+    return _Parser(lex(source), IdGen()).parse_module()
 
 
 def parse_expr_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> Expr:
     """Parse a single standalone expression."""
-    g = gen or IdGen()
-    p = _Parser(lex(source, meta=meta), g, meta=meta)
+    p = _Parser(lex(source, meta=meta), gen or IdGen(), meta=meta)
     e = p.parse_expr()
     p.expect("eof")
     return e
 
 
 def parse_exprseq_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> tuple[Expr, ...]:
-    g = gen or IdGen()
-    p = _Parser(lex(source, meta=meta), g, meta=meta)
+    p = _Parser(lex(source, meta=meta), gen or IdGen(), meta=meta)
     seq = p.parse_exprseq()
     p.expect("eof")
-    return tuple(seq)
+    return seq
 
 
 def parse_patterns_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> tuple[Pattern, ...]:
     """Parse a comma-separated pattern list (may be empty)."""
-    g = gen or IdGen()
-    p = _Parser(lex(source, meta=meta), g, meta=meta)
-    if p.peek().kind == "eof":
-        return ()
-    pats = [p.parse_pattern()]
-    while p.peek().kind == ",":
-        p.next()
-        pats.append(p.parse_pattern())
+    p = _Parser(lex(source, meta=meta), gen or IdGen(), meta=meta)
+    pats = p.parse_pattern_list("eof")
     p.expect("eof")
-    return tuple(pats)
+    return pats
 
 
 # ---------------------------------------------------------------------------

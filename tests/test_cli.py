@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
 from mer.cli import main
-from mer.syntax import parse
+from mer.syntax import MAX_NESTING, parse
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC, defs_of
 
@@ -66,6 +67,42 @@ def test_check_parse_error_position(tmp_path, capsys):
     p.write_text("f(X) -> .\n")
     assert main(["check", str(p)]) == 2
     assert "1:9" in capsys.readouterr().err
+
+
+def test_check_non_decimal_digit_exits_2(tmp_path, capsys):
+    # str.isdigit accepts '²' but int() does not: it is no decimal digit
+    p = tmp_path / "sup.mer"
+    p.write_text("f() -> \u00b2.\n", encoding="utf-8")
+    assert main(["check", str(p)]) == 2
+    assert "1:8: unexpected character '\u00b2'" in capsys.readouterr().err
+
+
+_INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS_LIMIT < 5000,
+                    reason="this interpreter converts a 5,000-digit literal")
+def test_check_overlong_literal_exits_2(tmp_path, capsys):
+    p = tmp_path / "long.mer"
+    p.write_text("f() -> 1 + " + "9" * 5000 + ".\n")
+    assert main(["check", str(p)]) == 2
+    assert "1:12: integer literal of 5000 digits is too long" in capsys.readouterr().err
+
+
+def test_check_deep_nesting_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.mer"
+    p.write_text("f(X) -> " + "(" * 3000 + "X" + ")" * 3000 + ".\n")
+    assert main(["check", str(p)]) == 2
+    # the body starts at column 9; its level MAX_NESTING + 1 is the first too deep
+    err = capsys.readouterr().err
+    assert f"1:{9 + MAX_NESTING}: nesting deeper than {MAX_NESTING} levels" in err
+
+
+def test_check_long_left_chain_parses(tmp_path, capsys):
+    p = tmp_path / "chain.mer"
+    p.write_text("deep(X) -> " + "X + " * 2999 + "1.\n")
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out == "deep/1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +281,21 @@ def test_verify_inequivalent_with_witness(l1, tmp_path, capsys):
     assert code == 1
     assert out.startswith("verdict=inequivalent\n")
     assert "entry=" in out and "args=" in out
+
+
+def test_verify_prints_ints_past_the_str_limit(tmp_path, capsys):
+    # 14 squarings of X + 7 give results of about 15,000 digits, past the
+    # 4,300 digits str() converts by default
+    body = "sq(" * 14 + "X + 7" + ")" * 14
+    a, b = tmp_path / "a.mer", tmp_path / "b.mer"
+    a.write_text(f"sq(X) -> X * X.\np(X) -> {body}.\n")
+    b.write_text(f"sq(X) -> X * X.\np(X) -> {body.replace('7', '8')}.\n")
+    code = main(["verify", str(a), str(b), "--entry", "p/1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("verdict=inequivalent\n")
+    value = out.partition("outcome1=ok value=")[2].split()[0]
+    assert len(value) > 10_000 and value.isdigit()
 
 
 def test_verify_unknown_on_tiny_fuel(l1, l2, capsys):

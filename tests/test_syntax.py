@@ -10,9 +10,9 @@ import pytest
 from mer import syntax
 from mer.equiv import gen_module
 from mer.syntax import (
-    FIELDS, SLOTS, Block, Body, DynCall, DuplicateDefinition, FunDef, IdGen,
-    IntLit, Lambda, Match, Node, NotFound, ParseError, PVar, StaticCall,
-    VarRef, clone_fresh, find_node, module_struct_eq, parse, pretty,
+    FIELDS, MAX_NESTING, SLOTS, BinOp, Block, Body, DynCall, DuplicateDefinition,
+    FunDef, IdGen, IntLit, Lambda, Match, Node, NotFound, ParseError, PVar,
+    StaticCall, VarRef, clone_fresh, find_node, module_struct_eq, parse, pretty,
     pretty_def, pretty_expr, parse_expr_text, parse_exprseq_text,
     parse_patterns_text, rebuild, struct_eq, walk,
 )
@@ -115,6 +115,40 @@ def test_negative_literal_roundtrip():
     e = parse_expr_text("1 - -3")
     assert pretty_expr(e) == "1 - -3"
     assert struct_eq(parse_expr_text("1 - -3"), e)
+
+
+def test_unicode_names_and_digits():
+    # names start with a letter or _; literals are Unicode decimal digits
+    d = parse("\u00e9(X\u00b2) -> \u0661\u0662 + X\u00b2.\n").definitions[0]
+    assert d.name == "\u00e9" and d.params[0].name == "X\u00b2"
+    assert d.body.exprs[0].left.value == 12
+    for bad, col in (("\u00b2", 1), ("\u00bd", 1), ("1\u00b2", 2)):
+        with pytest.raises(ParseError) as exc:
+            parse_expr_text(bad)
+        assert (exc.value.message, exc.value.col) == (f"unexpected character {bad[-1]!r}", col)
+
+
+def test_nesting_limit():
+    # the outermost expression is level 1; level k starts at column k
+    deepest = "(" * (MAX_NESTING - 1) + "X" + ")" * (MAX_NESTING - 1)
+    assert isinstance(parse_expr_text(deepest), VarRef)
+    with pytest.raises(ParseError) as exc:
+        parse_expr_text("(" + deepest + ")")
+    assert (exc.value.line, exc.value.col) == (1, MAX_NESTING + 1)
+    assert exc.value.message == f"nesting deeper than {MAX_NESTING} levels"
+    for text in ("f(" + "{" * 3000 + "X" + "}" * 3000 + ") -> 1.",
+                 "f(X) -> " + "fun() -> " * 3000 + "X" + " end" * 3000 + ".",
+                 "f(X) -> " + "X = " * 3000 + "1."):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(text)
+
+
+def test_left_chains_do_not_nest():
+    e = parse_expr_text("X + " * 2999 + "1")
+    depth = 0
+    while isinstance(e, BinOp):
+        e, depth = e.left, depth + 1
+    assert depth == 2999 and isinstance(e, VarRef)
 
 
 def test_operator_names_reserved():
