@@ -466,7 +466,7 @@ def expr_to_pattern(e: Expr, gen: IdGen) -> Pattern:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_KEYWORDS = frozenset({"begin", "end", "fun", "div", "print"})
+_KEYWORDS = {"begin", "end", "fun", "div", "print"}
 
 # One alternative per token class, tried in order at each position of a
 # line. Blanks and comments match without a group; everything else names

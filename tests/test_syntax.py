@@ -10,7 +10,7 @@ import pytest
 from mer import syntax
 from mer.equiv import gen_module
 from mer.syntax import (
-    FIELDS, MAX_NESTING, SLOTS, BinOp, Block, Body, DynCall, DuplicateDefinition,
+    FIELDS, MAX_NESTING, SLOTS, Block, Body, DynCall, DuplicateDefinition,
     FunDef, IdGen, IntLit, Lambda, Match, Node, NotFound, ParseError, PVar,
     StaticCall, VarRef, clone_fresh, find_node, module_struct_eq, parse, pretty,
     pretty_def, pretty_expr, parse_expr_text, parse_exprseq_text,
@@ -141,14 +141,6 @@ def test_nesting_limit():
                  "f(X) -> " + "X = " * 3000 + "1."):
         with pytest.raises(ParseError, match="nesting deeper"):
             parse(text)
-
-
-def test_left_chains_do_not_nest():
-    e = parse_expr_text("X + " * 2999 + "1")
-    depth = 0
-    while isinstance(e, BinOp):
-        e, depth = e.left, depth + 1
-    assert depth == 2999 and isinstance(e, VarRef)
 
 
 def test_operator_names_reserved():
