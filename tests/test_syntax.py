@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import string
+from typing import Iterator
 
 import pytest
 
@@ -326,3 +327,43 @@ def test_parse_matches_golden_digest():
         h.update(("\x00".join([text, *results]) + "\x01").encode())
     assert len(corpus) == 3993
     assert h.hexdigest() == PARSE_GOLDEN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# large-input parse digest
+#
+# One SHA-256 over the trees of large inputs: generated modules of up to
+# 200 definitions and a 3,000-term left-associative chain. Each node is
+# hashed through walk, by type, id, span and fields (a child by its id),
+# not through repr, which recurses once per tree level and overflows
+# Python's stack on the chain.
+
+LARGE_PARSE_DIGEST = "75cab5e4a0fecb2b8fd18086d39be64f5cb1efe3e5a4e11d6d5ed80cb777cf50"
+
+
+def _large_inputs() -> list[str]:
+    texts = [pretty(gen_module(seed, 200)) for seed in range(8)]
+    return texts + ["deep(X) -> " + "X + " * 2999 + "1.\n"]
+
+
+def _tree_lines(m) -> Iterator[str]:
+    yield f"module {len(m.definitions)} {m.next_node_id}"
+    for d in m.definitions:
+        for n in walk(d):
+            parts = [type(n).__name__, str(n.node_id), repr(n.span)]
+            for f in FIELDS[type(n)]:
+                v = getattr(n, f)
+                if isinstance(v, Node):
+                    v = v.node_id
+                elif isinstance(v, tuple):
+                    v = tuple(x.node_id for x in v)
+                parts.append(f"{f}={v!r}")
+            yield " ".join(parts)
+
+
+def test_large_parse_matches_golden_digest():
+    h = hashlib.sha256()
+    for text in _large_inputs():
+        for line in _tree_lines(parse(text)):
+            h.update((line + "\n").encode())
+    assert h.hexdigest() == LARGE_PARSE_DIGEST
