@@ -25,7 +25,14 @@ a pattern with fresh ids.
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
 node references stay valid across refactoring snapshots. Modules and
-nodes are immutable after construction.
+nodes are immutable after construction. Nodes are frozen slotted
+dataclasses, with no per-node ``__dict__``, built through their slot
+descriptors (see ``_node``). A parsed tree holds no reference cycle, so
+reference counting alone frees it; yet parsing a 27,000-node module
+would set off about 130 cycle collections, one of them over the whole
+heap, that can find nothing to free. ``parse`` therefore pauses the
+collector while it builds and then restores the state it found, as
+Mercurial's ``util.nogc`` does.
 
 ``SLOTS`` and ``MIRROR`` are the one place a node type is registered:
 ``SLOTS`` lists each compound type's child fields and whether each holds
@@ -37,8 +44,9 @@ are all derived from these two tables.
 
 from __future__ import annotations
 
+import gc
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -79,32 +87,51 @@ class Node:
     __slots__ = ()
 
 
+# node type -> its fields other than node_id and span, in declaration order
+FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _node(cls: type) -> type:
+    """cls as a frozen slotted dataclass whose __init__ stores each field
+    through its slot's descriptor, at half the cost of the dataclass
+    __init__, which goes through object.__setattr__."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    fs = fields(cls)
+    ns = {f"set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=None" for f in fs)
+    exec(f"def __init__(self, {params}):" + "".join(
+        f"\n    set_{f.name}(self, {f.name})" for f in fs), ns)  # the one default is span=None
+    cls.__init__ = ns["__init__"]
+    FIELDS[cls] = tuple(f.name for f in fs if f.name not in ("node_id", "span"))
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Patterns
 
 
-@dataclass(frozen=True)
+@_node
 class PVar(Node):
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class PInt(Node):
     value: int
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class PAtom(Node):
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class PTuple(Node):
     elements: tuple["Pattern", ...]
     node_id: int
@@ -115,28 +142,28 @@ class PTuple(Node):
 # Expressions
 
 
-@dataclass(frozen=True)
+@_node
 class IntLit(Node):
     value: int
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class AtomLit(Node):
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class VarRef(Node):
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Node):
     op: str
     left: "Expr"
@@ -145,7 +172,7 @@ class BinOp(Node):
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Match(Node):
     pattern: "Pattern"
     rhs: "Expr"
@@ -153,14 +180,14 @@ class Match(Node):
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Block(Node):
     body: tuple["Expr", ...]  # nonempty; transparent for bindings
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Body(Node):
     """The expression sequence of a scope introducer (FunDef or Lambda)."""
 
@@ -169,7 +196,7 @@ class Body(Node):
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Lambda(Node):
     params: tuple["Pattern", ...]
     body: Body
@@ -177,7 +204,7 @@ class Lambda(Node):
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class StaticCall(Node):
     name: str  # a leading '@' marks a metavariable name slot (templates only)
     args: tuple["Expr", ...]
@@ -185,7 +212,7 @@ class StaticCall(Node):
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class DynCall(Node):
     callee: "Expr"  # VarRef or Lambda (direct application)
     args: tuple["Expr", ...]
@@ -193,14 +220,14 @@ class DynCall(Node):
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Print(Node):
     arg: "Expr"
     node_id: int
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class TupleExpr(Node):
     elements: tuple["Expr", ...]
     node_id: int
@@ -211,7 +238,7 @@ class TupleExpr(Node):
 # Template metavariables (never present in parsed object programs)
 
 
-@dataclass(frozen=True)
+@_node
 class MetaVar(Node):
     """Scalar metavariable: matches one expression, pattern, or name."""
 
@@ -220,7 +247,7 @@ class MetaVar(Node):
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
+@_node
 class MetaSeq(Node):
     """List metavariable: matches a possibly-empty fragment sequence."""
 
@@ -233,7 +260,7 @@ class MetaSeq(Node):
 # Definitions and modules
 
 
-@dataclass(frozen=True)
+@_node
 class FunDef(Node):
     name: str
     params: tuple["Pattern", ...]
@@ -311,10 +338,6 @@ SLOTS: dict[type, tuple[tuple[str, bool, str], ...]] = {
 MIRROR: dict[type, type] = {VarRef: PVar, IntLit: PInt, AtomLit: PAtom, TupleExpr: PTuple}
 MIRROR.update({p: e for e, p in list(MIRROR.items())})
 
-# node type -> its fields other than node_id and span, in declaration order
-FIELDS = {t: tuple(f.name for f in fields(t) if f.name not in ("node_id", "span"))
-          for t in Node.__subclasses__()}
-
 
 def _children_getter(slots):
     # children() is on every traversal's path: a lone sequence slot, or
@@ -343,7 +366,7 @@ def remake(cls: type, n: Node, changes: dict, node_id: int,
            span: Optional[SourceSpan] = None) -> Node:
     """A cls node with n's fields, except those in changes."""
     return cls(*[changes[f] if f in changes else getattr(n, f) for f in FIELDS[cls]],
-               node_id=node_id, span=span)
+               node_id, span)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +408,22 @@ def is_pattern(n: Node) -> bool:
 
 
 def struct_eq(a, b) -> bool:
-    """Structural equality ignoring node ids and source spans."""
-    if isinstance(a, Node) or isinstance(b, Node):
-        t = type(a)
-        return t is type(b) and all(struct_eq(getattr(a, f), getattr(b, f)) for f in FIELDS[t])
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(struct_eq(x, y) for x, y in zip(a, b))
-    return a == b
+    """Structural equality ignoring node ids and source spans; the pairs
+    left to compare are kept on a stack, so trees of any depth compare."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Node) or isinstance(b, Node):
+            if type(a) is not type(b):
+                return False
+            stack += [(getattr(a, f), getattr(b, f)) for f in FIELDS[type(a)]]
+        elif isinstance(a, tuple) and isinstance(b, tuple):
+            if len(a) != len(b):
+                return False
+            stack += zip(a, b)
+        elif a != b:
+            return False
+    return True
 
 
 def module_struct_eq(a: ModuleAst, b: ModuleAst) -> bool:
@@ -532,9 +564,17 @@ _PREC = {"=": 1, "==": 2, "<": 2, "+": 3, "-": 3, "*": 4, "div": 4}
 MAX_NESTING = 200
 
 
+# skips the Python-level __new__ NamedTuple generates
+_new_span = tuple.__new__
+
+
 def _span(start: tuple, end: tuple) -> SourceSpan:
-    # tuple.__new__ skips the Python-level __new__ NamedTuple generates
-    return tuple.__new__(SourceSpan, (start[2], start[3], end[2], end[4]))
+    return _new_span(SourceSpan, (start[2], start[3], end[2], end[4]))
+
+
+def _too_long(t: tuple) -> ParseError:
+    # int() refuses literals longer than the interpreter converts
+    return ParseError(f"integer literal of {len(t[1])} digits is too long", t[2], t[3])
 
 
 class _Parser:
@@ -577,9 +617,8 @@ class _Parser:
         self.pos = pos + 1
         try:
             return sign * int(v[1]), t, v
-        except ValueError:  # longer than the interpreter converts
-            raise ParseError(f"integer literal of {len(v[1])} digits is too long",
-                             v[2], v[3]) from None
+        except ValueError:
+            raise _too_long(v) from None
 
     # ---- module level
 
@@ -603,7 +642,7 @@ class _Parser:
         self.pos += 1
         params, body = self._clause()
         end = self.expect(".")
-        return FunDef(start[1], params, body, node_id=self.gen.fresh(), span=_span(start, end))
+        return FunDef(start[1], params, body, self.gen.fresh(), _span(start, end))
 
     def _clause(self) -> tuple[tuple[Pattern, ...], Body]:
         """'(' patterns ')' '->' body, shared by definitions and lambdas."""
@@ -613,7 +652,7 @@ class _Parser:
         self.expect("->")
         body_start = self.toks[self.pos]
         exprs = self.parse_exprseq()
-        return params, Body(exprs, node_id=self.gen.fresh(), span=_span(body_start, self._last()))
+        return params, Body(exprs, self.gen.fresh(), _span(body_start, self._last()))
 
     # ---- patterns
 
@@ -631,20 +670,20 @@ class _Parser:
         kind = t[0]
         if kind == "var":
             self.pos += 1
-            return PVar(t[1], node_id=self.gen.fresh(), span=_span(t, t))
+            return PVar(t[1], self.gen.fresh(), _span(t, t))
         lit = self._int()
         if lit is not None:
-            return PInt(lit[0], node_id=self.gen.fresh(), span=_span(lit[1], lit[2]))
+            return PInt(lit[0], self.gen.fresh(), _span(lit[1], lit[2]))
         if kind == "atom":
             self.pos += 1
-            return PAtom(t[1], node_id=self.gen.fresh(), span=_span(t, t))
+            return PAtom(t[1], self.gen.fresh(), _span(t, t))
         if kind == "{":
             self._nest(t)
             self.pos += 1
             elems = self.parse_pattern_list("}")
             end = self.expect("}")
             self.depth -= 1
-            p = PTuple(elems, node_id=self.gen.fresh(), span=_span(t, end))
+            p = PTuple(elems, self.gen.fresh(), _span(t, end))
             self._check_linear(p)
             return p
         if self.meta and (kind == "metavar" or kind == "metaseq"):
@@ -654,8 +693,8 @@ class _Parser:
 
     def _meta(self, t: tuple) -> Union[MetaVar, MetaSeq]:
         if t[0] == "metaseq":
-            return MetaSeq(t[1][1:-3], node_id=self.gen.fresh(), span=_span(t, t))
-        return MetaVar(t[1][1:], node_id=self.gen.fresh(), span=_span(t, t))
+            return MetaSeq(t[1][1:-3], self.gen.fresh(), _span(t, t))
+        return MetaVar(t[1][1:], self.gen.fresh(), _span(t, t))
 
     def _check_linear(self, p: Pattern):
         names: set[str] = set()
@@ -685,6 +724,7 @@ class _Parser:
         start = toks[self.pos]
         self._nest(start)
         left = self.parse_primary()
+        gen = self.gen
         while True:
             op = toks[self.pos][0]
             prec = _PREC.get(op)
@@ -693,18 +733,20 @@ class _Parser:
             self.pos += 1
             if op == "=":
                 try:
-                    pat = expr_to_pattern(left, self.gen)
+                    pat = expr_to_pattern(left, gen)
                 except ValueError:
                     raise ParseError("left side of '=' is not a pattern",
                                      start[2], start[3]) from None
                 if not isinstance(pat, (MetaVar, MetaSeq)):
                     self._check_linear(pat)
                 rhs = self.parse_expr(prec)
-                left = Match(pat, rhs, node_id=self.gen.fresh(), span=_span(start, self._last()))
             else:
                 right = self.parse_expr(prec + 1)
-                left = BinOp(op, left, right, node_id=self.gen.fresh(),
-                             span=_span(start, self._last()))
+            end = toks[self.pos - 1]
+            nid = gen._next
+            gen._next = nid + 1
+            span = _new_span(SourceSpan, (start[2], start[3], end[2], end[4]))
+            left = BinOp(op, left, right, nid, span) if op != "=" else Match(pat, rhs, nid, span)
         self.depth -= 1
         return left
 
@@ -721,25 +763,34 @@ class _Parser:
         """An operand: a literal, variable, call, block, lambda, tuple or
         parenthesized expression, with its application if any."""
         toks = self.toks
-        t = toks[self.pos]
+        pos = self.pos
+        t = toks[pos]
         kind = t[0]
         gen = self.gen
-        if kind == "var":
-            self.pos += 1
-            v = VarRef(t[1], node_id=gen.fresh(), span=_span(t, t))
-            if toks[self.pos][0] == "(":
-                args = self._call_args()
-                return DynCall(v, args, node_id=gen.fresh(), span=_span(t, self._last()))
-            return v
+        if kind == "var" or kind == "int":
+            self.pos = pos + 1
+            nid = gen._next
+            gen._next = nid + 1
+            span = _new_span(SourceSpan, (t[2], t[3], t[2], t[4]))
+            if kind == "int":
+                try:
+                    return IntLit(int(t[1]), nid, span)
+                except ValueError:
+                    raise _too_long(t) from None
+            v = VarRef(t[1], nid, span)
+            if toks[pos + 1][0] != "(":
+                return v
+            args = self._call_args()
+            return DynCall(v, args, gen.fresh(), _span(t, self._last()))
         if kind == "atom":
             self.pos += 1
             if toks[self.pos][0] == "(":
                 args = self._call_args()
-                return StaticCall(t[1], args, node_id=gen.fresh(), span=_span(t, self._last()))
-            return AtomLit(t[1], node_id=gen.fresh(), span=_span(t, t))
+                return StaticCall(t[1], args, gen.fresh(), _span(t, self._last()))
+            return AtomLit(t[1], gen.fresh(), _span(t, t))
         lit = self._int()
         if lit is not None:
-            return IntLit(lit[0], node_id=gen.fresh(), span=_span(lit[1], lit[2]))
+            return IntLit(lit[0], gen.fresh(), _span(lit[1], lit[2]))
         if kind == "(":
             self.pos += 1
             inner = self.parse_expr()
@@ -747,7 +798,7 @@ class _Parser:
             if toks[self.pos][0] == "(":
                 if isinstance(inner, Lambda):
                     args = self._call_args()
-                    return DynCall(inner, args, node_id=gen.fresh(), span=_span(t, self._last()))
+                    return DynCall(inner, args, gen.fresh(), _span(t, self._last()))
                 self.error("only a variable or a parenthesized lambda can be applied")
             return inner
         if kind == "print":
@@ -755,17 +806,17 @@ class _Parser:
             self.expect("(")
             arg = self.parse_expr()
             end = self.expect(")")
-            return Print(arg, node_id=gen.fresh(), span=_span(t, end))
+            return Print(arg, gen.fresh(), _span(t, end))
         if kind == "begin":
             self.pos += 1
             exprs = self.parse_exprseq()
             end = self.expect("end")
-            return Block(exprs, node_id=gen.fresh(), span=_span(t, end))
+            return Block(exprs, gen.fresh(), _span(t, end))
         if kind == "fun":
             self.pos += 1
             params, body = self._clause()
             end = self.expect("end")
-            lam = Lambda(params, body, node_id=gen.fresh(), span=_span(t, end))
+            lam = Lambda(params, body, gen.fresh(), _span(t, end))
             if toks[self.pos][0] == "(":
                 self.error("parenthesize a lambda before applying it")
             return lam
@@ -773,12 +824,12 @@ class _Parser:
             self.pos += 1
             elems = () if toks[self.pos][0] == "}" else self.parse_exprseq()
             end = self.expect("}")
-            return TupleExpr(elems, node_id=gen.fresh(), span=_span(t, end))
+            return TupleExpr(elems, gen.fresh(), _span(t, end))
         if self.meta and kind == "metavar" and toks[self.pos + 1][0] == "(":
             # metavariable in function-name position: a static call template
             self.pos += 1
             args = self._call_args()
-            return StaticCall(t[1], args, node_id=gen.fresh(), span=_span(t, self._last()))
+            return StaticCall(t[1], args, gen.fresh(), _span(t, self._last()))
         if self.meta and (kind == "metavar" or kind == "metaseq"):
             self.pos += 1
             return self._meta(t)
@@ -786,8 +837,15 @@ class _Parser:
 
 
 def parse(source: str) -> ModuleAst:
-    """Parse module source; raises ParseError / DuplicateDefinition."""
-    return _Parser(lex(source), IdGen()).parse_module()
+    """Parse module source; raises ParseError / DuplicateDefinition. The
+    cycle collector is paused meanwhile (see the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Parser(lex(source), IdGen()).parse_module()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_expr_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> Expr:

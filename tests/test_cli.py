@@ -298,6 +298,18 @@ def test_verify_prints_ints_past_the_str_limit(tmp_path, capsys):
     assert len(value) > 10_000 and value.isdigit()
 
 
+def test_verify_deeply_nested_lambdas(tmp_path, capsys):
+    # the closures returned are compared by structure, 199 levels deep
+    body = "fun() -> " * (MAX_NESTING - 1) + "X" + " end" * (MAX_NESTING - 1)
+    a, b = tmp_path / "a.mer", tmp_path / "b.mer"
+    a.write_text(f"f(X) -> {body}.\n")
+    b.write_text(f"% the same program\nf(X) ->\n  {body}.\n")
+    code = main(["verify", str(a), str(b), "--entry", "f/1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("verdict=equivalent\n")
+
+
 def test_verify_unknown_on_tiny_fuel(l1, l2, capsys):
     code = main(["verify", str(l1), str(l2), "--entry", "f/1", "--fuel", "1"])
     out = capsys.readouterr().out

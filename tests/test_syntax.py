@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
+import pickle
 import random
 import re
 import string
+from dataclasses import FrozenInstanceError, fields
 from typing import Iterator
 
 import pytest
 
 from mer import syntax
+from mer.analysis import FunKey
 from mer.equiv import gen_module
+from mer.interp import IntV, Ok, eval_call
 from mer.syntax import (
     FIELDS, MAX_NESTING, SLOTS, Block, Body, DynCall, DuplicateDefinition,
     FunDef, IdGen, IntLit, Lambda, Match, Node, NotFound, ParseError, PVar,
@@ -367,3 +373,87 @@ def test_large_parse_matches_golden_digest():
         for line in _tree_lines(parse(text)):
             h.update((line + "\n").encode())
     assert h.hexdigest() == LARGE_PARSE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the cycle collector while parsing
+
+
+def _collections_during(fn) -> list[int]:
+    """Generations of the cycle collections that ran during fn()."""
+    seen = []
+
+    def count(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(count)
+    return seen
+
+
+def test_parse_runs_no_cycle_collection():
+    text = pretty(gen_module(23, 400))
+    assert len(parse(text).definitions) == 400
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert _collections_during(lambda: parse(text)) == []
+        assert gc.isenabled()
+    finally:
+        if not was:
+            gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_collector_state_as_found(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse(GENERALISED_SRC)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            parse("f(X) -> .\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# ---------------------------------------------------------------------------
+# node invariants
+
+
+def test_nodes_are_frozen_and_slotted():
+    for t, n in _one_of_each_type().items():
+        assert not hasattr(n, "__dict__"), t.__name__
+        for f in fields(n):
+            with pytest.raises(FrozenInstanceError):
+                setattr(n, f.name, None)
+
+
+def test_node_equality_hash_and_repr_are_the_dataclass_ones():
+    m, again = parse(GENERALISED_SRC), parse(GENERALISED_SRC)
+    assert m == again and hash(m.definitions) == hash(again.definitions)
+    assert repr(m) == repr(again)
+    for d in m.definitions:
+        for n in walk(d):
+            values = tuple(getattr(n, f.name) for f in fields(n))
+            assert hash(n) == hash(values)
+            shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(n), values))
+            assert repr(n) == f"{type(n).__name__}({shown})"
+    other = parse(GENERALISED_SRC.replace("2", "3"))
+    assert m != other and m.definitions[1] != other.definitions[1]
+
+
+def test_parsed_module_survives_pickle_and_deepcopy():
+    m = parse(GENERALISED_SRC)
+    key, args = FunKey("g", 1), [IntV(4)]
+    for evaluated in (False, True):
+        if evaluated:
+            assert eval_call(m, key, args) == Ok(IntV(10), {}, ())
+        for c in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert c == m and repr(c) == repr(m) and c.definitions[0] is not m.definitions[0]
+            assert eval_call(c, key, args) == Ok(IntV(10), {}, ())
