@@ -25,14 +25,12 @@ a pattern with fresh ids.
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
 node references stay valid across refactoring snapshots. Modules and
-nodes are immutable after construction. Nodes are frozen slotted
-dataclasses, with no per-node ``__dict__``, built through their slot
-descriptors (see ``_node``). A parsed tree holds no reference cycle, so
-reference counting alone frees it; yet parsing a 27,000-node module
-would set off about 130 cycle collections, one of them over the whole
-heap, that can find nothing to free. ``parse`` therefore pauses the
-collector while it builds and then restores the state it found, as
-Mercurial's ``util.nogc`` does.
+nodes are immutable after construction: frozen slotted dataclasses
+with no per-node ``__dict__`` (see ``_node``). A parsed tree holds no
+reference cycle, yet parsing a 27,000-node module would set off about
+130 cycle collections, one of them over the whole heap, that can free
+nothing; so ``parse`` pauses the collector and then restores the state
+it found, as Mercurial's ``util.nogc`` does.
 
 ``SLOTS`` and ``MIRROR`` are the one place a node type is registered:
 ``SLOTS`` lists each compound type's child fields and whether each holds
@@ -92,10 +90,10 @@ FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def _node(cls: type) -> type:
-    """cls as a frozen slotted dataclass whose __init__ stores each field
-    through its slot's descriptor, at half the cost of the dataclass
-    __init__, which goes through object.__setattr__."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    """cls as a frozen slotted dataclass with an __init__ of its own that
+    stores each field through its slot's descriptor, at half the cost of
+    the object.__setattr__ a frozen dataclass's __init__ goes through."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     fs = fields(cls)
     ns = {f"set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
     params = ", ".join(f.name if f.default is MISSING else f"{f.name}=None" for f in fs)
@@ -564,12 +562,9 @@ _PREC = {"=": 1, "==": 2, "<": 2, "+": 3, "-": 3, "*": 4, "div": 4}
 MAX_NESTING = 200
 
 
-# skips the Python-level __new__ NamedTuple generates
-_new_span = tuple.__new__
-
-
 def _span(start: tuple, end: tuple) -> SourceSpan:
-    return _new_span(SourceSpan, (start[2], start[3], end[2], end[4]))
+    # tuple.__new__ skips the Python-level __new__ NamedTuple generates
+    return tuple.__new__(SourceSpan, (start[2], start[3], end[2], end[4]))
 
 
 def _too_long(t: tuple) -> ParseError:
@@ -743,9 +738,9 @@ class _Parser:
             else:
                 right = self.parse_expr(prec + 1)
             end = toks[self.pos - 1]
-            nid = gen._next
+            nid = gen._next  # gen.fresh() and _span, inlined on this hot path
             gen._next = nid + 1
-            span = _new_span(SourceSpan, (start[2], start[3], end[2], end[4]))
+            span = tuple.__new__(SourceSpan, (start[2], start[3], end[2], end[4]))
             left = BinOp(op, left, right, nid, span) if op != "=" else Match(pat, rhs, nid, span)
         self.depth -= 1
         return left
@@ -769,9 +764,9 @@ class _Parser:
         gen = self.gen
         if kind == "var" or kind == "int":
             self.pos = pos + 1
-            nid = gen._next
+            nid = gen._next  # as in parse_expr
             gen._next = nid + 1
-            span = _new_span(SourceSpan, (t[2], t[3], t[2], t[4]))
+            span = tuple.__new__(SourceSpan, (t[2], t[3], t[2], t[4]))
             if kind == "int":
                 try:
                     return IntLit(int(t[1]), nid, span)
@@ -788,7 +783,7 @@ class _Parser:
                 args = self._call_args()
                 return StaticCall(t[1], args, gen.fresh(), _span(t, self._last()))
             return AtomLit(t[1], gen.fresh(), _span(t, t))
-        lit = self._int()
+        lit = self._int()  # a negative literal
         if lit is not None:
             return IntLit(lit[0], gen.fresh(), _span(lit[1], lit[2]))
         if kind == "(":
