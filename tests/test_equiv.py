@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import hashlib
+import random
+import re
+
 import pytest
 
-from mer.analysis import FunKey
+from mer.analysis import FunKey, Snapshot
 from mer.equiv import (
     DIFFERENT, EQUAL, UNKNOWN, Equivalent, GenerationExhausted, Inequivalent,
     PlanError, TrialPlan, Unknown, check_module_equiv, check_rule_equiv,
     eq_outcomes, format_verdict, gen_args, gen_expr, gen_module,
 )
-from mer.interp import Exn, IntV, Ok, Timeout, eval_call
-from mer.refactorings import WRAP_RULE
-from mer.rewrite import Condition, parse_rule_text
-from mer.syntax import IntLit, VarRef, module_struct_eq, parse, pretty
+from mer.interp import (
+    DEFAULT_FUEL, AtomV, Exn, IntV, Ok, Timeout, TupleV, eval_call,
+)
+from mer.refactorings import WRAP_RULE, extract_to_variable, wrap
+from mer.rewrite import Applied, Condition, parse_rule_text
+from mer.syntax import (
+    IntLit, VarRef, is_expr, module_struct_eq, parse, pretty, walk,
+)
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC
 
@@ -130,6 +138,67 @@ def test_verdict_document_format():
     for field in ("entry=", "args=", "outcome1=", "outcome2="):
         assert field in doc2
     assert format_verdict(Unknown(3, 10)) == "verdict=unknown\ntrials=10\ntimeouts=3\n"
+
+
+# ---------------------------------------------------------------------------
+# verdict golden digest
+
+
+# a closure value: arguments holding one cannot be hashed
+CLOSURE = eval_call(parse("k() -> fun(Y) -> Y + 1 end.\n"), FunKey("k", 0), ()).value
+
+
+def structured_args(rng: random.Random, arity: int) -> tuple:
+    pool = (AtomV("a"), TupleV((IntV(1), AtomV("ok"))), TupleV(()), CLOSURE)
+    return tuple(rng.choice(pool) if rng.random() < 0.4 else IntV(rng.randint(-2, 2))
+                 for _ in range(arity))
+
+
+def literal_mutant(m):
+    """The module with its last integer literal incremented, or None."""
+    text = pretty(m)
+    found = list(re.finditer(r"\b\d+\b", text))
+    if not found:
+        return None
+    lit = found[-1]
+    return parse(text[:lit.start()] + str(int(lit.group()) + 1) + text[lit.end():])
+
+
+# SHA-256 over format_verdict(v) + repr(v) for every check below: generated
+# modules against their applied wrap / extract_to_variable results and a
+# literal mutant, at fuels that time out, barely finish and never run out,
+# with integer arguments and with atoms, tuples and closures. Pinned from
+# the oracle that evaluated every trial, repeats included.
+VERDICT_DIGEST = "966ff0046009a9af6e1cce04c3b70e37801d3f5cd42a2c449a2323d4c26a25dc"
+
+
+def test_verdicts_match_golden_digest():
+    h = hashlib.sha256()
+    kinds = {Equivalent: 0, Inequivalent: 0, Unknown: 0}
+    for seed in range(20):
+        m = gen_module(seed, 3)
+        snap = Snapshot(m)
+        rng = random.Random(seed)
+        exprs = [n for d in m.definitions for n in walk(d) if is_expr(n)]
+        afters = []
+        for n in rng.sample(exprs, min(2, len(exprs))):
+            afters.append(wrap(snap, snap.ref(n.node_id)))
+        afters.append(extract_to_variable(snap, snap.ref(rng.choice(exprs).node_id), "W0"))
+        afters = [o.snapshot.module for o in afters if isinstance(o, Applied)]
+        mutant = literal_mutant(m)
+        if mutant is not None:
+            afters.append(mutant)
+        entries = tuple(FunKey(d.name, d.arity) for d in m.definitions)
+        for after in afters:
+            for fuel in (3, 15, DEFAULT_FUEL):
+                for arg_gen in (None, structured_args):
+                    plan = TrialPlan(entries=entries, trials=20, seed=seed,
+                                     fuel=fuel, arg_gen=arg_gen)
+                    v = check_module_equiv(m, after, plan)
+                    kinds[type(v)] += 1
+                    h.update((format_verdict(v) + repr(v) + "\n").encode())
+    assert [kinds[k] for k in (Equivalent, Inequivalent, Unknown)] == [198, 44, 130]
+    assert h.hexdigest() == VERDICT_DIGEST
 
 
 # ---------------------------------------------------------------------------
