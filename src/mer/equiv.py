@@ -7,7 +7,9 @@ expression level the comparison also covers the environment after
 evaluation; at module level entry calls return no environment. A fuel
 timeout on either side makes the trial (and, absent a stronger verdict,
 the whole check) Unknown: nontermination is never classified as equal
-or different.
+or different. Evaluation is deterministic, so within one module check a
+repeated trial (same entry, same arguments) is evaluated once and
+counted every time, its timeout included.
 
 All generators are deterministic in their seed, so every Inequivalent
 verdict carries a directly replayable witness.
@@ -38,8 +40,9 @@ from .syntax import (
 
 
 class PlanError(Exception):
-    """A trial plan with no trials, a fuel below 1, or an entry missing
-    from one of the modules."""
+    """A trial plan with no trials, a fuel below 1, an empty argument
+    range, an entry missing from one of the modules, or arguments made
+    in the wrong number for an entry."""
 
 
 class GenerationExhausted(Exception):
@@ -155,35 +158,55 @@ class TrialPlan:
         return tuple(IntV(rng.randint(self.arg_lo, self.arg_hi)) for _ in range(arity))
 
 
-def _check_budget(trials: int, fuel: int):
+def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
     if trials < 1:
         raise PlanError(f"a trial plan needs at least one trial, got {trials}")
     if fuel < 1:
         raise PlanError(f"a trial plan needs a fuel of at least 1, got {fuel}")
+    if arg_lo > arg_hi:
+        raise PlanError(f"a trial plan needs arg_lo <= arg_hi, got {arg_lo} > {arg_hi}")
 
 
 def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> Verdict:
-    """Run every plan entry on both modules with identical arguments."""
-    _check_budget(plan.trials, plan.fuel)
+    """Run every plan entry on both modules with identical arguments.
+
+    Evaluation is deterministic, so a trial repeating an earlier (entry,
+    arguments) pair of the same check is not run again: it counts as a
+    trial, and as a timeout if the first one timed out. Arguments that
+    cannot be hashed, such as closures, are run every time.
+    """
+    _check_budget(plan.trials, plan.fuel, plan.arg_lo, plan.arg_hi)
     before_keys = {FunKey(d.name, d.arity) for d in before.definitions}
     after_keys = {FunKey(d.name, d.arity) for d in after.definitions}
     for entry in plan.entries:
         if entry not in before_keys or entry not in after_keys:
             raise PlanError(f"entry {entry} is not defined in both modules")
     rng = random.Random(plan.seed)
+    seen: dict = {}  # (entry, args) of an evaluated trial -> it timed out
     timeouts = 0
     trial_no = 0
     for _ in range(plan.trials):
         for entry in plan.entries:
             trial_no += 1
             args = plan.make_args(rng, entry.arity)
-            o1 = eval_call(before, entry, args, plan.fuel)
-            o2 = eval_call(after, entry, args, plan.fuel)
-            status, reason = eq_outcomes(o1, o2, compare_env=False)
-            if status == DIFFERENT:
-                return Inequivalent(entry, args, o1, o2, reason, trial_no, timeouts)
-            if status == UNKNOWN:
-                timeouts += 1
+            if len(args) != entry.arity:
+                raise PlanError(f"the arguments made for entry {entry} number "
+                                f"{len(args)}, not {entry.arity}")
+            key = (entry, args)
+            try:
+                timed_out = seen.get(key)
+            except TypeError:  # unhashable: a closure's env is a dict
+                key = timed_out = None
+            if timed_out is None:
+                o1 = eval_call(before, entry, args, plan.fuel)
+                o2 = eval_call(after, entry, args, plan.fuel)
+                status, reason = eq_outcomes(o1, o2, compare_env=False)
+                if status == DIFFERENT:
+                    return Inequivalent(entry, args, o1, o2, reason, trial_no, timeouts)
+                timed_out = status == UNKNOWN
+                if key is not None:
+                    seen[key] = timed_out
+            timeouts += timed_out
     if timeouts:
         return Unknown(timeouts, trial_no)
     return Equivalent(trial_no)

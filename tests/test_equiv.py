@@ -6,11 +6,13 @@ import re
 
 import pytest
 
+from mer import equiv
 from mer.analysis import FunKey, Snapshot
 from mer.equiv import (
     DIFFERENT, EQUAL, UNKNOWN, Equivalent, GenerationExhausted, Inequivalent,
-    PlanError, TrialPlan, Unknown, check_module_equiv, check_rule_equiv,
-    eq_outcomes, format_verdict, gen_args, gen_expr, gen_module,
+    PlanError, TrialPlan, Unknown, Verdict, check_module_equiv,
+    check_rule_equiv, eq_outcomes, format_verdict, gen_args, gen_expr,
+    gen_module,
 )
 from mer.interp import (
     DEFAULT_FUEL, AtomV, Exn, IntV, Ok, Timeout, TupleV, eval_call,
@@ -117,6 +119,109 @@ def test_timeouts_yield_unknown():
                                            trials=5, fuel=1))
     assert isinstance(v, Unknown)
     assert v.timeouts == 5
+
+
+def test_arg_gen_of_wrong_length_is_plan_error():
+    before = parse("f(X) -> X + 1.\n")
+    after = parse("f(X) -> X + 2.\n")
+    plan = TrialPlan(entries=(FunKey("f", 1),), trials=5,
+                     arg_gen=lambda rng, n: [IntV(1)] * (n + 1))
+    with pytest.raises(PlanError, match=r"entry f/1 number 2, not 1"):
+        check_module_equiv(before, after, plan)
+
+
+def test_empty_argument_range_is_plan_error():
+    m = parse(DOUBLER_SRC)
+    with pytest.raises(PlanError, match="arg_lo <= arg_hi, got 3 > 2"):
+        check_module_equiv(m, m, TrialPlan(entries=(FunKey("f", 1),),
+                                           arg_lo=3, arg_hi=2))
+
+
+def count_eval_calls(monkeypatch) -> list:
+    """Record (module, entry, args) of every call the oracle evaluates."""
+    calls = []
+
+    def counting(m, key, args, fuel):
+        calls.append((id(m), key, tuple(args)))
+        return eval_call(m, key, args, fuel)
+
+    monkeypatch.setattr(equiv, "eval_call", counting)
+    return calls
+
+
+def test_each_distinct_trial_evaluated_once_per_side(monkeypatch):
+    before, after = parse(DOUBLER_SRC), parse(GENERALISED_SRC)
+    calls = count_eval_calls(monkeypatch)
+    v = check_module_equiv(before, after, PLAN)
+    assert v == Equivalent(100)
+    rng = random.Random(PLAN.seed)
+    pairs = [(entry, PLAN.make_args(rng, entry.arity))
+             for _ in range(PLAN.trials) for entry in PLAN.entries]
+    distinct = set(pairs)
+    assert len(distinct) < len(pairs)
+    assert len(calls) == 2 * len(distinct)
+    assert {(e, a) for _, e, a in calls} == distinct
+    assert len(set(calls)) == len(calls)
+
+
+def test_arity_zero_entry_evaluated_once(monkeypatch):
+    m = parse("k() -> print(1) + 2.\n")
+    calls = count_eval_calls(monkeypatch)
+    v = check_module_equiv(m, parse("k() -> print(1) + 1 + 1.\n"),
+                           TrialPlan(entries=(FunKey("k", 0),), trials=50))
+    assert v == Equivalent(50)
+    assert len(calls) == 2
+
+
+def unshared_verdict(before, after, plan: TrialPlan) -> Verdict:
+    """The oracle's loop with every trial evaluated, repeats included."""
+    rng = random.Random(plan.seed)
+    timeouts = trial_no = 0
+    for _ in range(plan.trials):
+        for entry in plan.entries:
+            trial_no += 1
+            args = plan.make_args(rng, entry.arity)
+            o1 = eval_call(before, entry, args, plan.fuel)
+            o2 = eval_call(after, entry, args, plan.fuel)
+            status, reason = eq_outcomes(o1, o2, compare_env=False)
+            if status == DIFFERENT:
+                return Inequivalent(entry, args, o1, o2, reason, trial_no, timeouts)
+            timeouts += status == UNKNOWN
+    return Unknown(timeouts, trial_no) if timeouts else Equivalent(trial_no)
+
+
+@pytest.mark.parametrize("after_src", [
+    "f(F, X) -> F(X - 1 + 1).\n",
+    "f(F, X) -> F(X + 1).\n",
+    "f(F, X) -> f(F, X).\n",
+])
+def test_closure_arguments_evaluated_every_time(monkeypatch, after_src):
+    closures = [eval_call(parse(f"k() -> fun(Y) -> Y * {i} end.\n"),
+                          FunKey("k", 0), ()).value for i in (2, 3)]
+
+    def closure_args(rng, arity):
+        return (rng.choice(closures), IntV(rng.randint(0, 1)))
+
+    before, after = parse("f(F, X) -> F(X).\n"), parse(after_src)
+    plan = TrialPlan(entries=(FunKey("f", 2),), trials=20, fuel=200,
+                     arg_gen=closure_args)
+    expected = unshared_verdict(before, after, plan)
+    calls = count_eval_calls(monkeypatch)
+    v = check_module_equiv(before, after, plan)
+    assert v == expected
+    assert format_verdict(v) == format_verdict(expected)
+    assert len(calls) == 2 * (v.trial if isinstance(v, Inequivalent) else v.trials)
+
+
+def test_repeated_timeouts_counted_per_trial(monkeypatch):
+    src = "loop(X) -> loop(X).\nwait() -> wait().\n"
+    plan = TrialPlan(entries=(FunKey("loop", 1), FunKey("wait", 0)),
+                     trials=50, fuel=40)
+    calls = count_eval_calls(monkeypatch)
+    v = check_module_equiv(parse(src), parse(src), plan)
+    assert v == Unknown(timeouts=100, trials=100)
+    # at most 11 distinct arguments for loop/1, one call for wait/0
+    assert len(set(calls)) == len(calls) <= 2 * (11 + 1)
 
 
 def test_trace_differences_detected():
