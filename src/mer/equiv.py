@@ -176,6 +176,8 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
     cannot be hashed, such as closures, are run every time.
     """
     _check_budget(plan.trials, plan.fuel, plan.arg_lo, plan.arg_hi)
+    if not plan.entries:
+        raise PlanError("a trial plan needs at least one entry")
     before_keys = {FunKey(d.name, d.arity) for d in before.definitions}
     after_keys = {FunKey(d.name, d.arity) for d in after.definitions}
     for entry in plan.entries:

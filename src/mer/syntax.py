@@ -7,20 +7,21 @@ blocks, ``fun(..) -> .. end`` lambdas, static calls ``name(..)``,
 dynamic calls ``Var(..)`` / ``(fun .. end)(..)``, ``print(E)`` as the
 sole effect primitive, and tuples. ``%`` starts a line comment.
 
-The lexer is one regular expression applied to each line with
-``finditer``: blanks and comments match and are dropped, a token's
-column is its offset in its line plus one, and a token is the tuple
-``(kind, text, line, col, end_col)``. Names start with a letter or
-``_``; integer literals are runs of Unicode decimal digits. The parser
-is recursive descent over operands and precedence climbing over binary
-operators (Pratt, "Top down operator precedence", POPL 1973): one loop
-in ``parse_expr`` reads each operator's precedence from ``_PREC``, the
-table ``pretty_expr`` uses to place parentheses. Expressions and tuple
-patterns nest at most ``MAX_NESTING`` levels; deeper input is a
-``ParseError`` at the first token too deep, never a ``RecursionError``.
-Node ids are allocated in parse order, each node after its children;
-the left side of a match is parsed as an expression, then mirrored into
-a pattern with fresh ids.
+The lexer is one regular expression applied with ``findall`` to whole
+lines, a few thousand characters at a time: each match is one token
+with the blanks and comment before it, a newline token advances the
+line, a token's column is one plus the lengths matched before it on its
+line, and a token is the tuple ``(kind, text, line, col, end_col)``.
+Names start with a letter or ``_``; integer literals are runs of
+Unicode decimal digits. The parser is recursive descent over operands
+and precedence climbing over binary operators (Pratt, "Top down
+operator precedence", POPL 1973): one loop in ``parse_expr`` reads each
+operator's precedence from ``_PREC``, the table ``pretty_expr`` uses to
+place parentheses. Expressions and tuple patterns nest at most
+``MAX_NESTING`` levels; deeper input is a ``ParseError`` at the first
+token too deep, never a ``RecursionError``. Node ids are allocated in
+parse order, each node after its children; the left side of a match is
+parsed as an expression, then mirrored into a pattern with fresh ids.
 
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
@@ -29,8 +30,9 @@ nodes are immutable after construction: frozen slotted dataclasses
 with no per-node ``__dict__`` (see ``_node``). A parsed tree holds no
 reference cycle, yet parsing a 27,000-node module would set off about
 130 cycle collections, one of them over the whole heap, that can free
-nothing; so ``parse`` pauses the collector and then restores the state
-it found, as Mercurial's ``util.nogc`` does.
+nothing; so ``parse`` runs under ``collector_paused``, which pauses the
+collector and then restores the state it found, as Mercurial's
+``util.nogc`` does. ``cli.main`` runs a whole command under it too.
 
 ``SLOTS`` and ``MIRROR`` are the one place a node type is registered:
 ``SLOTS`` lists each compound type's child fields and whether each holds
@@ -498,52 +500,71 @@ def expr_to_pattern(e: Expr, gen: IdGen) -> Pattern:
 
 _KEYWORDS = {"begin", "end", "fun", "div", "print"}
 
-# One alternative per token class, tried in order at each position of a
-# line. Blanks and comments match without a group; everything else names
-# its class by the group that matched (m.lastindex), and the last group
-# catches any character no token starts with.
-_INT, _WORD, _META, _PUNCT = range(1, 5)
+# One match per token: group 1 takes the blanks and the comment before it,
+# group 2 the token, tried in the order listed. "." matches any character
+# but a newline, so the last alternative, which is empty, matches only at
+# the end of the text searched, behind any blanks there.
 _TOKEN = re.compile(r"""
-    [ \t\r]+ | %.*
-  | (\d+)                       # Unicode decimal digits
-  | (\w+)                       # a name, if it starts with a letter or _
-  | (@\w*(?:\.\.\.)?)           # metavariable; with ... a metasequence
-  | (->|==|[(){},.=<+\-*])
-  | (.)
+    ( [ \t\r]* (?: %.* )? )
+    ( \n
+    | \d+                       # Unicode decimal digits
+    | \w+                       # a name, if it starts with a letter or _
+    | @\w*(?:\.\.\.)?           # metavariable; with ... a metasequence
+    | ->|==|[(){},.=<+\-*]
+    | .
+    | )
 """, re.VERBOSE)
+
+_NEWLINE = object()
+_CHUNK = 8192
+# token text -> kind, for the texts whose kind is fixed
+_KINDS = {"\n": _NEWLINE, **{k: k for k in _KEYWORDS},
+          **{p: p for p in ("->", "==", *"(){},.=<+-*")}}
+
+
+def _kind(tok: str, meta: bool, line: int, col: int) -> str:
+    """The kind of a token whose text is not in _KINDS, or a ParseError.
+    Its first character tells which alternative of _TOKEN matched it:
+    str.isdecimal is what \\d matches."""
+    c = tok[0]
+    if c.isdecimal():
+        return "int"
+    if c.isalpha() or c == "_":
+        return "var" if c.isupper() or c == "_" else "atom"
+    if c == "@" and meta:
+        if tok == "@" or tok == "@...":
+            raise ParseError("expected metavariable name after '@'", line, col)
+        return "metaseq" if tok.endswith("...") else "metavar"
+    raise ParseError(f"unexpected character {c!r}", line, col)
 
 
 def lex(source: str, *, meta: bool = False) -> list[tuple]:
     """Tokens (kind, text, line, col, end_col), ending with an eof token."""
     tokens = []
     append = tokens.append
-    for line, text in enumerate(source.split("\n"), 1):
-        for m in _TOKEN.finditer(text):
-            group = m.lastindex
-            if group is None:
+    kinds = _KINDS.copy()  # and each other text met so far
+    line = col = 1
+    start = 0
+    while start < len(source):
+        # whole lines of about _CHUNK characters at a time: findall
+        # holds every match of its span at once
+        stop = source.find("\n", start + _CHUNK) + 1 or len(source)
+        for blank, tok in _TOKEN.findall(source, start, stop):
+            col += len(blank)
+            kind = kinds.get(tok)
+            if kind is None:
+                if not tok:  # the end of the span
+                    break
+                kind = kinds[tok] = _kind(tok, meta, line, col)
+            elif kind is _NEWLINE:
+                line += 1
+                col = 1
                 continue
-            tok = m[group]
-            col = m.start() + 1
-            if group == _WORD:
-                c = tok[0]
-                if tok in _KEYWORDS:
-                    kind = tok
-                elif not (c.isalpha() or c == "_"):
-                    raise ParseError(f"unexpected character {c!r}", line, col)
-                else:
-                    kind = "var" if c.isupper() or c == "_" else "atom"
-            elif group == _PUNCT:
-                kind = tok
-            elif group == _INT:
-                kind = "int"
-            elif group == _META and meta:
-                if tok == "@" or tok == "@...":
-                    raise ParseError("expected metavariable name after '@'", line, col)
-                kind = "metaseq" if tok.endswith("...") else "metavar"
-            else:
-                raise ParseError(f"unexpected character {tok[0]!r}", line, col)
-            append((kind, tok, line, col, m.end() + 1))
-    append(("eof", "", line, len(text) + 1, len(text) + 1))
+            end = col + len(tok)
+            append((kind, tok, line, col, end))
+            col = end
+        start = stop
+    append(("eof", "", line, col, col))
     return tokens
 
 
@@ -831,16 +852,29 @@ class _Parser:
         self.error(f"expected expression, found {t[1] or 'end of input'!r}")
 
 
+class collector_paused:
+    """Run a with-block with the cycle collector paused, then restore the
+    state it found, also when the block raises; for work that allocates
+    many objects and leaves no reference cycle. A class, not a generator:
+    nothing is allocated after the collector is restored, so a collection
+    the block made due runs after the block, not in its exit."""
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, typ, exc, tb):
+        if self.enabled:
+            gc.enable()
+
+
 def parse(source: str) -> ModuleAst:
     """Parse module source; raises ParseError / DuplicateDefinition. The
     cycle collector is paused meanwhile (see the module docstring)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _Parser(lex(source), IdGen()).parse_module()
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def parse_expr_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> Expr:

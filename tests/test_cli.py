@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
 import pytest
 
+from mer import cli
 from mer.cli import main
 from mer.syntax import MAX_NESTING, parse
 
@@ -346,3 +348,83 @@ def test_verify_fuel_below_one_exits_2(l1, l2, capsys, fuel):
     assert code == 2
     assert captured.out == ""
     assert "fuel of at least 1" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the cycle collector during a command
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_collector_and_restores_its_state(
+        l1, l2, tmp_path, capsys, monkeypatch, enabled):
+    bad = tmp_path / "bad.mer"
+    bad.write_text("f(X) -> .\n")
+    d1, d2 = tmp_path / "d1.mer", tmp_path / "d2.mer"
+    d1.write_text("f(X) -> X + 1.\n")
+    d2.write_text("f(X) -> X + 2.\n")
+    cases = [
+        (["check", str(l1)], 0),
+        (["verify", str(d1), str(d2), "--entry", "f/1"], 1),
+        (["check", str(bad)], 2),
+        (["check", str(tmp_path / "missing.mer")], 2),
+        (["verify", str(l1), str(l2), "--entry", "f/1", "--fuel", "1"], 3),
+        (["verify", str(l1)], SystemExit),  # argparse: a usage error
+    ]
+    seen = []
+    read = cli._read
+
+    def spy(path):
+        seen.append(gc.isenabled())
+        return read(path)
+
+    def boom(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_read", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, want in cases:
+            if want is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == want, argv
+            assert gc.isenabled() is enabled, argv
+        monkeypatch.setattr(cli, "_read", boom)
+        with pytest.raises(RuntimeError):
+            main(["check", str(l1)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen and not any(seen)  # each file was read with the collector paused
+
+
+def test_paused_verify_leaves_garbage_independent_of_trials(tmp_path, capsys):
+    # Pausing the collector for a whole command is safe only if the
+    # reference cycles a command leaves do not grow with its work: here
+    # with closures, printing, a division by zero in about one trial in
+    # eleven, and a looping entry that runs out of fuel.
+    a, b = tmp_path / "a.mer", tmp_path / "b.mer"
+    a.write_text("f(X, Y, Z) -> F = fun(A) -> {A, X} end, G = fun() -> Y div Z end,"
+                 " print(F(Y)), {F, G()}.\nloop(X) -> loop(X).\n")
+    b.write_text("f(X, Y, Z) -> G = fun() -> Y div Z end, F = fun(A) -> {A, X} end,"
+                 " print(F(Y)), {F, G()}.\nloop(X) -> loop(X + 0).\n")
+
+    def garbage_after(trials: int) -> int:
+        code = main(["verify", str(a), str(b), "--entry", "f/3", "--entry", "loop/1",
+                     "--trials", str(trials), "--fuel", "300"])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("verdict=unknown\n")
+        return gc.collect()
+
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        garbage_after(10)  # first-use caches
+        assert garbage_after(10) == garbage_after(2000)
+    finally:
+        if was:
+            gc.enable()

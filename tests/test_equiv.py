@@ -121,6 +121,14 @@ def test_timeouts_yield_unknown():
     assert v.timeouts == 5
 
 
+def test_plan_without_entries_is_plan_error():
+    # no trial runs, so there is no evidence for any verdict
+    before = parse("f(X) -> X + 1.\n")
+    after = parse("f(X) -> X + 2.\n")
+    with pytest.raises(PlanError, match="at least one entry"):
+        check_module_equiv(before, after, TrialPlan(entries=()))
+
+
 def test_arg_gen_of_wrong_length_is_plan_error():
     before = parse("f(X) -> X + 1.\n")
     after = parse("f(X) -> X + 2.\n")

@@ -64,6 +64,73 @@ def test_comments_ignored():
     assert len(m.definitions) == 1
 
 
+# ---------------------------------------------------------------------------
+# lexer edge cases, each token as (kind, text, line, col, end_col)
+
+_HEAD = [("atom", "f", 1, 1, 2), ("(", "(", 1, 2, 3), ("var", "X", 1, 3, 4),
+         (")", ")", 1, 4, 5), ("->", "->", 1, 6, 8)]
+
+
+@pytest.mark.parametrize("source, tail", [
+    # blanks after the last token, no newline: eof sits past them
+    ("f(X) -> X. \t ",
+     [("var", "X", 1, 9, 10), (".", ".", 1, 10, 11), ("eof", "", 1, 14, 14)]),
+    # \r is a blank, so \r\n ends a line like \n
+    ("f(X) ->\r\n  X.\r\n",
+     [("var", "X", 2, 3, 4), (".", ".", 2, 4, 5), ("eof", "", 3, 1, 1)]),
+    # a comment on the last line, no newline
+    ("f(X) -> X.\n% last",
+     [("var", "X", 1, 9, 10), (".", ".", 1, 10, 11), ("eof", "", 2, 7, 7)]),
+])
+def test_lex_line_ends(source, tail):
+    assert syntax.lex(source) == _HEAD + tail
+
+
+def test_lex_tabs_count_one_column():
+    assert syntax.lex("\tf(X)\t->\tX.") == [
+        ("atom", "f", 1, 2, 3), ("(", "(", 1, 3, 4), ("var", "X", 1, 4, 5),
+        (")", ")", 1, 5, 6), ("->", "->", 1, 7, 9), ("var", "X", 1, 10, 11),
+        (".", ".", 1, 11, 12), ("eof", "", 1, 12, 12)]
+
+
+@pytest.mark.parametrize("source, eof", [
+    ("", ("eof", "", 1, 1, 1)),
+    ("  \t ", ("eof", "", 1, 5, 5)),
+    (" \n\t\r\n  ", ("eof", "", 3, 3, 3)),
+])
+def test_lex_blank_input_is_eof(source, eof):
+    assert syntax.lex(source) == [eof]
+    assert syntax.lex(source, meta=True) == [eof]
+
+
+def test_lex_long_source_matches_line_by_line():
+    # several of the spans lex searches at a time, with blanks, comments
+    # and \r at the ends of lines
+    lines = [f"f{i}(X) -> X + {i}. % c{i}\r" if i % 3 else f"  g{i}(Y) ->\t{{Y, a}}.  "
+             for i in range(2000)]
+    source = "\n".join(lines)
+    assert len(source) > 4 * syntax._CHUNK
+    want = [(k, t, line, c, e) for line, text in enumerate(lines, 1)
+            for k, t, _, c, e in syntax.lex(text)[:-1]]
+    eof = syntax.lex(lines[-1])[-1]
+    want.append(("eof", "", len(lines), eof[3], eof[4]))
+    assert syntax.lex(source) == want
+    lines[1990] = "h() -> !."
+    with pytest.raises(ParseError) as exc:
+        syntax.lex("\n".join(lines))
+    assert (exc.value.line, exc.value.col) == (1991, 8)
+
+
+def test_lex_metavariable_on_later_line():
+    source = "f(X) ->\n  @x."
+    with pytest.raises(ParseError) as exc:
+        syntax.lex(source)
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        ("unexpected character '@'", 2, 3)
+    assert syntax.lex(source, meta=True) == _HEAD + [
+        ("metavar", "@x", 2, 3, 5), (".", ".", 2, 5, 6), ("eof", "", 2, 6, 6)]
+
+
 def test_pretty_roundtrip_doubler():
     m = parse(DOUBLER_SRC)
     assert module_struct_eq(parse(pretty(m)), m)
