@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from mer.analysis import FunKey, Snapshot
-from mer.equiv import TrialPlan, check_module_equiv, Equivalent
+from mer.equiv import (
+    TrialPlan, check_module_equiv, check_rule_equiv, Equivalent, format_verdict,
+    gen_module,
+)
 from mer.refactorings import (
-    GENERALISE_FUNCTION, CompositeError, extract_to_function,
+    GENERALISE_FUNCTION, WRAP_RULE, CompositeError, extract_to_function,
     extract_to_variable, generalise_function, outer_variable, parse_composite,
     rename_function, run_composite, to_function_parameter, var_to_param, wrap,
 )
-from mer.rewrite import Applied, NotApplicable, PreconditionViolated
+from mer.rewrite import Applied, NotApplicable, PreconditionViolated, parse_rule_text
 from mer.syntax import Match, parse_patterns_text, pretty, pretty_def, walk
 
 from conftest import DOUBLER_SRC, defs_of, target_of
@@ -369,3 +374,57 @@ def test_generalise_program_traces_six_steps():
         "wrap", "function_part", "extract_to_function", "extract_to_variable",
         "to_function_parameter", "rename_function",
     ]
+
+
+# ---------------------------------------------------------------------------
+# refactoring golden digest
+
+
+def _ops(snap, ref, fundef):
+    fn = snap.ref(fundef.node_id)
+    return (
+        lambda: wrap(snap, ref),
+        lambda: extract_to_variable(snap, ref, "W0"),
+        lambda: outer_variable(snap, ref),
+        lambda: extract_to_function(snap, ref, "h", fundef.params),
+        lambda: var_to_param(snap, fn, ref),
+        lambda: rename_function(snap, ref, "g"),
+        lambda: to_function_parameter(snap, ref),
+        lambda: generalise_function(snap, ref, "Y"),
+    )
+
+
+CONTRACT_RULE = parse_rule_text(
+    "@E\n-----\nbegin Y = @E, Y end\nWHEN fresh(Y) AND pure(@E) AND closed(@E)")
+
+# SHA-256 over two sets of records. First, every prime, to_function_parameter
+# and generalise_function at every node of gen_module(seed, 3): the printed
+# module, its repr (node ids included) and the result id when applied, else
+# the outcome's repr. Second, format_verdict and repr of check_rule_equiv on
+# the wrap rule and on a variable-introduction contract, whose conditions
+# decide which generated instantiations are tried.
+REFACTORING_DIGEST = "5bddcda2b2ad7f6647afb45437a78ef3ee91b5aaf63b4fcc2e1d89d913473ece"
+
+
+def test_refactorings_match_golden_digest():
+    h = hashlib.sha256()
+    kinds = {Applied: 0, NotApplicable: 0, PreconditionViolated: 0}
+    for seed in range(35):
+        snap = Snapshot(gen_module(seed, 3))
+        for d in snap.module.definitions:
+            for n in walk(d):
+                for op in _ops(snap, snap.ref(n.node_id), d):
+                    o = op()
+                    kinds[type(o)] += 1
+                    if isinstance(o, Applied):
+                        m = o.snapshot.module
+                        h.update(f"{pretty(m)}{m!r} {o.result.node_id}\n".encode())
+                    else:
+                        h.update(f"{o!r}\n".encode())
+    for seed in range(120):
+        for rule in (WRAP_RULE, CONTRACT_RULE):
+            v = check_rule_equiv(rule.lhs, rule.rhs, rule.condition, trials=5, seed=seed)
+            h.update((format_verdict(v) + repr(v) + "\n").encode())
+    assert [kinds[k] for k in (Applied, NotApplicable, PreconditionViolated)] == [
+        1468, 3690, 250]
+    assert h.hexdigest() == REFACTORING_DIGEST
