@@ -64,18 +64,20 @@ class NodeRef:
 
 class _Index:
     def __init__(self, module: ModuleAst):
-        self.by_id: dict[int, Node] = {}
-        self.parent: dict[int, Optional[int]] = {}
-        self.def_of: dict[int, int] = {}
+        self.by_id = by_id = {}  # node id -> node
+        self.parent = parents = {}  # node id -> parent id or None
+        self.def_of = def_of = {}  # node id -> id of its definition
+        # an explicit stack: Python's stack does not bound a tree's depth
         for d in module.definitions:
-            self._enter(d, None, d.node_id)
-
-    def _enter(self, n: Node, parent: Optional[int], def_id: int):
-        self.by_id[n.node_id] = n
-        self.parent[n.node_id] = parent
-        self.def_of[n.node_id] = def_id
-        for c in children(n):
-            self._enter(c, n.node_id, def_id)
+            stack: list[tuple[Node, Optional[int]]] = [(d, None)]
+            while stack:
+                n, parent = stack.pop()
+                nid = n.node_id
+                by_id[nid] = n
+                parents[nid] = parent
+                def_of[nid] = d.node_id
+                for c in children(n):
+                    stack.append((c, nid))
 
 
 _version_counter = itertools.count(1)
@@ -251,58 +253,65 @@ def resolve(node: Node) -> BindingInfo:
     outermost scope of a standalone node has scope_body_id None; function
     and lambda bodies open their own scopes.
     """
-    occs: list[Occurrence] = []
-    # scope stack: (body id, {name: binder node id})
-    scopes: list[tuple[Optional[int], dict[str, int]]] = [(None, {})]
+    r = _Resolver()
+    r.visit(node)
+    return BindingInfo(tuple(r.occs))
 
-    def lookup(name: str) -> Optional[tuple[int, Optional[int]]]:
-        for body_id, binds in reversed(scopes):
+
+class _Resolver:
+    """resolve's walk. Methods, not nested functions: a recursive closure
+    refers to itself through its cell, a cycle left behind by every call."""
+
+    def __init__(self):
+        self.occs: list[Occurrence] = []
+        # scope stack: (body id, {name: binder node id})
+        self.scopes: list[tuple[Optional[int], dict[str, int]]] = [(None, {})]
+
+    def lookup(self, name: str) -> Optional[tuple[int, Optional[int]]]:
+        for body_id, binds in reversed(self.scopes):
             if name in binds:
                 return binds[name], body_id
         return None
 
-    def bind(n: PVar):
-        body_id, binds = scopes[-1]
+    def bind(self, n: PVar):
+        body_id, binds = self.scopes[-1]
         binds[n.name] = n.node_id
-        occs.append(Occurrence(n.node_id, n.name, "binding", n.node_id, body_id))
+        self.occs.append(Occurrence(n.node_id, n.name, "binding", n.node_id, body_id))
 
-    def bind_match_pattern(p: Pattern):
+    def bind_match_pattern(self, p: Pattern):
         # a match-pattern variable that is already bound re-matches it
         for n in walk(p):
             if isinstance(n, PVar):
-                hit = lookup(n.name)
+                hit = self.lookup(n.name)
                 if hit is None:
-                    bind(n)
+                    self.bind(n)
                 else:
-                    occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
+                    self.occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
 
-    def visit(n: Node):
+    def visit(self, n: Node):
         if isinstance(n, VarRef):
-            hit = lookup(n.name)
+            hit = self.lookup(n.name)
             if hit is None:
-                occs.append(Occurrence(n.node_id, n.name, "unbound", None, None))
+                self.occs.append(Occurrence(n.node_id, n.name, "unbound", None, None))
             else:
-                occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
+                self.occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
         elif isinstance(n, Match):
-            visit(n.rhs)
-            bind_match_pattern(n.pattern)
+            self.visit(n.rhs)
+            self.bind_match_pattern(n.pattern)
         elif isinstance(n, (Lambda, FunDef)):
             # parameters always bind: the callee environment drops their
             # names before matching, so they shadow any outer binding
-            scopes.append((n.body.node_id, {}))
+            self.scopes.append((n.body.node_id, {}))
             for p in n.params:
                 for x in walk(p):
                     if isinstance(x, PVar):
-                        bind(x)
+                        self.bind(x)
             for x in n.body.exprs:
-                visit(x)
-            scopes.pop()
+                self.visit(x)
+            self.scopes.pop()
         else:
             for x in children(n):
-                visit(x)
-
-    visit(node)
-    return BindingInfo(tuple(occs))
+                self.visit(x)
 
 
 def binding_info(snap: Snapshot, fundef_ref: NodeRef) -> BindingInfo:

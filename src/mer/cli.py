@@ -17,15 +17,17 @@ atomically and never on failure.
 ``main`` runs each command, from parsing its arguments to its exit code,
 under ``syntax.collector_paused``: trees, snapshots and interpreter
 values hold no reference cycle, so collections during a command would
-free next to nothing. The cyclic garbage a command makes is freed after
-it; a verify command's (argparse's, a few hundred objects) does not grow
-with its trials. The collector's state is restored on a return, on
-argparse's ``SystemExit`` and on any exception.
+free next to nothing. The argument parser, which is full of cycles, is
+built once per process; the cyclic garbage a command makes is freed
+after it, and a verify command's does not grow with its trials. The
+collector's state is restored on a return, on argparse's ``SystemExit``
+and on any exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -281,6 +283,7 @@ def _add_target_opts(p: argparse.ArgumentParser):
                    help="which occurrence of --expr (1-based, default 1)")
 
 
+@functools.cache  # built once per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mer",

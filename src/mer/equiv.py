@@ -29,7 +29,7 @@ from .interp import (
     traces_equal, values_equal,
 )
 from .rewrite import (
-    Binding, CondContext, Condition, ConditionFailure, SubstCtx, Template,
+    Binding, Condition, ConditionFailure, SubstCtx, Template,
     UnboundMetavariable, eval_condition, subst_fragment, template_metavars,
 )
 from .syntax import (
@@ -410,7 +410,7 @@ def check_rule_equiv(lhs: Template, rhs: Template, condition: Condition,
         env_vars = env_pool[:n_env]
         b = _instantiate(metavars, produced, egen, depth, env_vars)
         try:
-            b = eval_condition(condition, b, CondContext())
+            b = eval_condition(condition, b)
         except (ConditionFailure, UnboundMetavariable):
             continue
         fresh_names = condition.fresh_names(b)

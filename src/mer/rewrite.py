@@ -14,10 +14,12 @@ Rule text format::
     <rhs>
     WHEN <conjunct> AND <conjunct> ...
 
-where a conjunct is either a predicate call (pure, closed, non_bind,
-fresh, is_subset) or a binding equation like ``@Vars... = free_vars(@E)``.
-Conditions are evaluated through the analysis module when a snapshot
-context is available, and in a pessimistic standalone mode (used by the
+where each conjunct is an object-language expression parsed in meta
+mode, like the templates: a predicate call (pure, closed, non_bind,
+fresh, is_subset), or a match binding a metavariable such as
+``@Vars... = free_vars(@E)``; call arguments are calls, metavariables and
+names. Conditions are evaluated through the analysis module when a
+snapshot is given, and in a pessimistic standalone mode (used by the
 rule-level equivalence checker) otherwise.
 """
 
@@ -30,12 +32,12 @@ from typing import Optional, Sequence, Union
 from . import analysis
 from .analysis import NodeRef, Snapshot
 from .syntax import (
-    FIELDS, MIRROR, SLOTS, Expr, FunDef, IdGen, MetaSeq, MetaVar,
-    ModuleAst, Node, PVar, Pattern, StaticCall, SyntacticFlaw, VarRef,
-    check_module, clone_fresh, expr_to_pattern, is_expr, is_pattern,
-    module_node_ids, module_replace, node_ids, parse_expr_text,
-    parse_exprseq_text, parse_patterns_text, pattern_to_expr, pretty_expr,
-    remake, struct_eq, walk,
+    FIELDS, MIRROR, SLOTS, AtomLit, Expr, FunDef, IdGen, Match, MetaSeq,
+    MetaVar, ModuleAst, Node, ParseError, PVar, Pattern, StaticCall,
+    SyntacticFlaw, VarRef, check_module, clone_fresh, expr_to_pattern,
+    is_expr, is_pattern, module_node_ids, module_replace, node_ids,
+    parse_expr_text, parse_exprseq_text, parse_patterns_text,
+    pattern_to_expr, pretty_expr, remake, struct_eq, walk,
 )
 
 
@@ -420,137 +422,61 @@ def finish_step(module: ModuleAst, result_id: int) -> StepOutcome:
 # Conditions
 
 
-@dataclass(frozen=True)
-class CCall:
-    fn: str
-    args: tuple["CExprT", ...]
+# condition function -> the number of arguments it takes
+_ARITY = {"free_vars": 1, "vars": 1, "non_bind": 1, "pure": 1, "closed": 1,
+          "fresh": 1, "is_subset": 2}
 
 
-@dataclass(frozen=True)
-class CMeta:
-    name: str
-    is_seq: bool
-
-
-@dataclass(frozen=True)
-class CName:
-    text: str
-
-
-CExprT = Union[CCall, CMeta, CName]
-
-
-@dataclass(frozen=True)
-class Conjunct:
-    bind_to: Optional[str]
-    bind_seq: bool
-    expr: CExprT
+def _parse_conjunct(text: str) -> Expr:
+    """A term, or ``@X = term`` binding a metavariable; a term is a
+    metavariable, a name (variable or atom), or a condition function
+    applied to terms."""
+    try:
+        e = parse_expr_text(text, meta=True)
+    except ParseError as err:
+        raise TemplateError(f"cannot parse condition {text.strip()!r}: {err}") from None
+    binds = type(e) is Match and type(e.pattern) in (MetaVar, MetaSeq)
+    for n in walk(e.rhs if binds else e):
+        if type(n) is StaticCall:
+            if _ARITY.get(n.name) != len(n.args):
+                raise TemplateError(f"unknown condition function {n.name}/{len(n.args)}")
+        elif type(n) not in (MetaVar, MetaSeq, VarRef, AtomLit):
+            raise TemplateError(f"cannot parse condition term {pretty_expr(n)!r}")
+    return e
 
 
 @dataclass(frozen=True)
 class Condition:
-    conjuncts: tuple[Conjunct, ...] = ()
+    """A WHEN clause: conjuncts joined by AND (see _parse_conjunct)."""
+
+    conjuncts: tuple[Expr, ...] = ()
 
     @classmethod
     def parse(cls, text: str) -> "Condition":
         text = text.strip()
-        if not text:
-            return cls(())
-        parts = re.split(r"\bAND\b", text)
-        conjuncts = []
-        for part in parts:
-            part = part.strip()
-            m = re.match(r"^@(\w+)(\.\.\.)?\s*=\s*(.+)$", part)
-            if m:
-                conjuncts.append(Conjunct(m.group(1), bool(m.group(2)),
-                                          _parse_cexpr(m.group(3).strip())))
-            else:
-                conjuncts.append(Conjunct(None, False, _parse_cexpr(part)))
-        return cls(tuple(conjuncts))
+        return cls(tuple(map(_parse_conjunct, re.split(r"\bAND\b", text))) if text else ())
 
     def fresh_names(self, binding: Binding) -> set[str]:
         """Names constrained to be fresh, resolved against a binding."""
         out: set[str] = set()
         for c in self.conjuncts:
-            if isinstance(c.expr, CCall) and c.expr.fn == "fresh":
-                for a in c.expr.args:
-                    if isinstance(a, CName):
-                        out.add(a.text)
-                    elif isinstance(a, CMeta) and a.name in binding:
-                        v = binding[a.name]
-                        if isinstance(v, str):
-                            out.add(v)
-                        elif isinstance(v, PVar):
-                            out.add(v.name)
+            if type(c) is StaticCall and c.name == "fresh":
+                a = c.args[0]
+                if type(a) is VarRef or type(a) is AtomLit:
+                    out.add(a.name)
+                elif type(a) is MetaVar or type(a) is MetaSeq:
+                    v = binding.get(a.name)
+                    if isinstance(v, str):
+                        out.add(v)
+                    elif isinstance(v, PVar):
+                        out.add(v.name)
         return out
 
     def metavars(self) -> set[str]:
-        out: set[str] = set()
-
-        def scan(e: CExprT):
-            if isinstance(e, CMeta):
-                out.add(e.name)
-            elif isinstance(e, CCall):
-                for a in e.args:
-                    scan(a)
-
-        for c in self.conjuncts:
-            if c.bind_to:
-                out.add(c.bind_to)
-            scan(c.expr)
-        return out
+        return set().union(*map(template_metavars, self.conjuncts))
 
     def produced(self) -> set[str]:
-        return {c.bind_to for c in self.conjuncts if c.bind_to}
-
-
-def _parse_cexpr(text: str) -> CExprT:
-    text = text.strip()
-    m = re.match(r"^@(\w+)(\.\.\.)?$", text)
-    if m:
-        return CMeta(m.group(1), bool(m.group(2)))
-    m = re.match(r"^(\w+)\((.*)\)$", text, re.S)
-    if m:
-        fn, inner = m.group(1), m.group(2).strip()
-        args: list[CExprT] = []
-        depth = 0
-        cur = ""
-        for ch in inner:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                args.append(_parse_cexpr(cur))
-                cur = ""
-            else:
-                cur += ch
-        if cur.strip():
-            args.append(_parse_cexpr(cur))
-        return CCall(fn, tuple(args))
-    if re.match(r"^\w+$", text):
-        return CName(text)
-    raise TemplateError(f"cannot parse condition term {text!r}")
-
-
-class CondContext:
-    """Where condition predicates get their meaning.
-
-    With a snapshot, predicates run through the analysis module on the
-    matched in-tree fragments. Standalone (no snapshot), they run
-    pessimistically on bare fragments: any call counts as impure,
-    non_bind requires no visible bindings at all, and fresh(N) requires
-    N to occur in no bound fragment.
-    """
-
-    def __init__(self, snapshot: Optional[Snapshot] = None,
-                 target: Optional[NodeRef] = None):
-        self.snapshot = snapshot
-        self.target = target
-
-    @property
-    def standalone(self) -> bool:
-        return self.snapshot is None
+        return {c.pattern.name for c in self.conjuncts if type(c) is Match}
 
 
 class ConditionFailure(Exception):
@@ -577,109 +503,93 @@ def _as_names(v) -> list[str]:
     raise TemplateError(f"expected names, got {v!r}")
 
 
-def _locate(ctx: CondContext, frag) -> str:
+def _locate(snap: Optional[Snapshot], target: Optional[NodeRef], frag) -> str:
     if isinstance(frag, Node) and is_expr(frag):
         text = pretty_expr(frag)
     else:
         text = repr(frag)
     if len(text) > 40:
         text = text[:37] + "..."
-    if ctx.snapshot is not None and ctx.target is not None:
+    if snap is not None and target is not None:
         try:
-            n = ctx.snapshot.node(ctx.target)
-            d = ctx.snapshot.fundef_of(n.node_id)
+            n = snap.node(target)
+            d = snap.fundef_of(n.node_id)
             return f"{d.name}/{d.arity}: {text}"
         except Exception:
             pass
     return text
 
 
-def eval_condition(cond: Condition, binding: Binding, ctx: CondContext) -> Binding:
+def eval_condition(cond: Condition, binding: Binding, snap: Optional[Snapshot] = None,
+                   target: Optional[NodeRef] = None) -> Binding:
     """Evaluate conjuncts left to right, extending the binding; raises
-    ConditionFailure naming the first failing predicate."""
+    ConditionFailure naming the first failing predicate.
+
+    With a snapshot, predicates run through the analysis module on the
+    matched in-tree fragments, and a failure is located in target's
+    function. Standalone (snap None), they run pessimistically on bare
+    fragments: any call counts as impure, non_bind requires no visible
+    bindings at all, and fresh(N) requires N to occur in no bound fragment.
+    """
     b = dict(binding)
-
-    def value_of(e: CExprT):
-        if isinstance(e, CMeta):
-            if e.name not in b:
-                raise UnboundMetavariable(e.name)
-            return b[e.name]
-        if isinstance(e, CName):
-            return e.text
-        return call(e)
-
-    def node_arg(e: CExprT) -> Node:
-        v = value_of(e)
-        if not isinstance(v, Node):
-            raise TemplateError(f"expected a fragment, got {v!r}")
-        return v
-
-    def in_tree_ref(n: Node) -> NodeRef:
-        return ctx.snapshot.ref(n.node_id)
-
-    def call(e: CCall):
-        fn = e.fn
-        if fn == "free_vars":
-            n = node_arg(e.args[0])
-            if ctx.standalone:
-                return tuple(analysis.expr_free_vars(n))
-            return tuple(analysis.free_vars(ctx.snapshot, in_tree_ref(n)))
-        if fn == "vars":
-            v = value_of(e.args[0])
-            return tuple(_as_names(v))
-        if fn == "non_bind":
-            n = node_arg(e.args[0])
-            if ctx.standalone:
-                ok = not analysis.visible_bindings(n)
-            else:
-                ok = analysis.non_bind(ctx.snapshot, in_tree_ref(n))
-            if not ok:
-                raise ConditionFailure("non_bind", _locate(ctx, n))
-            return True
-        if fn == "pure":
-            n = node_arg(e.args[0])
-            ok = analysis.standalone_pure(n) if ctx.standalone else analysis.pure(ctx.snapshot, in_tree_ref(n))
-            if not ok:
-                raise ConditionFailure("pure", _locate(ctx, n))
-            return True
-        if fn == "closed":
-            n = node_arg(e.args[0])
-            if ctx.standalone:
-                ok = not analysis.expr_free_vars(n)
-            else:
-                ok = analysis.closed(ctx.snapshot, in_tree_ref(n))
-            if not ok:
-                raise ConditionFailure("closed", _locate(ctx, n))
-            return True
-        if fn == "fresh":
-            names = _as_names(value_of(e.args[0]))
-            for nm in names:
-                if ctx.standalone:
-                    ok = not any(
-                        isinstance(v, Node) and analysis.occurs_var(nm, v)
-                        for v in b.values())
-                else:
-                    ok = analysis.fresh(ctx.snapshot, nm, ctx.target)
-                if not ok:
-                    raise ConditionFailure("fresh", _locate(ctx, nm))
-            return True
-        if fn == "is_subset":
-            small = set(_as_names(value_of(e.args[0])))
-            big = set(_as_names(value_of(e.args[1])))
-            if not small <= big:
-                raise ConditionFailure("is_subset", _locate(ctx, tuple(sorted(small - big))))
-            return True
-        raise TemplateError(f"unknown condition function {fn!r}")
-
     for c in cond.conjuncts:
-        v = value_of(c.expr)
-        if c.bind_to is not None:
-            if c.bind_to in b:
-                if not struct_eq(b[c.bind_to], v):
-                    raise ConditionFailure("binding", c.bind_to)
-            else:
-                b[c.bind_to] = v
+        if type(c) is Match:
+            name, v = c.pattern.name, _value(c.rhs, b, snap, target)
+            if name not in b:
+                b[name] = v
+            elif not struct_eq(b[name], v):
+                raise ConditionFailure("binding", name)
+        else:
+            _value(c, b, snap, target)
     return b
+
+
+def _value(e: Expr, b: Binding, snap: Optional[Snapshot], target: Optional[NodeRef]):
+    """A term's value: a metavariable's binding, a name itself, or a call's
+    result; a failing predicate raises ConditionFailure."""
+    t = type(e)
+    if t is MetaVar or t is MetaSeq:
+        if e.name not in b:
+            raise UnboundMetavariable(e.name)
+        return b[e.name]
+    if t is not StaticCall:
+        return e.name  # a variable or an atom
+    fn = e.name
+    args = [_value(a, b, snap, target) for a in e.args]
+    if fn == "vars":
+        return tuple(_as_names(args[0]))
+    if fn == "fresh":
+        for nm in _as_names(args[0]):
+            if snap is None:
+                ok = not any(isinstance(v, Node) and analysis.occurs_var(nm, v)
+                             for v in b.values())
+            else:
+                ok = analysis.fresh(snap, nm, target)
+            if not ok:
+                raise ConditionFailure("fresh", _locate(snap, target, nm))
+        return True
+    if fn == "is_subset":
+        small, big = set(_as_names(args[0])), set(_as_names(args[1]))
+        if not small <= big:
+            raise ConditionFailure("is_subset",
+                                   _locate(snap, target, tuple(sorted(small - big))))
+        return True
+    n = args[0]
+    if not isinstance(n, Node):
+        raise TemplateError(f"expected a fragment, got {n!r}")
+    ref = None if snap is None else snap.ref(n.node_id)
+    if fn == "free_vars":
+        return tuple(analysis.expr_free_vars(n) if snap is None
+                     else analysis.free_vars(snap, ref))
+    if fn == "pure":
+        ok = analysis.standalone_pure(n) if snap is None else analysis.pure(snap, ref)
+    elif fn == "closed":
+        ok = not analysis.expr_free_vars(n) if snap is None else analysis.closed(snap, ref)
+    else:  # non_bind
+        ok = not analysis.visible_bindings(n) if snap is None else analysis.non_bind(snap, ref)
+    if not ok:
+        raise ConditionFailure(fn, _locate(snap, target, n))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +626,11 @@ def parse_rule_text(text: str, lhs_kind: str = "expr", rhs_kind: Optional[str] =
         "args": parse_template_args,
         "signature": parse_template_signature,
     }
-    lhs = parsers[lhs_kind](pieces[0].strip())
-    rhs = parsers[rhs_kind](pieces[1].strip())
+    try:
+        lhs = parsers[lhs_kind](pieces[0].strip())
+        rhs = parsers[rhs_kind](pieces[1].strip())
+    except ParseError as err:
+        raise TemplateError(f"cannot parse rule: {err}") from None
     return RewriteRule(lhs, rhs, cond)
 
 
@@ -737,7 +650,7 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcom
     if b is None:
         return NotApplicable("left side does not match")
     try:
-        b = eval_condition(rule.condition, b, CondContext(snap, target))
+        b = eval_condition(rule.condition, b, snap, target)
     except ConditionFailure as f:
         return PreconditionViolated(f.predicate, f.location)
     ctx = SubstCtx.for_module(snap.module, freed=[subj])

@@ -29,14 +29,15 @@ from typing import Callable, Optional, Sequence
 from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
-    Binding, CondContext, Condition, ConditionFailure, NotApplicable,
+    Binding, Condition, ConditionFailure, NotApplicable,
     PreconditionViolated, RewriteRule, SigTemplate, StepOutcome, SubstCtx,
     TemplateError, apply_rule, eval_condition, finish_step, match_template,
     parse_rule_text, substitute, template_metavars,
 )
 from .syntax import (
-    Body, FunDef, Match, ModuleAst, Node, Pattern, PVar, StaticCall,
-    is_expr, module_replace, pattern_to_expr, rebuild, walk,
+    AtomLit, Body, FunDef, Match, ModuleAst, Node, ParseError, Pattern, PVar,
+    StaticCall, VarRef, is_expr, module_replace, parse_expr_text,
+    pattern_to_expr, pretty_expr, rebuild, walk,
 )
 
 
@@ -161,7 +162,7 @@ def _introduce_in_scope(inst: IntroduceVariable, snap: Snapshot,
     if not analysis.total(bound):
         return PreconditionViolated("pure", f"may raise or bind: {_loc(snap, subj)}")
     try:
-        b = eval_condition(inst.ref_rule.condition, b, CondContext(snap, target))
+        b = eval_condition(inst.ref_rule.condition, b, snap, target)
     except ConditionFailure as f:
         return PreconditionViolated(f.predicate, f.location)
 
@@ -210,7 +211,7 @@ def _introduce_outer_scope(inst: IntroduceVariable, snap: Snapshot,
     if not analysis.total(bound):
         return PreconditionViolated("pure", f"may raise or bind: {_loc(snap, subj)}")
     try:
-        b = eval_condition(inst.ref_rule.condition, b, CondContext(snap, target))
+        b = eval_condition(inst.ref_rule.condition, b, snap, target)
     except ConditionFailure as f:
         return PreconditionViolated(f.predicate, f.location)
 
@@ -260,7 +261,7 @@ def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
         try:
             eval_condition(inst.extra_condition,
                            {"E": subj, "Params": tuple(inst.params), "Name": inst.name},
-                           CondContext(snap, target))
+                           snap, target)
         except ConditionFailure as f:
             return PreconditionViolated(f.predicate, f.location)
 
@@ -318,7 +319,7 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
     if b is None:
         return NotApplicable("definition rule does not match")
     try:
-        b = eval_condition(inst.def_rule.condition, b, CondContext(snap, target))
+        b = eval_condition(inst.def_rule.condition, b, snap, target)
     except ConditionFailure as f:
         return PreconditionViolated(f.predicate, f.location)
 
@@ -376,7 +377,7 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
     if b is None:
         return NotApplicable("head rule does not match")
     try:
-        b = eval_condition(inst.head_rule.condition, b, CondContext(snap, target))
+        b = eval_condition(inst.head_rule.condition, b, snap, target)
     except ConditionFailure as f:
         return PreconditionViolated(f.predicate, f.location)
 
@@ -398,8 +399,8 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
             raise _SiteFailure(NotApplicable(
                 f"head rule does not match {_loc(snap, call)}"))
         try:
-            rb = eval_condition(inst.head_rule.condition, rb,
-                                CondContext(snap, snap.ref(call.node_id)))
+            rb = eval_condition(inst.head_rule.condition, rb, snap,
+                                snap.ref(call.node_id))
         except ConditionFailure as f:
             raise _SiteFailure(PreconditionViolated(f.predicate, f.location))
         ref_name, ref_args = substitute(inst.head_rule.rhs, rb, ctx, "expr")
@@ -429,42 +430,41 @@ def _split_sections(body: str, keywords: Sequence[str]) -> dict[str, str]:
     """Chop text into sections introduced by keyword lines.
 
     A section keyword starts a line; its content runs to the next keyword.
-    WHEN may carry its condition on the same line.
+    WHEN may carry its condition on the same line. Text before the first
+    keyword, a repeated keyword and a missing DEFINITION or REFERENCE are
+    errors.
     """
-    pattern = re.compile(r"^[ \t]*(" + "|".join(keywords) + r")\b", re.M)
-    sections: dict[str, str] = {}
-    matches = list(pattern.finditer(body))
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(body)
-        sections[m.group(1)] = body[m.end():end]
+    pieces = re.split(r"^[ \t]*(" + "|".join(keywords) + r")\b", body, flags=re.M)
+    if pieces[0].strip():
+        raise TemplateError(f"text before the first section: {pieces[0].strip()!r}")
+    sections = dict(zip(pieces[1::2], pieces[2::2]))
+    if len(sections) < len(pieces) // 2:
+        raise TemplateError("a section appears twice")
+    if "DEFINITION" not in sections or "REFERENCE" not in sections:
+        raise TemplateError("a DEFINITION and a REFERENCE section are needed")
     return sections
 
 
-def _parse_term(tokens: list[str], ops: dict, selectors: dict, assigned: set):
-    """Take one term off the front of tokens (which end in ""): a local, an
-    atom, or op(term, ..) with op in ops, a name -> callable(snap, target,
-    *args) table, taking as many terms as op takes; nested calls are
-    selectors."""
-    tok = tokens.pop(0)
-    if tokens[:1] != ["("]:
-        if _VAR_RE.match(tok) and tok not in assigned:
-            raise CompositeError(f"local {tok} used before assignment")
-        if not (_VAR_RE.match(tok) or _NAME_RE.match(tok)):
-            raise CompositeError(f"expected a local or an atom, got {tok!r}")
-        return tok
-    if tok not in ops:
-        raise CompositeError(f"unknown operation {tok!r}")
-    tokens.pop(0)
-    terms = [_parse_term(tokens, selectors, selectors, assigned)]
-    while (sep := tokens.pop(0)) == ",":
-        terms.append(_parse_term(tokens, selectors, selectors, assigned))
-    if sep != ")":
-        raise CompositeError(f"expected ',' or ')', got {sep!r}")
+def _term(e: Node, ops: dict, selectors: dict, assigned: set):
+    """A parsed step call or argument as a term: a local, an atom, or
+    (op, terms) with op in ops, a name -> callable(snap, target, *args)
+    table, taking as many terms as op takes; nested calls are selectors."""
+    if type(e) is VarRef or type(e) is AtomLit:
+        if _VAR_RE.match(e.name) and e.name not in assigned:
+            raise CompositeError(f"local {e.name} used before assignment")
+        if not (_VAR_RE.match(e.name) or _NAME_RE.match(e.name)):
+            raise CompositeError(f"expected a local or an atom, got {e.name!r}")
+        return e.name
+    if type(e) is not StaticCall:
+        raise CompositeError(f"expected a local, an atom or a call, got {pretty_expr(e)!r}")
+    if e.name not in ops:
+        raise CompositeError(f"unknown operation {e.name!r}")
+    terms = tuple(_term(a, selectors, selectors, assigned) for a in e.args)
     try:
-        inspect.signature(ops[tok]).bind(None, *terms)  # None stands for the snapshot
+        inspect.signature(ops[e.name]).bind(None, *terms)  # None stands for the snapshot
     except TypeError:
-        raise CompositeError(f"{tok} cannot take {len(terms)} argument(s)") from None
-    return tok, tuple(terms)
+        raise CompositeError(f"{e.name} cannot take {len(terms)} argument(s)") from None
+    return e.name, terms
 
 
 def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
@@ -477,10 +477,11 @@ def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
         if not m:
             raise CompositeError(f"malformed step: {line!r}")
         assign, iterate, call_text, traced = m.groups()
-        tokens = re.findall(r"\w+|\S", call_text) + [""]
-        call = _parse_term(tokens, {**selectors, **steps}, selectors, assigned)
-        if tokens != [""]:
-            raise CompositeError(f"malformed step: {line!r}")
+        try:
+            call = parse_expr_text(call_text, meta=True)
+        except ParseError as err:
+            raise CompositeError(f"malformed step: {line!r}: {err}") from None
+        call = _term(call, {**selectors, **steps}, selectors, assigned)
         if assign in assigned - {"THIS", None}:
             raise CompositeError(f"local {assign} assigned twice")
         assigned.add(assign)
@@ -495,10 +496,13 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
     The factory takes the instance arguments named in the header (for
     example the variable name for extract_to_variable) and returns the
     SchemeInstance. Supported blocks mirror the fixed per-scheme formats
-    with DEFINITION / REFERENCE / WHEN sections. A COMPOSITE block, one
-    ``[Local :=] [ITERATE] op(Target, Arg, ..) [TRACED]`` step per line
-    over the selectors and steps, two name -> callable(snap, target, *args)
-    tables, parses to a CompositeProgram.
+    with DEFINITION / REFERENCE / WHEN sections; an INTRODUCE block's
+    DEFINITION is its scheme's fixed template, and its REFERENCE is an
+    expression rule whose WHEN clause the instance keeps. A COMPOSITE
+    block, one ``[Local :=] [ITERATE] op(Target, Arg, ..) [TRACED]`` step
+    per line over the selectors and steps, two name -> callable(snap,
+    target, *args) tables, parses to a CompositeProgram; a step's call is
+    an expression parsed in meta mode.
     """
     stripped = text.strip()
     for header, kind in _HEADERS:
@@ -517,32 +521,25 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
     if kind == "signature":
         rule = parse_rule_text(body, "signature")
         return kind, name, SignatureRefactoring(rule)
+    if kind in ("introduce_variable", "introduce_function"):
+        sections = _split_sections(body, ("DEFINITION", "REFERENCE"))
+        def_text = sections["DEFINITION"].strip()
+        ref_rule = parse_rule_text(sections["REFERENCE"], "expr")
     if kind == "introduce_variable":
-        placement_m = re.match(r"^DEFINITION\s+IN\s+(OUTER\s+)?SCOPE\b(.*)$", body, re.S)
-        if not placement_m:
-            raise TemplateError("introduce-variable block needs DEFINITION IN [OUTER] SCOPE")
-        placement = "outer_scope" if placement_m.group(1) else "in_scope"
-        after = placement_m.group(2)
-        parts = re.split(r"^\s*REFERENCE\s*$", after, maxsplit=1, flags=re.M)
-        if len(parts) != 2:
-            raise TemplateError("introduce-variable block needs a REFERENCE section")
-        def_text = parts[0].strip()
-        if not re.match(r"^@?\w+\s*=\s*@?\w+$", def_text):
-            raise TemplateError(f"definition template must be 'Name = E': {def_text!r}")
-        ref_rule = parse_rule_text(parts[1], "expr")
-        return kind, name, IntroduceVariable(placement, ref_rule)
+        m = re.fullmatch(r"IN\s+(OUTER\s+)?SCOPE\s+@?\w+\s*=\s*@?\w+", def_text)
+        if not m:
+            raise TemplateError(f"definition must be 'IN [OUTER] SCOPE Name = E': {def_text!r}")
+        return kind, name, IntroduceVariable("outer_scope" if m.group(1) else "in_scope", ref_rule)
     if kind == "introduce_function":
-        sections = _split_sections(body, ("DEFINITION", "REFERENCE", "WHEN"))
-        cond = Condition.parse(sections.get("WHEN", ""))
+        if not re.fullmatch(r"@?\w+\s*\(\s*@?\w+\.\.\.\s*\)\s*->\s*@?\w+\s*\.", def_text):
+            raise TemplateError(f"definition must be 'Name(Params...) -> E .': {def_text!r}")
 
         def factory(fn_name: str, params: tuple[Pattern, ...]):
-            return IntroduceFunction(fn_name, tuple(params), cond)
+            return IntroduceFunction(fn_name, tuple(params), ref_rule.condition)
 
         return kind, name, factory
     if kind == "function":
         sections = _split_sections(body, ("DEFINITION", "REFERENCE", "WHEN"))
-        if "DEFINITION" not in sections or "REFERENCE" not in sections:
-            raise TemplateError("function refactoring needs DEFINITION and REFERENCE rules")
         def_rule = parse_rule_text(sections["DEFINITION"], "head")
         def_rule = replace(def_rule, condition=Condition.parse(sections.get("WHEN", "")))
         ref_rule = parse_rule_text(sections["REFERENCE"], "args")

@@ -979,18 +979,14 @@ def pretty_expr(e: Expr, ctx: int = 0) -> str:
 def find_node(m: ModuleAst, line: int, col: int) -> int:
     """Id of the smallest expression node whose span contains line:col."""
     best: Optional[Node] = None
-
-    def visit(n: Node):
-        nonlocal best
+    # preorder, on an explicit stack: the last hit is the smallest
+    stack = list(reversed(m.definitions))
+    while stack:
+        n = stack.pop()
         if is_expr(n) and n.span is not None and n.span.contains(line, col):
             best = n
-        for c in children(n):
-            if c.span is not None and not c.span.contains(line, col):
-                continue
-            visit(c)
-
-    for d in m.definitions:
-        visit(d)
+        stack.extend(c for c in reversed(children(n))
+                     if c.span is None or c.span.contains(line, col))
     if best is None:
         raise NotFound(f"no expression at {line}:{col}")
     return best.node_id

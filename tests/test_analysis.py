@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from mer.analysis import FunKey, NotApplicableError, Snapshot, StaleRef
 from mer.equiv import GenConfig, gen_expr, gen_module
 from mer.interp import IntV, eval_expr
 from mer.syntax import (
-    Body, FunDef, Lambda, Match, PVar, VarRef, is_expr, parse_expr_text,
-    pretty_expr, rebuild, walk,
+    Body, FunDef, Lambda, Match, PVar, VarRef, find_node, is_expr,
+    parse_expr_text, pretty_expr, rebuild, walk,
 )
 
 from conftest import DOUBLER_SRC, target_of
@@ -410,3 +411,32 @@ def test_purity_soundness_small():
                 env = {v: IntV(rng.randint(-3, 3)) for v in fv}
                 out = eval_expr(n, env, 50_000, module=m)
                 assert out.trace == ()
+
+
+# ---------------------------------------------------------------------------
+# no reference cycles, no recursion limit
+
+
+def test_resolve_and_find_node_leave_no_reference_cycles():
+    m = gen_module(7, 400)
+    snap = Snapshot.from_source("f(X) -> Y = X + 1, fun(Z) -> Y * Z end.\n")
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for d in m.definitions:
+            analysis.resolve(d)
+        find_node(snap.module, 1, 36)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_find_node_and_ref_on_a_3000_term_chain():
+    snap = Snapshot.from_source("f(X) -> " + "X + " * 2999 + "1.\n")
+    chain = snap.module.definitions[0].body.exprs[0]
+    first = snap.node(snap.ref(find_node(snap.module, 1, 9)))  # the deepest leaf
+    assert isinstance(first, VarRef) and first.span.start_col == 9
+    assert snap.node(snap.ref(find_node(snap.module, 1, 12))).op == "+"
+    assert snap.parent_of(chain.node_id) is snap.module.definitions[0].body

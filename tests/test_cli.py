@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import os
 import sys
@@ -428,3 +429,21 @@ def test_paused_verify_leaves_garbage_independent_of_trials(tmp_path, capsys):
     finally:
         if was:
             gc.enable()
+
+
+def test_argument_parser_built_once_per_process(l1, capsys, monkeypatch):
+    main(["check", str(l1)])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert main(["check", str(l1)]) == 0
+        assert main(["refactor", "step", "wrap", str(l1), "--pos", "1:19"]) == 0
+    with pytest.raises(SystemExit):
+        main(["verify"])
+    assert built == []

@@ -344,6 +344,19 @@ def test_composite_malformed_step_rejected(line):
         parse_composite(f"COMPOSITE bad()\n{line}\n")
 
 
+@pytest.mark.parametrize("line", [
+    "wrap(@E)",
+    "wrap(THIS + 1)",
+    "wrap(fun() -> THIS end)",
+    "Fn(THIS)",
+    "wrap(Ä)",
+    "extract_to_variable(THIS, end)",
+])
+def test_composite_step_argument_is_a_local_an_atom_or_a_call(line):
+    with pytest.raises(CompositeError):
+        parse_composite(f"COMPOSITE bad()\n{line}\n")
+
+
 def test_composite_unknown_op_rejected():
     with pytest.raises(CompositeError, match="unknown operation 'unwrap'"):
         parse_composite("COMPOSITE bad()\nunwrap(THIS)\n")

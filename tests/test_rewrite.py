@@ -7,15 +7,15 @@ import pytest
 from mer.analysis import Snapshot
 from mer.equiv import GenConfig, gen_expr
 from mer.rewrite import (
-    Applied, Condition, NotApplicable, PreconditionViolated, SubstCtx,
-    TemplateError, UnboundMetavariable, apply_rule, match_template,
-    parse_rule_text, parse_template_args, parse_template_expr,
+    Applied, Condition, ConditionFailure, NotApplicable, PreconditionViolated,
+    SubstCtx, TemplateError, UnboundMetavariable, apply_rule, eval_condition,
+    match_template, parse_rule_text, parse_template_args, parse_template_expr,
     parse_template_head, parse_template_signature, subst_fragment, substitute,
 )
 from mer.refactorings import WRAP_RULE
 from mer.syntax import (
-    Block, IdGen, Lambda, MetaSeq, MetaVar, PVar, node_ids, parse,
-    parse_expr_text, pretty_expr, struct_eq, walk,
+    Block, IdGen, Lambda, Match, MetaSeq, MetaVar, PVar, StaticCall, node_ids,
+    parse, parse_expr_text, pretty_expr, struct_eq, walk,
 )
 
 from conftest import target_of
@@ -184,6 +184,49 @@ def test_condition_fresh_names():
     assert c.fresh_names({}) == {"Y"}
     c2 = Condition.parse("fresh(@Name)")
     assert c2.fresh_names({"Name": "Q"}) == {"Q"}
+
+
+def test_condition_conjuncts_are_meta_expressions():
+    c = Condition.parse("@Vars... = free_vars(@E) AND fresh(y)")
+    assert [type(x) for x in c.conjuncts] == [Match, StaticCall]
+    assert c.fresh_names({}) == {"y"}
+
+
+def test_condition_standalone_evaluation():
+    c = Condition.parse("@Vars... = free_vars(@E) AND pure(@E)")
+    b = eval_condition(c, {"E": parse_expr_text("X + 1")})
+    assert b["Vars"] == ("X",)
+    with pytest.raises(ConditionFailure, match="pure failed at print"):
+        eval_condition(c, {"E": parse_expr_text("print(X)")})
+    with pytest.raises(UnboundMetavariable):
+        eval_condition(c, {})
+
+
+@pytest.mark.parametrize("text", [
+    "pure(@E",
+    "pure(@E) AND",
+    "X = free_vars(@E)",
+    "@V = @W = free_vars(@E)",
+    "pure(@E) + 1",
+    "unknown(@E)",
+    "pure()",
+    "is_subset(@A)",
+    "@F(@E)",
+    "pure(3)",
+    "fresh(fun() -> 1 end)",
+    "@",
+    "\u00b2",
+])
+def test_malformed_condition_rejected(text):
+    with pytest.raises(TemplateError):
+        Condition.parse(text)
+    with pytest.raises(TemplateError):
+        parse_rule_text(f"@E\n-----\n@E\nWHEN {text}\n")
+
+
+def test_rule_text_parse_error_is_a_template_error():
+    with pytest.raises(TemplateError, match="cannot parse rule"):
+        parse_rule_text("@E )(\n-----\n@E\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 
 from mer.analysis import FunKey, Snapshot, references
-from mer.rewrite import Applied, NotApplicable, PreconditionViolated
+from mer.rewrite import Applied, NotApplicable, PreconditionViolated, TemplateError
 from mer.schemes import (
     IntroduceFunction, IntroduceVariable, Local, SignatureRefactoring,
     parse_scheme_instance, run_function_refactoring, run_introduce_function,
@@ -454,3 +455,33 @@ def test_signature_rule_with_a_concrete_variable_rewrites_call_sites():
         dataclasses.replace(inst, pre_binding={"NewName": "h"}), snap, fn)
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == "h(X) -> X.\ng(X) -> h(X).\n"
+
+
+_INTRO_FUN = "INTRODUCE FUNCTION extract_to_function(Name, Params...)\n"
+_INTRO_VAR = "INTRODUCE VARIABLE extract_to_variable(Name)\n"
+
+
+@pytest.mark.parametrize("block", [
+    _INTRO_FUN + "DEFINITION\ngarbage )(\nREFERENCE\n@E\n-----\n@Name(@Params...)\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E\nREFERENCE\n@E\n-----\n@Name(@Params...)\n",
+    _INTRO_FUN + "REFERENCE\n@E\n-----\n@Name(@Params...)\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E .\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E .\nREFERENCE\n@E )(\n-----\n@Name\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E .\nREFERENCE\n@E\n@Name(@Params...)\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E .\nREFERENCE\n@E\n-----\n@Name\n"
+    "WHEN pure(@E\n",
+    _INTRO_VAR + "junk\nDEFINITION IN SCOPE\n@Name = @E\nREFERENCE\n@E\n-----\n@Name\n",
+    _INTRO_VAR + "DEFINITION IN SIDE SCOPE\n@Name = @E\nREFERENCE\n@E\n-----\n@Name\n",
+    _INTRO_VAR + "DEFINITION IN SCOPE\n@Name\nREFERENCE\n@E\n-----\n@Name\n",
+    _INTRO_VAR + "DEFINITION IN SCOPE\n@Name = @E\n",
+    _INTRO_VAR + "DEFINITION IN SCOPE\n@Name = @E\nREFERENCE\n@E\n-----\n@Name\n"
+    "REFERENCE\n@E\n-----\n@Name\n",
+], ids=[
+    "fun-garbage-definition", "fun-definition-without-dot", "fun-no-definition",
+    "fun-no-reference", "fun-reference-unparsable", "fun-reference-not-a-rule",
+    "fun-when-unparsable", "var-text-before-definition", "var-bad-placement",
+    "var-definition-not-a-match", "var-no-reference", "var-reference-twice",
+])
+def test_introduce_block_sections_checked(block):
+    with pytest.raises(TemplateError):
+        parse_scheme_instance(block)
