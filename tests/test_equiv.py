@@ -20,7 +20,7 @@ from mer.interp import (
 from mer.refactorings import WRAP_RULE, extract_to_variable, wrap
 from mer.rewrite import Applied, Condition, parse_rule_text
 from mer.syntax import (
-    IntLit, VarRef, is_expr, module_struct_eq, parse, pretty, walk,
+    IntLit, ModuleAst, VarRef, is_expr, module_struct_eq, parse, pretty, walk,
 )
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC
@@ -230,6 +230,41 @@ def test_repeated_timeouts_counted_per_trial(monkeypatch):
     assert v == Unknown(timeouts=100, trials=100)
     # at most 11 distinct arguments for loop/1, one call for wait/0
     assert len(set(calls)) == len(calls) <= 2 * (11 + 1)
+
+
+def with_definitions(before: ModuleAst, keep: int, *texts: str) -> ModuleAst:
+    """before's first keep definitions, the very same objects, followed by
+    the definitions parsed from texts."""
+    added = tuple(parse(t).definitions[0] for t in texts)
+    return ModuleAst(before.definitions[:keep] + added, before.next_node_id)
+
+
+def test_closure_argument_runs_against_the_module_it_is_passed_to():
+    # f is the same object on both sides, but the closure's call of g
+    # resolves in the module being run, where g differs
+    before = parse("f(F) -> F(1).\ng(X) -> X + 1.\n")
+    after = with_definitions(before, 1, "g(X) -> X + 2.\n")
+    assert after.definitions[0] is before.definitions[0]
+    calls_g = eval_call(parse("k() -> fun(Y) -> g(Y) end.\n"), FunKey("k", 0), ()).value
+    plan = TrialPlan(entries=(FunKey("f", 1),), trials=3,
+                     arg_gen=lambda rng, arity: (calls_g,))
+    v = check_module_equiv(before, after, plan)
+    assert isinstance(v, Inequivalent) and v.reason == "value" and v.trial == 1
+
+
+def test_change_two_calls_away_inside_a_lambda_is_detected():
+    before = parse("f(X) -> (fun() -> h(X) end)().\nh(X) -> g(X).\ng(X) -> X + 1.\n")
+    after = with_definitions(before, 2, "g(X) -> X + 2.\n")
+    v = check_module_equiv(before, after, TrialPlan(entries=(FunKey("f", 1),), trials=5))
+    assert isinstance(v, Inequivalent) and v.reason == "value" and v.trial == 1
+
+
+def test_callee_defined_only_after_is_detected():
+    before = parse("f(X) -> g(X).\n")
+    after = with_definitions(before, 1, "g(X) -> X.\n")
+    v = check_module_equiv(before, after, TrialPlan(entries=(FunKey("f", 1),), trials=5))
+    assert isinstance(v, Inequivalent) and v.reason == "outcome"
+    assert isinstance(v.outcome1, Exn) and isinstance(v.outcome2, Ok)
 
 
 def test_trace_differences_detected():
