@@ -9,7 +9,13 @@ timeout on either side makes the trial (and, absent a stronger verdict,
 the whole check) Unknown: nontermination is never classified as equal
 or different. Evaluation is deterministic, so within one module check a
 repeated trial (same entry, same arguments) is evaluated once and
-counted every time, its timeout included.
+counted every time, its timeout included. Across checks, each module
+keeps the outcomes of its entry calls (see ``interp.eval_call``), so
+checks sharing a ``before`` module evaluate each of its calls once. A
+trial of an entry whose reachable definitions are the very same objects
+in both modules (``interp.same_code``) runs on ``before`` alone: equal,
+or unknown if it timed out. Trials with a closure argument are exempt
+from both: the closure's body calls into whichever module runs it.
 
 All generators are deterministic in their seed, so every Inequivalent
 verdict carries a directly replayable witness.
@@ -17,6 +23,8 @@ verdict carries a directly replayable witness.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -24,9 +32,9 @@ from typing import Callable, Optional, Sequence, Union
 from . import analysis
 from .analysis import FunKey
 from .interp import (
-    DEFAULT_FUEL, Env, Exn, IntV, Ok, Outcome, Timeout, Value,
+    DEFAULT_FUEL, Env, Exn, IntV, Ok, Outcome, Timeout, Value, _program,
     envs_equal, eval_call, eval_expr, format_outcome, format_value,
-    traces_equal, values_equal,
+    same_code, traces_equal, values_equal,
 )
 from .rewrite import (
     Binding, Condition, ConditionFailure, SubstCtx, Template,
@@ -155,7 +163,26 @@ class TrialPlan:
     def make_args(self, rng: random.Random, arity: int) -> tuple[Value, ...]:
         if self.arg_gen is not None:
             return tuple(self.arg_gen(rng, arity))
-        return tuple(IntV(rng.randint(self.arg_lo, self.arg_hi)) for _ in range(arity))
+        return _draw_ints(rng, self.arg_lo, self.arg_hi, arity)
+
+
+# a wider range is drawn with rng.randint, not tabulated
+_INT_TABLE_MAX = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _int_table(lo: int, hi: int) -> Optional[tuple[IntV, ...]]:
+    return tuple(map(IntV, range(lo, hi + 1))) if 0 <= hi - lo < _INT_TABLE_MAX else None
+
+
+def _draw_ints(rng: random.Random, lo: int, hi: int, n: int) -> tuple[IntV, ...]:
+    """n integers drawn uniformly from [lo, hi]. rng.choice of a prebuilt
+    table draws once per value, as rng.randint(lo, hi) would: both call
+    rng._randbelow(hi - lo + 1), so the stream is the same."""
+    table = _int_table(lo, hi)
+    if table is None:
+        return tuple(IntV(rng.randint(lo, hi)) for _ in range(n))
+    return tuple(map(rng.choice, itertools.repeat(table, n)))
 
 
 def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
@@ -172,40 +199,47 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
 
     Evaluation is deterministic, so a trial repeating an earlier (entry,
     arguments) pair of the same check is not run again: it counts as a
-    trial, and as a timeout if the first one timed out. Arguments that
-    cannot be hashed, such as closures, are run every time.
+    trial, and as a timeout if the first one timed out. A trial of an
+    entry that runs the same code in both modules is run on before only.
+    Arguments that cannot be hashed, such as closures, are run every
+    time, on both modules.
     """
     _check_budget(plan.trials, plan.fuel, plan.arg_lo, plan.arg_hi)
     if not plan.entries:
         raise PlanError("a trial plan needs at least one entry")
-    before_keys = {FunKey(d.name, d.arity) for d in before.definitions}
-    after_keys = {FunKey(d.name, d.arity) for d in after.definitions}
+    before_defs, after_defs = _program(before).defs, _program(after).defs
     for entry in plan.entries:
-        if entry not in before_keys or entry not in after_keys:
+        key = (entry.name, entry.arity)
+        if key not in before_defs or key not in after_defs:
             raise PlanError(f"entry {entry} is not defined in both modules")
+    entries = [(i, entry, same_code(before, after, entry))
+               for i, entry in enumerate(plan.entries)]
     rng = random.Random(plan.seed)
-    seen: dict = {}  # (entry, args) of an evaluated trial -> it timed out
+    seen: dict = {}  # (entry position, args) of an evaluated trial -> it timed out
     timeouts = 0
     trial_no = 0
     for _ in range(plan.trials):
-        for entry in plan.entries:
+        for i, entry, unchanged in entries:
             trial_no += 1
             args = plan.make_args(rng, entry.arity)
             if len(args) != entry.arity:
                 raise PlanError(f"the arguments made for entry {entry} number "
                                 f"{len(args)}, not {entry.arity}")
-            key = (entry, args)
+            key = (i, args)
             try:
                 timed_out = seen.get(key)
             except TypeError:  # unhashable: a closure's env is a dict
                 key = timed_out = None
             if timed_out is None:
                 o1 = eval_call(before, entry, args, plan.fuel)
-                o2 = eval_call(after, entry, args, plan.fuel)
-                status, reason = eq_outcomes(o1, o2, compare_env=False)
-                if status == DIFFERENT:
-                    return Inequivalent(entry, args, o1, o2, reason, trial_no, timeouts)
-                timed_out = status == UNKNOWN
+                if key is not None and unchanged:
+                    timed_out = isinstance(o1, Timeout)
+                else:
+                    o2 = eval_call(after, entry, args, plan.fuel)
+                    status, reason = eq_outcomes(o1, o2, compare_env=False)
+                    if status == DIFFERENT:
+                        return Inequivalent(entry, args, o1, o2, reason, trial_no, timeouts)
+                    timed_out = status == UNKNOWN
                 if key is not None:
                     seen[key] = timed_out
             timeouts += timed_out
@@ -331,8 +365,7 @@ def gen_expr(seed: int, depth: int, env_vars: Sequence[str],
 
 
 def gen_args(seed: int, arity: int, lo: int = -5, hi: int = 5) -> tuple[Value, ...]:
-    rng = random.Random(seed)
-    return tuple(IntV(rng.randint(lo, hi)) for _ in range(arity))
+    return _draw_ints(random.Random(seed), lo, hi, arity)
 
 
 def gen_module(seed: int, size: int = 3) -> ModuleAst:
@@ -424,7 +457,7 @@ def check_rule_equiv(lhs: Template, rhs: Template, condition: Condition,
         except UnboundMetavariable:
             continue
         free = set(analysis.expr_free_vars(left)) | set(analysis.expr_free_vars(right))
-        env: Env = {v: IntV(rng.randint(-5, 5)) for v in sorted(free)}
+        env: Env = dict(zip(sorted(free), _draw_ints(rng, -5, 5, len(free))))
         accepted += 1
         o1 = eval_expr(left, env, fuel)
         o2 = eval_expr(right, env, fuel)

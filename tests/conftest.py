@@ -15,6 +15,24 @@ DOUBLER_SRC_PRETTY = "f(X) -> begin X * 2 end.\ng(X) -> f(X + 1).\n"
 
 
 @pytest.fixture
+def runs(monkeypatch) -> list:
+    """The program of every entry call the interpreter runs, as opposed
+    to answering it from the outcomes a module keeps."""
+    from mer import interp
+    programs = []
+
+    class Counting(interp._State):
+        __slots__ = ()
+
+        def __init__(self, program, fuel):
+            programs.append(program)
+            super().__init__(program, fuel)
+
+    monkeypatch.setattr(interp, "_State", Counting)
+    return programs
+
+
+@pytest.fixture
 def doubler():
     return Snapshot.from_source(DOUBLER_SRC)
 

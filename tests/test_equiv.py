@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from mer import equiv
+from mer import equiv, interp
 from mer.analysis import FunKey, Snapshot
 from mer.equiv import (
     DIFFERENT, EQUAL, UNKNOWN, Equivalent, GenerationExhausted, Inequivalent,
@@ -265,6 +265,42 @@ def test_callee_defined_only_after_is_detected():
     v = check_module_equiv(before, after, TrialPlan(entries=(FunKey("f", 1),), trials=5))
     assert isinstance(v, Inequivalent) and v.reason == "outcome"
     assert isinstance(v.outcome1, Exn) and isinstance(v.outcome2, Ok)
+
+
+def distinct_trials(plan: TrialPlan) -> int:
+    rng = random.Random(plan.seed)
+    return len({(entry, plan.make_args(rng, entry.arity))
+                for _ in range(plan.trials) for entry in plan.entries})
+
+
+def test_second_check_runs_nothing_on_the_same_before(runs):
+    before = parse(DOUBLER_SRC)
+    first = check_module_equiv(before, parse(GENERALISED_SRC), PLAN)
+    n = distinct_trials(PLAN)
+    assert len(runs) == 2 * n
+    runs.clear()
+    assert check_module_equiv(before, parse(GENERALISED_SRC), PLAN) == first
+    assert len(runs) == n
+    assert interp._program(before) not in runs
+
+
+def test_entry_not_reaching_the_edit_runs_once_per_distinct_trial(runs):
+    before = parse("f(X) -> (fun() -> h(X) end)() * 2.\nh(X) -> X + 1.\ng(X) -> X - 1.\n")
+    after = with_definitions(before, 2, "g(X) -> X + 1 - 2.\n")
+    f_plan = TrialPlan(entries=(FunKey("f", 1),), trials=40)
+    assert check_module_equiv(before, after, f_plan) == Equivalent(40)
+    assert len(runs) == distinct_trials(f_plan)
+    assert set(runs) == {interp._program(before)}
+    runs.clear()
+    g_plan = TrialPlan(entries=(FunKey("g", 1),), trials=40, seed=1)
+    assert check_module_equiv(before, after, g_plan) == Equivalent(40)
+    assert len(runs) == 2 * distinct_trials(g_plan)
+
+
+def test_check_against_itself_runs_each_distinct_trial_once(runs):
+    m = parse(DOUBLER_SRC)
+    assert check_module_equiv(m, m, PLAN) == Equivalent(100)
+    assert len(runs) == distinct_trials(PLAN)
 
 
 def test_trace_differences_detected():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -13,11 +14,14 @@ from mer.equiv import (
     GenConfig, TrialPlan, check_module_equiv, gen_args, gen_expr, gen_module,
 )
 from mer.interp import (
-    AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, UnboundVariable,
-    env_concat, env_lookup, env_remove, eval_call, eval_expr, format_outcome,
-    format_value, get_matching, is_matching, values_equal,
+    AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, TupleV,
+    UnboundVariable, env_concat, env_lookup, env_remove, eval_call, eval_expr,
+    format_outcome, format_value, get_matching, is_matching, same_code,
+    values_equal,
 )
-from mer.syntax import Lambda, PVar, IdGen, VarRef, parse, parse_expr_text, walk
+from mer.syntax import (
+    Lambda, ModuleAst, PVar, IdGen, VarRef, parse, parse_expr_text, pretty, walk,
+)
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC
 
@@ -142,6 +146,72 @@ def test_eval_call_undef_and_badarity():
     m = parse(DOUBLER_SRC)
     assert eval_call(m, FunKey("h", 1), [IntV(0)]) == Exn("undef", ())
     assert eval_call(m, FunKey("f", 1), [IntV(0), IntV(0)]) == Exn("badarity", ())
+
+
+def test_repeated_call_answered_from_the_module(runs):
+    m = parse("f(X) -> print(X), {X, a}.\nloop(X) -> loop(X).\n")
+    f, loop = FunKey("f", 1), FunKey("loop", 1)
+    first = eval_call(m, f, [TupleV((IntV(1), AtomV("b")))])
+    assert eval_call(m, f, (TupleV((IntV(1), AtomV("b"))),)) is first
+    assert isinstance(eval_call(m, loop, (IntV(0),), fuel=50), Timeout)
+    assert isinstance(eval_call(m, loop, (IntV(0),), fuel=50), Timeout)
+    assert len(runs) == 2
+    # another fuel, other arguments, another module: run again
+    eval_call(m, f, (IntV(1),))
+    eval_call(m, loop, (IntV(0),), fuel=51)
+    assert eval_call(parse(pretty(m)), f, (TupleV((IntV(1), AtomV("b"))),)) == first
+    assert len(runs) == 5
+
+
+def test_closure_arguments_run_every_time(runs):
+    m = parse("f(F) -> F(2).\n")
+    closure = eval_call(parse("k() -> fun(Y) -> Y * 3 end.\n"), FunKey("k", 0), ()).value
+    for _ in range(3):
+        assert eval_call(m, FunKey("f", 1), (closure,)) == Ok(IntV(6), {}, ())
+    assert runs.count(interp._program(m)) == 3
+
+
+def test_recursion_limit_timeout_is_not_kept():
+    # a timeout on Python's recursion limit depends on how deep the
+    # caller is; the same call from the top level returns
+    n = 150
+    m = parse("".join(f"f{i}(X) -> f{i + 1}(X) + 1.\n" for i in range(n))
+              + f"f{n}(X) -> X.\n")
+    entry = FunKey("f0", 1)
+
+    def depth() -> int:
+        frame, d = sys._getframe(), 0
+        while frame is not None:
+            frame, d = frame.f_back, d + 1
+        return d
+
+    def call_from(frames_above: int):
+        if frames_above > depth():
+            return call_from(frames_above)
+        return eval_call(m, entry, (IntV(0),))
+
+    deep = sys.getrecursionlimit() - n
+    assert isinstance(call_from(deep), Timeout)
+    assert eval_call(m, entry, (IntV(0),)) == Ok(IntV(n), {}, ())
+    # the outcome of a finished run is kept, whatever the depth
+    assert call_from(deep) == Ok(IntV(n), {}, ())
+
+
+def test_same_code_follows_static_calls_into_lambdas():
+    before = parse("f(X) -> (fun() -> h(X) end)().\nh(X) -> g(X).\ng(X) -> X.\n"
+                   "k(X) -> u(X).\n")
+    g2 = parse("g(X) -> X + 0.\n").definitions[0]
+    after = ModuleAst(before.definitions[:2] + (g2,) + before.definitions[3:],
+                      before.next_node_id)
+    f, h, g, k = (FunKey(n, 1) for n in "fhgk")
+    assert same_code(before, before, f)
+    assert not any(same_code(before, after, e) for e in (f, h, g))
+    assert not same_code(before, parse(pretty(before)), k)
+    # k calls u, undefined in both; defining it changes k's code
+    assert same_code(before, after, k)
+    u = parse("u(X) -> X.\n").definitions[0]
+    with_u = ModuleAst(before.definitions + (u,), before.next_node_id)
+    assert not same_code(before, with_u, k) and same_code(before, with_u, f)
 
 
 # ---------------------------------------------------------------------------
