@@ -332,10 +332,10 @@ def same_code(m1: ModuleAst, m2: ModuleAst, key: FunKey) -> bool:
     same object in m2, or undefined in both: a call then runs the same
     code in both, unless a closure argument brings code of its own."""
     k = (key.name, key.arity)
-    defs1, defs2 = _program(m1).defs, _program(m2).defs
-    if defs1.get(k) is not defs2.get(k):
+    program, defs2 = _program(m1), _program(m2).defs
+    if program.defs.get(k) is not defs2.get(k):
         return False  # the usual case, decided before computing a reach
-    return all(defs2.get(r) is d for r, d in _program(m1).reach(k).items())
+    return all(defs2.get(r) is d for r, d in program.reach(k).items())
 
 
 def _int_op(f: Callable[[int, int], Value]) -> Callable[[Value, Value], Value]:

@@ -456,6 +456,16 @@ def test_gen_args_contract():
     assert gen_args(0, 2) == args
 
 
+@pytest.mark.parametrize("lo, hi", [(-5, 5), (3, 3), (-10**12, 10**12)])
+def test_argument_draws_consume_the_generator_as_randint(lo, hi):
+    plan = TrialPlan(entries=(FunKey("f", 2),), arg_lo=lo, arg_hi=hi)
+    rng, ref = random.Random(5), random.Random(5)
+    drawn = [plan.make_args(rng, 2) for _ in range(100)]
+    assert drawn == [(IntV(ref.randint(lo, hi)), IntV(ref.randint(lo, hi)))
+                     for _ in range(100)]
+    assert rng.random() == ref.random()
+
+
 def test_gen_module_entries_terminate():
     # acyclic call graphs: every entry finishes within modest fuel
     for seed in range(25):
