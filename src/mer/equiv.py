@@ -9,13 +9,12 @@ timeout on either side makes the trial (and, absent a stronger verdict,
 the whole check) Unknown: nontermination is never classified as equal
 or different. Evaluation is deterministic, so within one module check a
 repeated trial (same entry, same arguments) is evaluated once and
-counted every time, its timeout included. Across checks, each module
-keeps the outcomes of its entry calls (see ``interp.eval_call``), so
-checks sharing a ``before`` module evaluate each of its calls once. A
-trial of an entry whose reachable definitions are the very same objects
-in both modules (``interp.same_code``) runs on ``before`` alone: equal,
-or unknown if it timed out. Trials with a closure argument are exempt
-from both: the closure's body calls into whichever module runs it.
+counted every time, its timeout included. A trial of an entry whose
+reachable definitions are the very same objects in both modules
+(``interp.same_code``) runs on ``before`` alone: equal, or unknown if it
+timed out. A trial with a closure argument is neither repeated from
+an earlier one nor run on ``before`` alone: the closure's body calls
+into whichever module runs it.
 
 All generators are deterministic in their seed, so every Inequivalent
 verdict carries a directly replayable witness.
@@ -23,8 +22,6 @@ verdict carries a directly replayable witness.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -163,26 +160,7 @@ class TrialPlan:
     def make_args(self, rng: random.Random, arity: int) -> tuple[Value, ...]:
         if self.arg_gen is not None:
             return tuple(self.arg_gen(rng, arity))
-        return _draw_ints(rng, self.arg_lo, self.arg_hi, arity)
-
-
-# a wider range is drawn with rng.randint, not tabulated
-_INT_TABLE_MAX = 4096
-
-
-@functools.lru_cache(maxsize=16)
-def _int_table(lo: int, hi: int) -> Optional[tuple[IntV, ...]]:
-    return tuple(map(IntV, range(lo, hi + 1))) if 0 <= hi - lo < _INT_TABLE_MAX else None
-
-
-def _draw_ints(rng: random.Random, lo: int, hi: int, n: int) -> tuple[IntV, ...]:
-    """n integers drawn uniformly from [lo, hi]. rng.choice of a prebuilt
-    table draws once per value, as rng.randint(lo, hi) would: both call
-    rng._randbelow(hi - lo + 1), so the stream is the same."""
-    table = _int_table(lo, hi)
-    if table is None:
-        return tuple(IntV(rng.randint(lo, hi)) for _ in range(n))
-    return tuple(map(rng.choice, itertools.repeat(table, n)))
+        return tuple(IntV(rng.randint(self.arg_lo, self.arg_hi)) for _ in range(arity))
 
 
 def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
@@ -365,7 +343,8 @@ def gen_expr(seed: int, depth: int, env_vars: Sequence[str],
 
 
 def gen_args(seed: int, arity: int, lo: int = -5, hi: int = 5) -> tuple[Value, ...]:
-    return _draw_ints(random.Random(seed), lo, hi, arity)
+    rng = random.Random(seed)
+    return tuple(IntV(rng.randint(lo, hi)) for _ in range(arity))
 
 
 def gen_module(seed: int, size: int = 3) -> ModuleAst:
@@ -457,7 +436,7 @@ def check_rule_equiv(lhs: Template, rhs: Template, condition: Condition,
         except UnboundMetavariable:
             continue
         free = set(analysis.expr_free_vars(left)) | set(analysis.expr_free_vars(right))
-        env: Env = dict(zip(sorted(free), _draw_ints(rng, -5, 5, len(free))))
+        env: Env = {v: IntV(rng.randint(-5, 5)) for v in sorted(free)}
         accepted += 1
         o1 = eval_expr(left, env, fuel)
         o2 = eval_expr(right, env, fuel)

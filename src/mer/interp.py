@@ -39,16 +39,12 @@ module it was compiled in. Compiling and evaluating both nest Python
 calls, one per tree level, so evaluation depth is still bounded by
 Python's recursion limit; hitting that limit is reported as a Timeout.
 
-Evaluation is deterministic, so the program also keeps the outcome of
-each entry call (``eval_call``) whose arguments can be hashed, by entry,
-arguments and fuel, and answers a repeated call from it. A timeout
-caused by the recursion limit depends on how deep in Python's stack the
-call was made, so it is never kept. The program also knows, per entry,
-the definitions a call can reach through static calls, lambda bodies
-included; ``same_code`` tells whether two modules share every one of
-them by identity, as ``rebuild`` leaves the definitions a step did not
-touch. A closure argument is the exception to that reach: its body's
-static calls resolve in the module it is run in.
+The program also knows, per entry, the definitions a call can reach
+through static calls, lambda bodies included; ``same_code`` tells
+whether two modules share every one of them by identity, as ``rebuild``
+leaves the definitions a step did not touch. A closure argument is the
+exception to that reach: its body's static calls resolve in the module
+it is run in.
 """
 
 from __future__ import annotations
@@ -280,15 +276,13 @@ Function = Callable[[_State, Sequence[Value], Env], Value]
 
 class _Evaluator:
     """A module's program: its definitions by (name, arity), each
-    compiled on its first call, the outcomes of its entry calls, and the
-    definitions each entry reaches. Built once per module (see
-    _program)."""
+    compiled on its first call, and the definitions each entry reaches.
+    Built once per module (see _program)."""
 
     def __init__(self, module: Optional[ModuleAst]):
         self.defs: dict[tuple[str, int], FunDef] = (
             {} if module is None else {(d.name, d.arity): d for d in module.definitions})
         self.functions: dict[tuple[str, int], Function] = {}
-        self.outcomes: dict[tuple, Outcome] = {}  # (key, args, fuel) -> outcome
         self.reaches: dict[tuple[str, int], dict] = {}
 
     def reach(self, key: tuple[str, int]) -> dict[tuple[str, int], Optional[FunDef]]:
@@ -630,32 +624,17 @@ def eval_expr(e: Expr, env: Env, fuel: int = DEFAULT_FUEL, *,
 
 def eval_call(m: ModuleAst, key: FunKey, args: Sequence[Value],
               fuel: int = DEFAULT_FUEL) -> Outcome:
-    """Evaluate a module entry point; the outcome carries an empty env.
-
-    A repeated call with hashable arguments and the same fuel is answered
-    from the module's program, unless it timed out on the recursion limit.
-    """
+    """Evaluate a module entry point; the outcome carries an empty env."""
     program = _program(m)
-    k = (key.name, key.arity)
-    if k not in program.defs:
+    if (key.name, key.arity) not in program.defs:
         return Exn("undef", ())
     if len(args) != key.arity:
         return Exn("badarity", ())
-    memo = (k, tuple(args), fuel)
+    st = _State(program, fuel)
     try:
-        outcome = program.outcomes.get(memo)
-    except TypeError:  # unhashable: a closure's env is a dict
-        memo = outcome = None
-    if outcome is None:
-        st = _State(program, fuel)
-        try:
-            outcome = Ok(program.function(k)(st, args, {}), {}, tuple(st.trace))
-        except _Raise as r:
-            outcome = Exn(r.kind, tuple(st.trace))
-        except _NoFuel:
-            outcome = Timeout(tuple(st.trace))
-        except RecursionError:  # decided by the caller's stack: not kept
-            return Timeout(tuple(st.trace))
-        if memo is not None:
-            program.outcomes[memo] = outcome
-    return outcome
+        fn = program.function((key.name, key.arity))
+        return Ok(fn(st, args, {}), {}, tuple(st.trace))
+    except _Raise as r:
+        return Exn(r.kind, tuple(st.trace))
+    except (_NoFuel, RecursionError):
+        return Timeout(tuple(st.trace))

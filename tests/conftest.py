@@ -16,8 +16,7 @@ DOUBLER_SRC_PRETTY = "f(X) -> begin X * 2 end.\ng(X) -> f(X + 1).\n"
 
 @pytest.fixture
 def runs(monkeypatch) -> list:
-    """The program of every entry call the interpreter runs, as opposed
-    to answering it from the outcomes a module keeps."""
+    """The program of every entry call the interpreter runs."""
     from mer import interp
     programs = []
 

@@ -273,17 +273,6 @@ def distinct_trials(plan: TrialPlan) -> int:
                 for _ in range(plan.trials) for entry in plan.entries})
 
 
-def test_second_check_runs_nothing_on_the_same_before(runs):
-    before = parse(DOUBLER_SRC)
-    first = check_module_equiv(before, parse(GENERALISED_SRC), PLAN)
-    n = distinct_trials(PLAN)
-    assert len(runs) == 2 * n
-    runs.clear()
-    assert check_module_equiv(before, parse(GENERALISED_SRC), PLAN) == first
-    assert len(runs) == n
-    assert interp._program(before) not in runs
-
-
 def test_entry_not_reaching_the_edit_runs_once_per_distinct_trial(runs):
     before = parse("f(X) -> (fun() -> h(X) end)() * 2.\nh(X) -> X + 1.\ng(X) -> X - 1.\n")
     after = with_definitions(before, 2, "g(X) -> X + 1 - 2.\n")
@@ -454,16 +443,6 @@ def test_gen_args_contract():
     assert len(args) == 2
     assert all(isinstance(a, IntV) for a in args)
     assert gen_args(0, 2) == args
-
-
-@pytest.mark.parametrize("lo, hi", [(-5, 5), (3, 3), (-10**12, 10**12)])
-def test_argument_draws_consume_the_generator_as_randint(lo, hi):
-    plan = TrialPlan(entries=(FunKey("f", 2),), arg_lo=lo, arg_hi=hi)
-    rng, ref = random.Random(5), random.Random(5)
-    drawn = [plan.make_args(rng, 2) for _ in range(100)]
-    assert drawn == [(IntV(ref.randint(lo, hi)), IntV(ref.randint(lo, hi)))
-                     for _ in range(100)]
-    assert rng.random() == ref.random()
 
 
 def test_gen_module_entries_terminate():

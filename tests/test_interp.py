@@ -14,10 +14,9 @@ from mer.equiv import (
     GenConfig, TrialPlan, check_module_equiv, gen_args, gen_expr, gen_module,
 )
 from mer.interp import (
-    AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, TupleV,
-    UnboundVariable, env_concat, env_lookup, env_remove, eval_call, eval_expr,
-    format_outcome, format_value, get_matching, is_matching, same_code,
-    values_equal,
+    AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, UnboundVariable,
+    env_concat, env_lookup, env_remove, eval_call, eval_expr, format_outcome,
+    format_value, get_matching, is_matching, same_code, values_equal,
 )
 from mer.syntax import (
     Lambda, ModuleAst, PVar, IdGen, VarRef, parse, parse_expr_text, pretty, walk,
@@ -148,30 +147,7 @@ def test_eval_call_undef_and_badarity():
     assert eval_call(m, FunKey("f", 1), [IntV(0), IntV(0)]) == Exn("badarity", ())
 
 
-def test_repeated_call_answered_from_the_module(runs):
-    m = parse("f(X) -> print(X), {X, a}.\nloop(X) -> loop(X).\n")
-    f, loop = FunKey("f", 1), FunKey("loop", 1)
-    first = eval_call(m, f, [TupleV((IntV(1), AtomV("b")))])
-    assert eval_call(m, f, (TupleV((IntV(1), AtomV("b"))),)) is first
-    assert isinstance(eval_call(m, loop, (IntV(0),), fuel=50), Timeout)
-    assert isinstance(eval_call(m, loop, (IntV(0),), fuel=50), Timeout)
-    assert len(runs) == 2
-    # another fuel, other arguments, another module: run again
-    eval_call(m, f, (IntV(1),))
-    eval_call(m, loop, (IntV(0),), fuel=51)
-    assert eval_call(parse(pretty(m)), f, (TupleV((IntV(1), AtomV("b"))),)) == first
-    assert len(runs) == 5
-
-
-def test_closure_arguments_run_every_time(runs):
-    m = parse("f(F) -> F(2).\n")
-    closure = eval_call(parse("k() -> fun(Y) -> Y * 3 end.\n"), FunKey("k", 0), ()).value
-    for _ in range(3):
-        assert eval_call(m, FunKey("f", 1), (closure,)) == Ok(IntV(6), {}, ())
-    assert runs.count(interp._program(m)) == 3
-
-
-def test_recursion_limit_timeout_is_not_kept():
+def test_recursion_limit_timeout_depends_on_the_caller():
     # a timeout on Python's recursion limit depends on how deep the
     # caller is; the same call from the top level returns
     n = 150
@@ -193,8 +169,6 @@ def test_recursion_limit_timeout_is_not_kept():
     deep = sys.getrecursionlimit() - n
     assert isinstance(call_from(deep), Timeout)
     assert eval_call(m, entry, (IntV(0),)) == Ok(IntV(n), {}, ())
-    # the outcome of a finished run is kept, whatever the depth
-    assert call_from(deep) == Ok(IntV(n), {}, ())
 
 
 def test_same_code_follows_static_calls_into_lambdas():
