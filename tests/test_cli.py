@@ -342,6 +342,34 @@ def test_verify_zero_trials_exits_2(l1, l2, capsys):
     assert "at least one trial" in captured.err
 
 
+_BAD_AT_1_9 = ("f(X) -> .\n", "1:9: expected expression, found '.'")
+# AFTER's error lies past a prefix it shares with the doubler, or is a
+# duplicate of a definition it shares with it in place
+_BAD_AFTER = [
+    _BAD_AT_1_9,
+    (DOUBLER_SRC + "h(X) -> X +.\n", "3:12: expected expression, found '.'"),
+    ("g(X) -> f(X+1).\ng(X) -> f(X+1).\n", "2:1: duplicate definition g/1"),
+]
+
+
+@pytest.mark.parametrize("bad_before,bad_after", [
+    (True, None), *((False, bad) for bad in _BAD_AFTER), *((True, bad) for bad in _BAD_AFTER)])
+def test_verify_malformed_files_exit_2(tmp_path, capsys, bad_before, bad_after):
+    before, after = tmp_path / "before.mer", tmp_path / "after.mer"
+    before.write_text(_BAD_AT_1_9[0] if bad_before else DOUBLER_SRC)
+    after.write_text(bad_after[0] if bad_after else DOUBLER_SRC)
+    code = main(["verify", str(before), str(after), "--entry", "f/1"])
+    captured = capsys.readouterr()
+    want = []
+    if bad_before:
+        want.append(f"mer: {before}:{_BAD_AT_1_9[1]}\n")
+    if bad_after:
+        want.append(f"mer: {after}:{bad_after[1]}\n")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "".join(want)
+
+
 @pytest.mark.parametrize("fuel", ["0", "-3"])
 def test_verify_fuel_below_one_exits_2(l1, l2, capsys, fuel):
     code = main(["verify", str(l1), str(l2), "--entry", "f/1", "--fuel", fuel])
