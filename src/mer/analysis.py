@@ -91,8 +91,10 @@ class Snapshot:
         self.version = next(_version_counter) if version is None else version
 
     @classmethod
-    def from_source(cls, source: str) -> "Snapshot":
-        return cls(parse(source))
+    def from_source(cls, source: str,
+                    base: Optional[tuple[str, ModuleAst]] = None) -> "Snapshot":
+        """The snapshot of source, parsed against base (see syntax.parse)."""
+        return cls(parse(source, base))
 
     @cached_property
     def _index(self) -> _Index:

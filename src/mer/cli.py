@@ -43,7 +43,7 @@ from .equiv import (
 from .interp import DEFAULT_FUEL
 from .rewrite import Applied, NotApplicable, PreconditionViolated, StepOutcome
 from .syntax import (
-    NotFound, ParseError, collector_paused, find_node, is_expr,
+    ModuleAst, NotFound, ParseError, collector_paused, find_node, is_expr,
     parse_expr_text, parse_patterns_text, pretty, struct_eq, walk,
 )
 
@@ -78,9 +78,13 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _load(path: str) -> Optional[Snapshot]:
+def _load(path: str, base: Optional[tuple[str, ModuleAst]] = None,
+          ) -> Optional[tuple[str, Snapshot]]:
+    """The text of the file at path and its snapshot, parsed against base
+    (see syntax.parse); None, after a message, if either fails."""
     try:
-        return Snapshot.from_source(_read(path))
+        text = _read(path)
+        return text, Snapshot.from_source(text, base)
     except (OSError, UnicodeDecodeError) as exc:
         _err(f"cannot read {path}: {exc}")
         return None
@@ -169,18 +173,20 @@ def _emit_result(outcome: StepOutcome, path: str, write: bool) -> int:
 
 
 def cmd_check(args) -> int:
-    snap = _load(args.file)
-    if snap is None:
+    loaded = _load(args.file)
+    if loaded is None:
         return EXIT_INPUT
+    snap = loaded[1]
     for key in snap.fun_keys():
         print(key)
     return EXIT_OK
 
 
 def cmd_refactor_generalise(args) -> int:
-    snap = _load(args.file)
-    if snap is None:
+    loaded = _load(args.file)
+    if loaded is None:
         return EXIT_INPUT
+    snap = loaded[1]
     target = _resolve_target(snap, args)
     if target is None:
         return EXIT_INPUT
@@ -203,9 +209,10 @@ _STEP_NAMES = ("wrap", "extract_to_variable", "outer_variable",
 
 
 def cmd_refactor_step(args) -> int:
-    snap = _load(args.file)
-    if snap is None:
+    loaded = _load(args.file)
+    if loaded is None:
         return EXIT_INPUT
+    snap = loaded[1]
     name = args.step_name
     if name == "rename_function":
         if not args.fun or not args.to:
@@ -248,8 +255,14 @@ def cmd_refactor_step(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Judge AFTER against BEFORE by the differential oracle. AFTER is
+    parsed with BEFORE as its base (see syntax.parse), so a definition
+    unchanged in place is BEFORE's own object, and a trial whose entry
+    reaches only such definitions runs on BEFORE alone (see
+    interp.same_code). If BEFORE cannot be loaded, AFTER is parsed
+    alone, and the errors of both are reported."""
     before = _load(args.before)
-    after = _load(args.after)
+    after = _load(args.after, before and (before[0], before[1].module))
     if before is None or after is None:
         return EXIT_INPUT
     try:
@@ -260,7 +273,7 @@ def cmd_verify(args) -> int:
     plan = TrialPlan(entries=entries, trials=args.trials, seed=args.seed,
                      fuel=args.fuel)
     try:
-        verdict = check_module_equiv(before.module, after.module, plan)
+        verdict = check_module_equiv(before[1].module, after[1].module, plan)
     except PlanError as exc:
         _err(str(exc))
         return EXIT_INPUT

@@ -22,6 +22,8 @@ place parentheses. Expressions and tuple patterns nest at most
 token too deep, never a ``RecursionError``. Node ids are allocated in
 parse order, each node after its children; the left side of a match is
 parsed as an expression, then mirrored into a pattern with fresh ids.
+Given an earlier parse as its base, ``parse`` shares each definition
+unchanged in place, the very ``FunDef`` object, and parses the rest.
 
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
@@ -46,8 +48,10 @@ from __future__ import annotations
 
 import gc
 import re
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
@@ -538,13 +542,14 @@ def _kind(tok: str, meta: bool, line: int, col: int) -> str:
     raise ParseError(f"unexpected character {c!r}", line, col)
 
 
-def lex(source: str, *, meta: bool = False) -> list[tuple]:
-    """Tokens (kind, text, line, col, end_col), ending with an eof token."""
+def lex(source: str, *, meta: bool = False,
+        start: int = 0, line: int = 1, col: int = 1) -> list[tuple]:
+    """Tokens (kind, text, line, col, end_col) of source from offset start,
+    which lies at line:col and not inside a token or a comment, ending
+    with an eof token."""
     tokens = []
     append = tokens.append
     kinds = _KINDS.copy()  # and each other text met so far
-    line = col = 1
-    start = 0
     while start < len(source):
         # whole lines of about _CHUNK characters at a time: findall
         # holds every match of its span at once
@@ -638,11 +643,22 @@ class _Parser:
 
     # ---- module level
 
-    def parse_module(self) -> ModuleAst:
-        defs: list[FunDef] = []
-        seen: set[tuple[str, int]] = set()
-        while self.toks[self.pos][0] != "eof":
-            d = self.parse_fundef()
+    def parse_module(self, defs: list[FunDef],
+                     shared: Optional[Callable[[tuple], Optional[FunDef]]]) -> ModuleAst:
+        """The module of defs followed by the definitions in the tokens.
+        shared, given a definition's first token, returns the FunDef of
+        an earlier parse that the definition repeats, or None; a repeated
+        definition's tokens are skipped, not parsed."""
+        toks = self.toks
+        seen = {(d.name, d.arity) for d in defs}
+        while toks[self.pos][0] != "eof":
+            d = shared(toks[self.pos]) if shared else None
+            if d is None:
+                d = self.parse_fundef()
+            else:  # on to the token after its '.'
+                end = d.span
+                self.pos = bisect_left(toks, (end.end_line, end.end_col), self.pos,
+                                       key=_LINE_COL)
             key = (d.name, d.arity)
             if key in seen:
                 raise DuplicateDefinition(f"duplicate definition {d.name}/{d.arity}",
@@ -870,11 +886,78 @@ class collector_paused:
             gc.enable()
 
 
-def parse(source: str) -> ModuleAst:
+def parse(source: str, base: Optional[tuple[str, ModuleAst]] = None) -> ModuleAst:
     """Parse module source; raises ParseError / DuplicateDefinition. The
-    cycle collector is paused meanwhile (see the module docstring)."""
+    cycle collector is paused meanwhile (see the module docstring).
+
+    base, if given, is the source and module of an earlier parse. A
+    definition of source whose text, from its first token through its
+    closing '.', is that of a definition of base's module and starts at
+    the same line and column is that FunDef object: its tokens, spans
+    and nesting are provably the same. This is incremental reuse of
+    unchanged subtrees (Wagner & Graham, "Efficient and flexible
+    incremental parsing", TOPLAS 1998). Source is lexed only from the end
+    of the last definition shared from its top, and new nodes take ids
+    from base's next_node_id upward, so ids stay unique. The result, ids
+    aside, and any error are those of parse(source)."""
     with collector_paused():
-        return _Parser(lex(source), IdGen()).parse_module()
+        if base is None:
+            return _Parser(lex(source), IdGen()).parse_module([], None)
+        top, shared, start, line, col = _against(source, *base)
+        tokens = lex(source, start=start, line=line, col=col)
+        return _Parser(tokens, IdGen(base[1].next_node_id)).parse_module(top, shared)
+
+
+_LINE_COL = itemgetter(2, 3)  # of a token
+
+
+def _line_offsets(text: str) -> list[int]:
+    """The offset of each line's first character, and one past the end.
+    Lines end at '\n' only, as in the lexer; str.splitlines also ends
+    them at '\r', '\x0c', '\x85', '\u2028' and more."""
+    return [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
+
+
+def _common_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of a and b."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:  # a[:lo] == b[:lo]
+        mid = (lo + hi + 1) // 2
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _against(source: str, old: str, m: ModuleAst):
+    """For parsing source against old, parsed as m: the definitions of m
+    that source holds unchanged from its top, parse_module's shared for
+    the definitions after them, and the offset, line and column at which
+    to lex on."""
+    old_lines, new_lines = _line_offsets(old), _line_offsets(source)
+    prefix = _common_prefix(source, old)
+    top = []
+    rest = {}  # start line and column -> (definition, its text)
+    for d in m.definitions:
+        s = d.span
+        end = old_lines[s.end_line - 1] + s.end_col - 1
+        if end <= prefix:
+            top.append(d)
+        else:
+            start = old_lines[s.start_line - 1] + s.start_col - 1
+            rest[s.start_line, s.start_col] = (d, old[start:end])
+
+    def shared(t: tuple) -> Optional[FunDef]:
+        hit = rest.get((t[2], t[3]))
+        if hit is not None and source.startswith(hit[1], new_lines[t[2] - 1] + t[3] - 1):
+            return hit[0]
+        return None
+
+    if not top:
+        return top, shared, 0, 1, 1
+    s = top[-1].span
+    return top, shared, old_lines[s.end_line - 1] + s.end_col - 1, s.end_line, s.end_col
 
 
 def parse_expr_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> Expr:

@@ -3,12 +3,16 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import random
 import sys
+from collections import Counter
 
 import pytest
 
 from mer import cli
+from mer.analysis import FunKey
 from mer.cli import main
+from mer.equiv import TrialPlan
 from mer.syntax import MAX_NESTING, parse
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC, defs_of
@@ -340,6 +344,25 @@ def test_verify_zero_trials_exits_2(l1, l2, capsys):
     assert code == 2
     assert captured.out == ""
     assert "at least one trial" in captured.err
+
+
+def test_verify_runs_an_entry_unchanged_in_place_once_per_distinct_trial(
+        tmp_path, capsys, runs):
+    # g is edited; f, h and their text are unchanged in place, so f/1
+    # runs BEFORE's code only
+    a, b = tmp_path / "a.mer", tmp_path / "b.mer"
+    a.write_text("f(X) -> (fun() -> h(X) end)() * 2.\nh(X) -> X + 1.\ng(X) -> X - 1.\n")
+    b.write_text("f(X) -> (fun() -> h(X) end)() * 2.\nh(X) -> X + 1.\ng(X) -> X + 1 - 2.\n")
+    code = main(["verify", str(a), str(b), "--entry", "f/1", "--entry", "g/1",
+                 "--trials", "40", "--seed", "3"])
+    assert code == 0 and capsys.readouterr().out.startswith("verdict=equivalent\n")
+    plan = TrialPlan(entries=(FunKey("f", 1), FunKey("g", 1)), trials=40, seed=3)
+    rng = random.Random(plan.seed)
+    trials = {(e.name, plan.make_args(rng, e.arity))
+              for _ in range(plan.trials) for e in plan.entries}
+    f_trials = sum(name == "f" for name, _ in trials)
+    g_trials = len(trials) - f_trials
+    assert sorted(Counter(runs).values()) == [g_trials, f_trials + g_trials]
 
 
 _BAD_AT_1_9 = ("f(X) -> .\n", "1:9: expected expression, found '.'")

@@ -443,6 +443,92 @@ def test_large_parse_matches_golden_digest():
 
 
 # ---------------------------------------------------------------------------
+# parsing against a base
+
+
+def _shape(m) -> list[tuple]:
+    """Every node of m in preorder: its type, span and fields, a child
+    by its type; node ids left out."""
+    out = []
+    for d in m.definitions:
+        for n in walk(d):
+            values = [getattr(n, f) for f in FIELDS[type(n)]]
+            out.append((type(n).__name__, n.span, *(
+                type(v).__name__ if isinstance(v, Node)
+                else tuple(type(x).__name__ for x in v) if isinstance(v, tuple)
+                else v for v in values)))
+    return out
+
+
+def _outcome(text: str, base=None):
+    """The shape of parse(text, base), after checking its node ids are
+    unique, or its error's type, message and position."""
+    try:
+        m = parse(text, base)
+    except ParseError as exc:
+        return type(exc).__name__, exc.message, exc.line, exc.col
+    ids = [n.node_id for d in m.definitions for n in walk(d)]
+    assert len(set(ids)) == len(ids) and max(ids, default=-1) < m.next_node_id
+    return _shape(m)
+
+
+def _edits(rng: random.Random, text: str) -> list[str]:
+    """text itself, a comment added to one line, a blank line inserted,
+    and seeded mutants."""
+    lines = text.split("\n")
+    at = rng.randrange(len(lines))
+    commented = lines[:at] + [lines[at] + " % edited"] + lines[at + 1:]
+    blank = lines[:at] + [""] + lines[at:]
+    return [text, "\n".join(commented), "\n".join(blank),
+            *(_mutant(rng, text) for _ in range(4))]
+
+
+# Line ends the lexer must not break lines at, in a comment that comes
+# before the first difference; only '\n' ends a line.
+_LINE_END_VARIANTS = {
+    "lf": lambda t: t,
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "odd_breaks": lambda t: "% form feed \x0c, NEL \x85, LS \u2028 %\n" + t,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_LINE_END_VARIANTS))
+def test_parse_against_a_base_matches_parse(variant):
+    form = _LINE_END_VARIANTS[variant]
+    rng = random.Random(13)
+    pairs = 0
+    for text in _parse_corpus():
+        a = form(text)
+        try:
+            base = (a, parse(a))
+        except ParseError:
+            continue
+        for b in map(form, _edits(rng, text)):
+            assert _outcome(b, base) == _outcome(b), (a, b)
+            pairs += 1
+    assert pairs > 1500
+
+
+def test_parse_against_a_base_shares_definitions_unchanged_in_place():
+    old = "f(X) -> X + 1.\ng(X) -> f(X).\nh() -> 2.\nk() ->\n  3.\n"
+    m = parse(old)
+    f, g, h, k = m.definitions
+    assert parse(old, (old, m)).definitions == (f, g, h, k)
+    assert all(a is b for a, b in zip(parse(old, (old, m)).definitions, m.definitions))
+    # f edited, h moved down a line, k moved within its first line
+    new = "f(X) -> 1 + X.\ng(X) -> f(X).\n\nh() -> 2.\nk()  ->\n  3.\n"
+    m2 = parse(new, (old, m))
+    f2, g2, h2, k2 = m2.definitions
+    assert g2 is g
+    assert f2 is not f and h2 is not h and k2 is not k
+    assert struct_eq(h2, h) and h2.span == (4, 1, 4, 10)
+    assert k2.span == (5, 1, 6, 5)
+    # new nodes take ids from the base's next_node_id upward
+    assert min(n.node_id for d in (f2, h2, k2) for n in walk(d)) == m.next_node_id
+    assert m2.next_node_id > m.next_node_id
+
+
+# ---------------------------------------------------------------------------
 # the cycle collector while parsing
 
 
