@@ -728,16 +728,15 @@ class _Parser:
             return MetaSeq(t[1][1:-3], self.gen.fresh(), _span(t, t))
         return MetaVar(t[1][1:], self.gen.fresh(), _span(t, t))
 
-    def _check_linear(self, p: Pattern):
+    def _check_linear(self, p: Union[Pattern, Expr]):
+        """A ParseError at the second occurrence of a variable in a parsed
+        pattern, or in an expression that mirrors one."""
         names: set[str] = set()
         for sub in walk(p):
-            if isinstance(sub, PVar):
+            if type(sub) is PVar or type(sub) is VarRef:
                 if sub.name in names:
-                    raise ParseError(
-                        f"variable {sub.name} repeated in pattern",
-                        sub.span.start_line if sub.span else 0,
-                        sub.span.start_col if sub.span else 0,
-                    )
+                    raise ParseError(f"variable {sub.name} repeated in pattern",
+                                     sub.span.start_line, sub.span.start_col)
                 names.add(sub.name)
 
     # ---- expressions
@@ -769,8 +768,7 @@ class _Parser:
                 except ValueError:
                     raise ParseError("left side of '=' is not a pattern",
                                      start[2], start[3]) from None
-                if not isinstance(pat, (MetaVar, MetaSeq)):
-                    self._check_linear(pat)
+                self._check_linear(left)  # the mirror has no spans
                 rhs = self.parse_expr(prec)
             else:
                 right = self.parse_expr(prec + 1)

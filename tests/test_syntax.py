@@ -181,8 +181,16 @@ def test_match_lhs_must_be_pattern():
 
 
 def test_linear_pattern_enforced():
-    with pytest.raises(ParseError):
-        parse("f({X, X}) -> 1.\n")
+    for source, col in [
+        ("f({X, X}) -> 1.\n", 7),
+        # the left side of a match: at the repeated occurrence, not at 0:0
+        ("f() -> {X, X} = {1, 2}.\n", 12),
+        ("f() -> {X, {Y, X}} = {1, {2, 3}}.\n", 16),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert (exc.value.message, exc.value.line, exc.value.col) == \
+            ("variable X repeated in pattern", 1, col)
 
 
 def test_negative_literal_roundtrip():
