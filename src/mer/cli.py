@@ -79,18 +79,17 @@ def _write_atomic(path: str, text: str):
 
 
 def _load(path: str, base: Optional[tuple[str, ModuleAst]] = None,
-          ) -> Optional[tuple[str, Snapshot]]:
+          ) -> tuple[Optional[str], Optional[Snapshot]]:
     """The text of the file at path and its snapshot, parsed against base
-    (see syntax.parse); None, after a message, if either fails."""
+    (see syntax.parse); (None, None), after a message, if either fails."""
     try:
         text = _read(path)
         return text, Snapshot.from_source(text, base)
     except (OSError, UnicodeDecodeError) as exc:
         _err(f"cannot read {path}: {exc}")
-        return None
     except ParseError as exc:
         _err(f"{path}:{exc}")
-        return None
+    return None, None
 
 
 def _parse_pos(text: str) -> tuple[int, int]:
@@ -173,20 +172,18 @@ def _emit_result(outcome: StepOutcome, path: str, write: bool) -> int:
 
 
 def cmd_check(args) -> int:
-    loaded = _load(args.file)
-    if loaded is None:
+    _, snap = _load(args.file)
+    if snap is None:
         return EXIT_INPUT
-    snap = loaded[1]
     for key in snap.fun_keys():
         print(key)
     return EXIT_OK
 
 
 def cmd_refactor_generalise(args) -> int:
-    loaded = _load(args.file)
-    if loaded is None:
+    _, snap = _load(args.file)
+    if snap is None:
         return EXIT_INPUT
-    snap = loaded[1]
     target = _resolve_target(snap, args)
     if target is None:
         return EXIT_INPUT
@@ -209,10 +206,9 @@ _STEP_NAMES = ("wrap", "extract_to_variable", "outer_variable",
 
 
 def cmd_refactor_step(args) -> int:
-    loaded = _load(args.file)
-    if loaded is None:
+    _, snap = _load(args.file)
+    if snap is None:
         return EXIT_INPUT
-    snap = loaded[1]
     name = args.step_name
     if name == "rename_function":
         if not args.fun or not args.to:
@@ -261,8 +257,8 @@ def cmd_verify(args) -> int:
     reaches only such definitions runs on BEFORE alone (see
     interp.same_code). If BEFORE cannot be loaded, AFTER is parsed
     alone, and the errors of both are reported."""
-    before = _load(args.before)
-    after = _load(args.after, before and (before[0], before[1].module))
+    before_text, before = _load(args.before)
+    _, after = _load(args.after, before and (before_text, before.module))
     if before is None or after is None:
         return EXIT_INPUT
     try:
@@ -273,7 +269,7 @@ def cmd_verify(args) -> int:
     plan = TrialPlan(entries=entries, trials=args.trials, seed=args.seed,
                      fuel=args.fuel)
     try:
-        verdict = check_module_equiv(before[1].module, after[1].module, plan)
+        verdict = check_module_equiv(before.module, after.module, plan)
     except PlanError as exc:
         _err(str(exc))
         return EXIT_INPUT
