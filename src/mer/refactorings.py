@@ -44,7 +44,7 @@ from .schemes import (
     run_function_refactoring, run_introduce_function, run_introduce_variable,
     run_local, run_signature_refactoring,
 )
-from .syntax import FunDef, Match, Node, Pattern, is_pattern, pretty_expr, pretty_pattern
+from .syntax import FunDef, Match, Node, Pattern, pretty_fragment
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def _text(snap: Snapshot, v) -> str:
     if isinstance(v, NodeRef):
         v = snap.node(v)
     if isinstance(v, Node):
-        return pretty_pattern(v) if is_pattern(v) else pretty_expr(v)
+        return pretty_fragment(v)
     return str(v)
 
 

@@ -30,14 +30,14 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from . import analysis
-from .analysis import NodeRef, Snapshot
+from .analysis import NodeRef, Snapshot, StaleRef
 from .syntax import (
     FIELDS, MIRROR, SLOTS, AtomLit, Expr, FunDef, IdGen, Match, MetaSeq,
     MetaVar, ModuleAst, Node, ParseError, PVar, Pattern, StaticCall,
     SyntacticFlaw, VarRef, check_module, clone_fresh, expr_to_pattern,
     is_expr, is_pattern, module_node_ids, module_replace, node_ids,
     parse_expr_text, parse_exprseq_text, parse_patterns_text,
-    pattern_to_expr, pretty_expr, remake, struct_eq, walk,
+    pattern_to_expr, pretty_expr, pretty_fragment, remake, struct_eq, walk,
 )
 
 
@@ -504,20 +504,24 @@ def _as_names(v) -> list[str]:
 
 
 def _locate(snap: Optional[Snapshot], target: Optional[NodeRef], frag) -> str:
-    if isinstance(frag, Node) and is_expr(frag):
-        text = pretty_expr(frag)
+    """Where a predicate failed: ``<name>/<arity>: <fragment text>``,
+    naming target's function, or the text alone when target is not in
+    snap. A fragment is a name, a tuple of names, or a node."""
+    if isinstance(frag, str):
+        text = frag
+    elif isinstance(frag, tuple):
+        text = ", ".join(frag)
     else:
-        text = repr(frag)
+        text = pretty_fragment(frag)
     if len(text) > 40:
         text = text[:37] + "..."
-    if snap is not None and target is not None:
-        try:
-            n = snap.node(target)
-            d = snap.fundef_of(n.node_id)
-            return f"{d.name}/{d.arity}: {text}"
-        except Exception:
-            pass
-    return text
+    if snap is None or target is None:
+        return text
+    try:
+        d = snap.fundef_of(snap.node(target).node_id)
+    except (KeyError, StaleRef):
+        return text
+    return f"{d.name}/{d.arity}: {text}"
 
 
 def eval_condition(cond: Condition, binding: Binding, snap: Optional[Snapshot] = None,
@@ -538,7 +542,7 @@ def eval_condition(cond: Condition, binding: Binding, snap: Optional[Snapshot] =
             if name not in b:
                 b[name] = v
             elif not struct_eq(b[name], v):
-                raise ConditionFailure("binding", name)
+                raise ConditionFailure("binding", _locate(snap, target, name))
         else:
             _value(c, b, snap, target)
     return b

@@ -31,7 +31,7 @@ from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
     Binding, Condition, ConditionFailure, NotApplicable,
     PreconditionViolated, RewriteRule, SigTemplate, StepOutcome, SubstCtx,
-    TemplateError, apply_rule, eval_condition, finish_step, match_template,
+    TemplateError, _locate, apply_rule, eval_condition, finish_step, match_template,
     parse_rule_text, substitute, template_metavars,
 )
 from .syntax import (
@@ -106,14 +106,6 @@ _NAME_RE = re.compile(r"^[a-z]\w*$")
 _VAR_RE = re.compile(r"^[A-Z_]\w*$")
 
 
-def _loc(snap: Snapshot, node: Node) -> str:
-    try:
-        d = snap.fundef_of(node.node_id)
-        return f"{d.name}/{d.arity}"
-    except KeyError:
-        return "<detached>"
-
-
 # ---------------------------------------------------------------------------
 # Local
 
@@ -154,13 +146,13 @@ def _introduce_in_scope(inst: IntroduceVariable, snap: Snapshot,
     # expression must provably evaluate to a value (raising earlier would
     # truncate the trace of the code it jumps ahead of)
     if not analysis.fresh(snap, name, target):
-        return PreconditionViolated("fresh", f"{name} in {_loc(snap, subj)}")
+        return PreconditionViolated("fresh", _locate(snap, target, name))
     if not analysis.pure(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("pure", _loc(snap, subj))
+        return PreconditionViolated("pure", _locate(snap, target, bound))
     if not analysis.closed(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("closed", _loc(snap, subj))
+        return PreconditionViolated("closed", _locate(snap, target, bound))
     if not analysis.total(bound):
-        return PreconditionViolated("pure", f"may raise or bind: {_loc(snap, subj)}")
+        return PreconditionViolated("pure", _locate(snap, target, bound))
     try:
         b = eval_condition(inst.ref_rule.condition, b, snap, target)
     except ConditionFailure as f:
@@ -202,14 +194,14 @@ def _introduce_outer_scope(inst: IntroduceVariable, snap: Snapshot,
     fundef = snap.fundef_of(subj.node_id)
     for nm in analysis.pattern_vars(pattern):
         if analysis.occurs_var(nm, fundef, owner):
-            return PreconditionViolated("fresh", f"{nm} in {_loc(snap, subj)}")
+            return PreconditionViolated("fresh", _locate(snap, target, nm))
     if not analysis.pure(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("pure", _loc(snap, subj))
+        return PreconditionViolated("pure", _locate(snap, target, bound))
     if not analysis.closed(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("closed", _loc(snap, subj))
+        return PreconditionViolated("closed", _locate(snap, target, bound))
     # lifting changes how often and when the expression runs
     if not analysis.total(bound):
-        return PreconditionViolated("pure", f"may raise or bind: {_loc(snap, subj)}")
+        return PreconditionViolated("pure", _locate(snap, target, bound))
     try:
         b = eval_condition(inst.ref_rule.condition, b, snap, target)
     except ConditionFailure as f:
@@ -251,12 +243,12 @@ def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
     param_names = set(analysis.pattern_vars(list(inst.params)))
     missing = [v for v in free if v not in param_names]
     if missing:
-        return PreconditionViolated("is_subset", f"free {', '.join(missing)} not in parameters")
+        return PreconditionViolated("is_subset", _locate(snap, target, tuple(sorted(missing))))
     if snap.find_def(key) is not None:
         return PreconditionViolated("signature_clash", f"{key} already defined")
     # bindings made by the extracted code would die inside the new function
     if not analysis.non_bind(snap, target):
-        return PreconditionViolated("non_bind", _loc(snap, subj))
+        return PreconditionViolated("non_bind", _locate(snap, target, subj))
     if inst.extra_condition.conjuncts:
         try:
             eval_condition(inst.extra_condition,
@@ -285,6 +277,11 @@ def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
 
 # ---------------------------------------------------------------------------
 # Function refactoring
+
+
+def _site(snap: Snapshot, call: StaticCall) -> str:
+    """A call site's location; a call cloned by the step is not in snap."""
+    return _locate(snap, NodeRef(snap.version, call.node_id), call)
 
 
 class _SiteFailure(Exception):
@@ -332,12 +329,10 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
         if not isinstance(frag, Node):
             continue
         if any(is_call_to(x, old_key) for x in walk(frag)):
-            return PreconditionViolated(
-                "no_self_reference",
-                f"{old_key} called inside the relocated expression")
+            return PreconditionViolated("no_self_reference", _locate(snap, target, frag))
         # relocation to call sites changes the evaluation point
         if is_expr(frag) and not analysis.total(frag):
-            return PreconditionViolated("pure", f"may raise or bind: {_loc(snap, d)}")
+            return PreconditionViolated("pure", _locate(snap, target, frag))
 
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
     ctx = SubstCtx.for_module(snap.module, freed=[d] + refs)
@@ -356,7 +351,7 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
         rb = match_template(inst.ref_rule.lhs, call, b)
         if rb is None:
             raise _SiteFailure(NotApplicable(
-                f"reference rule does not match {_loc(snap, call)}"))
+                f"reference rule does not match {_site(snap, call)}"))
         new_args = substitute(inst.ref_rule.rhs, rb, ctx)
         return StaticCall(call.name, new_args, node_id=call.node_id)
 
@@ -397,7 +392,7 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
         rb = match_template(inst.head_rule.lhs, call, pre)
         if rb is None:
             raise _SiteFailure(NotApplicable(
-                f"head rule does not match {_loc(snap, call)}"))
+                f"head rule does not match {_site(snap, call)}"))
         try:
             rb = eval_condition(inst.head_rule.condition, rb, snap,
                                 snap.ref(call.node_id))

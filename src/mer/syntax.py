@@ -1015,6 +1015,13 @@ def pretty_pattern(p: Pattern) -> str:
     raise TypeError(f"not a pattern: {type(p).__name__}")
 
 
+def pretty_fragment(n: Node) -> str:
+    """An expression, a pattern or a body as object-language text."""
+    if isinstance(n, Body):
+        return ", ".join(pretty_expr(e) for e in n.exprs)
+    return pretty_pattern(n) if is_pattern(n) else pretty_expr(n)
+
+
 def pretty_expr(e: Expr, ctx: int = 0) -> str:
     if isinstance(e, IntLit):
         return str(e.value)

@@ -416,7 +416,7 @@ CONTRACT_RULE = parse_rule_text(
 # the outcome's repr. Second, format_verdict and repr of check_rule_equiv on
 # the wrap rule and on a variable-introduction contract, whose conditions
 # decide which generated instantiations are tried.
-REFACTORING_DIGEST = "5bddcda2b2ad7f6647afb45437a78ef3ee91b5aaf63b4fcc2e1d89d913473ece"
+REFACTORING_DIGEST = "3cd3cafe04fa86ad3052ce7522432f3b38988e3093e875332fcf7ffc86cfdea7"
 
 
 def test_refactorings_match_golden_digest():
@@ -441,3 +441,19 @@ def test_refactorings_match_golden_digest():
     assert [kinds[k] for k in (Applied, NotApplicable, PreconditionViolated)] == [
         1468, 3690, 250]
     assert h.hexdigest() == REFACTORING_DIGEST
+
+
+def test_rejections_are_located_in_the_target_function():
+    # every fragment predicate reads "<name>/<arity>: <fragment text>"
+    located = 0
+    for seed in range(35):
+        snap = Snapshot(gen_module(seed, 3))
+        for d in snap.module.definitions:
+            for n in walk(d):
+                for op in _ops(snap, snap.ref(n.node_id), d)[:6]:  # the primes
+                    o = op()
+                    if (isinstance(o, PreconditionViolated)
+                            and o.predicate not in ("signature_clash", "injected")):
+                        assert o.location.startswith(f"{d.name}/{d.arity}: "), o
+                        located += 1
+    assert located > 200
