@@ -97,8 +97,6 @@ PRIME_BLOCKS = (
     "DEFINITION IN SCOPE\n@Name = @E\nREFERENCE\n" + EXTRACT_TO_VARIABLE_REF_TEXT,
     "INTRODUCE VARIABLE outer_variable()\n"
     "DEFINITION IN OUTER SCOPE\n@Name = @E\nREFERENCE\n" + OUTER_VARIABLE_REF_TEXT,
-    # no WHEN is_subset(free_vars(@E), vars(@Params...)): the scheme
-    # itself checks that the parameters cover the free variables
     "INTRODUCE FUNCTION extract_to_function(Name, Params...)\n"
     "DEFINITION\n@Name(@Params...) -> @E .\n"
     "REFERENCE\n@E\n-----\n@Name(@Params...)\n",
@@ -132,7 +130,8 @@ def outer_variable(snap: Snapshot, target: NodeRef) -> StepOutcome:
 
 def extract_to_function(snap: Snapshot, target: NodeRef, name: str,
                         params: Sequence[Pattern]) -> StepOutcome:
-    return run_introduce_function(_EXTRACT_FUN(name, params), snap, target)
+    inst = replace(_EXTRACT_FUN, name=name, params=tuple(params))
+    return run_introduce_function(inst, snap, target)
 
 
 def var_to_param(snap: Snapshot, fn: NodeRef, match_node: NodeRef) -> StepOutcome:

@@ -15,8 +15,8 @@ Rule text format::
     WHEN <conjunct> AND <conjunct> ...
 
 where each conjunct is an object-language expression parsed in meta
-mode, like the templates: a predicate call (pure, closed, non_bind,
-fresh, is_subset), or a match binding a metavariable such as
+mode, like the templates: a predicate call (pure, closed, total,
+non_bind, fresh, is_subset), or a match binding a metavariable such as
 ``@Vars... = free_vars(@E)``; call arguments are calls, metavariables and
 names. Conditions are evaluated through the analysis module when a
 snapshot is given, and in a pessimistic standalone mode (used by the
@@ -27,16 +27,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from functools import wraps
+from typing import Callable, Optional, Sequence, Union
 
 from . import analysis
 from .analysis import NodeRef, Snapshot, StaleRef
 from .syntax import (
-    FIELDS, MIRROR, SLOTS, AtomLit, Expr, FunDef, IdGen, Match, MetaSeq,
+    FIELDS, MIRROR, SLOTS, AtomLit, Body, Expr, FunDef, IdGen, Match, MetaSeq,
     MetaVar, ModuleAst, Node, ParseError, PVar, Pattern, StaticCall,
     SyntacticFlaw, VarRef, check_module, clone_fresh, expr_to_pattern,
     is_expr, is_pattern, module_node_ids, module_replace, node_ids,
-    parse_expr_text, parse_exprseq_text, parse_patterns_text,
+    parse_expr_text, parse_exprseq_text, parse_fundef_text, parse_patterns_text,
     pattern_to_expr, pretty_expr, pretty_fragment, remake, struct_eq, walk,
 )
 
@@ -164,6 +165,13 @@ def template_metavars(t: Template) -> set[str]:
 
 def parse_template_expr(text: str) -> Expr:
     t = parse_expr_text(text, meta=True)
+    validate_template(t)
+    return t
+
+
+def parse_template_def(text: str) -> FunDef:
+    """A function definition template; its name may be a metavariable."""
+    t = parse_fundef_text(text, meta=True)
     validate_template(t)
     return t
 
@@ -384,8 +392,12 @@ def subst_fragment(pat: Node, binding: Binding, ctx: SubstCtx, slot: str) -> Nod
         return remake(out, pat, {}, ctx.fresh())
     if slots is None:
         raise TypeError(f"cannot substitute into {t.__name__}")
+    if t is Body and len(pat.exprs) == 1 and type(pat.exprs[0]) is MetaVar:
+        frag = binding.get(pat.exprs[0].name)
+        if type(frag) is Body:  # a body bound whole, as a Body target binds @E
+            return ctx.take(frag)
     changes = {}
-    if t is StaticCall:
+    if t is StaticCall or t is FunDef:
         changes["name"] = _subst_name(pat.name, binding)
     for f, seq, sort in slots:
         sub = subst_seq if seq else subst_fragment
@@ -424,7 +436,7 @@ def finish_step(module: ModuleAst, result_id: int) -> StepOutcome:
 
 # condition function -> the number of arguments it takes
 _ARITY = {"free_vars": 1, "vars": 1, "non_bind": 1, "pure": 1, "closed": 1,
-          "fresh": 1, "is_subset": 2}
+          "total": 1, "fresh": 1, "is_subset": 2}
 
 
 def _parse_conjunct(text: str) -> Expr:
@@ -589,11 +601,26 @@ def _value(e: Expr, b: Binding, snap: Optional[Snapshot], target: Optional[NodeR
         ok = analysis.standalone_pure(n) if snap is None else analysis.pure(snap, ref)
     elif fn == "closed":
         ok = not analysis.expr_free_vars(n) if snap is None else analysis.closed(snap, ref)
+    elif fn == "total":
+        ok = analysis.total(n)
     else:  # non_bind
         ok = not analysis.visible_bindings(n) if snap is None else analysis.non_bind(snap, ref)
     if not ok:
-        raise ConditionFailure(fn, _locate(snap, target, n))
+        # an expression that may raise is impure to the code it moves past
+        raise ConditionFailure("pure" if fn == "total" else fn, _locate(snap, target, n))
     return True
+
+
+def reports_violations(run: Callable[..., StepOutcome]) -> Callable[..., StepOutcome]:
+    """A step whose failing condition ends it: a ConditionFailure raised
+    while it runs is its PreconditionViolated outcome."""
+    @wraps(run)
+    def checked(*args, **kwargs) -> StepOutcome:
+        try:
+            return run(*args, **kwargs)
+        except ConditionFailure as f:
+            return PreconditionViolated(f.predicate, f.location)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +665,7 @@ def parse_rule_text(text: str, lhs_kind: str = "expr", rhs_kind: Optional[str] =
     return RewriteRule(lhs, rhs, cond)
 
 
+@reports_violations
 def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcome:
     """Apply an expression rewrite rule at one node.
 
@@ -653,10 +681,7 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcom
     b = match_template(rule.lhs, subj)
     if b is None:
         return NotApplicable("left side does not match")
-    try:
-        b = eval_condition(rule.condition, b, snap, target)
-    except ConditionFailure as f:
-        return PreconditionViolated(f.predicate, f.location)
+    b = eval_condition(rule.condition, b, snap, target)
     ctx = SubstCtx.for_module(snap.module, freed=[subj])
     new_frag = subst_fragment(rule.rhs, b, ctx, "expr")
     new_module = module_replace(snap.module, {subj.node_id: new_frag}, ctx.gen.high)

@@ -4,16 +4,23 @@ A scheme fixes the shape of its parameter rewrite rules and owns the
 side conditions and multi-site bookkeeping its instances rely on:
 
 * local -- one rewrite rule applied at the selected node;
-* introduce variable -- definition template ``Name = E`` placed at the
-  front of the target's scope (or the next outer scope), plus a
-  reference rewrite of the target; freshness, purity and closedness of
-  the bound expression are enforced regardless of the instance rule;
-* introduce function -- definition ``Name(Params..) -> E.`` appended to
-  the module, the extracted code replaced by a call;
+* introduce variable -- the DEFINITION, a binding template such as
+  ``@Name = @E``, is placed at the front of the target's scope (or the
+  next outer scope), and the REFERENCE rule rewrites the target;
+* introduce function -- the DEFINITION, a function definition template
+  such as ``@Name(@Params...) -> @E .``, is appended to the module, and
+  the REFERENCE rule rewrites the extracted code;
 * function refactoring -- one rule on the definition's (params, body)
   pair and one on the argument list of every reference, all or nothing;
 * function signature refactoring -- one rule on the head and on every
   reference; the resulting signature must not already exist.
+
+An INTRODUCE scheme instantiates its instance's DEFINITION and REFERENCE
+through the template engine and evaluates its own side conditions, as
+fixed WHEN conjuncts, ahead of the instance's WHEN: introduce variable
+adds ``fresh(@Name) AND pure(@E) AND closed(@E) AND total(@E)``, and
+introduce function ``is_subset(free_vars(@E), vars(@Params...)) AND
+non_bind(@E)``.
 
 Every engine either returns Applied with a fresh snapshot or leaves the
 input snapshot untouched; there are no partial edits.
@@ -29,15 +36,16 @@ from typing import Callable, Optional, Sequence
 from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
-    Binding, Condition, ConditionFailure, NotApplicable,
-    PreconditionViolated, RewriteRule, SigTemplate, StepOutcome, SubstCtx,
-    TemplateError, _locate, apply_rule, eval_condition, finish_step, match_template,
-    parse_rule_text, substitute, template_metavars,
+    Binding, Condition, NotApplicable, PreconditionViolated, RewriteRule,
+    SigTemplate, StepOutcome, SubstCtx, TemplateError, _locate, apply_rule,
+    eval_condition, finish_step, match_template, parse_rule_text,
+    parse_template_def, parse_template_expr, reports_violations,
+    subst_fragment, substitute, template_metavars,
 )
 from .syntax import (
-    AtomLit, Body, FunDef, Match, ModuleAst, Node, ParseError, Pattern, PVar,
-    StaticCall, VarRef, is_expr, module_replace, parse_expr_text,
-    pattern_to_expr, pretty_expr, rebuild, walk,
+    KEYWORDS, AtomLit, Body, Expr, FunDef, Match, ModuleAst, Node, ParseError,
+    Pattern, StaticCall, VarRef, is_expr, module_replace, parse_expr_text,
+    pretty_expr, rebuild, walk,
 )
 
 
@@ -52,24 +60,26 @@ class Local:
 
 @dataclass(frozen=True)
 class IntroduceVariable:
-    """Definition template is fixed to ``Name = E``; placement selects the
-    target's own scope or the next outer one. With in-scope placement the
-    name comes from the instance, with outer placement from the matched
-    binding itself."""
+    """The definition, a match template, goes first in the target's own
+    scope ("in_scope") or the next outer one ("outer_scope"). In scope,
+    @Name is the instance's name and the target an expression; outer,
+    the target is a binding, and the reference rule binds @Name."""
 
     placement: str  # "in_scope" | "outer_scope"
+    definition: Expr
     ref_rule: RewriteRule
     name: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class IntroduceFunction:
-    """Definition template is fixed to ``Name(Params..) -> E.``; the new
-    definition is appended to the module."""
+    """The definition, a function definition template, is appended to the
+    module; @Name and @Params... are the instance's name and parameters."""
 
-    name: str
-    params: tuple[Pattern, ...]
-    extra_condition: Condition = Condition(())
+    definition: FunDef
+    ref_rule: RewriteRule
+    name: str = ""
+    params: tuple[Pattern, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,6 @@ class FunctionRefactoring:
 class SignatureRefactoring:
     head_rule: RewriteRule  # signature shaped
     pre_binding: Optional[Binding] = None
-
-
-SchemeInstance = (Local, IntroduceVariable, IntroduceFunction,
-                  FunctionRefactoring, SignatureRefactoring)
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,20 @@ class CompositeError(TemplateError):
     pass
 
 
-_NAME_RE = re.compile(r"^[a-z]\w*$")
+# a function name is an atom that the lexer does not read as a keyword
+_NAME_RE = re.compile(r"^(?!(?:%s)$)[a-z]\w*$" % "|".join(sorted(KEYWORDS)))
 _VAR_RE = re.compile(r"^[A-Z_]\w*$")
+
+# each INTRODUCE scheme's side conditions, evaluated ahead of the
+# instance's WHEN
+_INTRODUCE_VARIABLE_WHEN = Condition.parse(
+    "fresh(@Name) AND pure(@E) AND closed(@E) AND total(@E)")
+_INTRODUCE_FUNCTION_WHEN = Condition.parse(
+    "is_subset(free_vars(@E), vars(@Params...)) AND non_bind(@E)")
+
+
+def _with_instance_when(inherent: Condition, rule: RewriteRule) -> Condition:
+    return Condition(inherent.conjuncts + rule.condition.conjuncts)
 
 
 # ---------------------------------------------------------------------------
@@ -118,108 +136,54 @@ def run_local(inst: Local, snap: Snapshot, target: NodeRef) -> StepOutcome:
 # Introduce variable
 
 
+@reports_violations
 def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
                            target: NodeRef) -> StepOutcome:
-    if inst.placement == "in_scope":
-        return _introduce_in_scope(inst, snap, target)
-    if inst.placement == "outer_scope":
-        return _introduce_outer_scope(inst, snap, target)
-    raise ValueError(f"unknown placement {inst.placement!r}")
-
-
-def _introduce_in_scope(inst: IntroduceVariable, snap: Snapshot,
-                        target: NodeRef) -> StepOutcome:
     subj = snap.node(target)
-    if not is_expr(subj):
-        return NotApplicable("target is not an expression")
-    name = inst.name
-    if name is None or not _VAR_RE.match(name):
-        return NotApplicable(f"invalid variable name {name!r}")
-    b = match_template(inst.ref_rule.lhs, subj, {"Name": name})
-    if b is None:
-        return NotApplicable("reference rule does not match the target")
-    bound = b.get("E")
-    if not isinstance(bound, Node):
-        return NotApplicable("reference rule does not capture the bound expression")
-    # inherent side conditions, independent of the instance's WHEN clause;
-    # the binding moves to the scope front, so on top of emitting nothing the
-    # expression must provably evaluate to a value (raising earlier would
-    # truncate the trace of the code it jumps ahead of)
-    if not analysis.fresh(snap, name, target):
-        return PreconditionViolated("fresh", _locate(snap, target, name))
-    if not analysis.pure(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("pure", _locate(snap, target, bound))
-    if not analysis.closed(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("closed", _locate(snap, target, bound))
-    if not analysis.total(bound):
-        return PreconditionViolated("pure", _locate(snap, target, bound))
-    try:
-        b = eval_condition(inst.ref_rule.condition, b, snap, target)
-    except ConditionFailure as f:
-        return PreconditionViolated(f.predicate, f.location)
-
-    scope_ref = analysis.scope(snap, target)
-    body_node = snap.node(scope_ref)
-    ctx = SubstCtx.for_module(snap.module, freed=[subj])
-    new_match = Match(PVar(name, node_id=ctx.fresh()), ctx.take(bound), node_id=ctx.fresh())
-    return _bind_at_front(snap, body_node, new_match, subj,
-                          substitute(inst.ref_rule.rhs, b, ctx), ctx)
-
-
-def _introduce_outer_scope(inst: IntroduceVariable, snap: Snapshot,
-                           target: NodeRef) -> StepOutcome:
-    subj = snap.node(target)
-    if not isinstance(subj, Match):
+    in_scope = inst.placement == "in_scope"
+    if in_scope:
+        if not is_expr(subj):
+            return NotApplicable("target is not an expression")
+        if inst.name is None or not _VAR_RE.match(inst.name):
+            return NotApplicable(f"invalid variable name {inst.name!r}")
+    elif not isinstance(subj, Match):
         return NotApplicable("target is not a variable binding")
-    b = match_template(inst.ref_rule.lhs, subj)
+    b = match_template(inst.ref_rule.lhs, subj, {"Name": inst.name} if in_scope else {})
     if b is None:
         return NotApplicable("reference rule does not match the target")
-    pattern = b.get("Name")
-    bound = b.get("E")
-    if not isinstance(pattern, Node) or not isinstance(bound, Node):
-        return NotApplicable("reference rule does not capture the binding")
+    if not (isinstance(b.get("E"), Node) and isinstance(b.get("Name"), (str, Node))):
+        return NotApplicable("reference rule does not capture @Name and @E")
 
-    inner_ref = analysis.scope(snap, target)
-    inner_body = snap.node(inner_ref)
-    owner = snap.parent_of(inner_body.node_id)
-    if isinstance(owner, FunDef):
-        return NotApplicable("binding is already at function scope")
-    # owner is the lambda whose body holds the binding
-    try:
-        outer_ref = analysis.scope(snap, snap.ref(owner.node_id))
-    except NotApplicableError:
-        return NotApplicable("no outer scope")
-    outer_body = snap.node(outer_ref)
-
-    fundef = snap.fundef_of(subj.node_id)
-    for nm in analysis.pattern_vars(pattern):
-        if analysis.occurs_var(nm, fundef, owner):
-            return PreconditionViolated("fresh", _locate(snap, target, nm))
-    if not analysis.pure(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("pure", _locate(snap, target, bound))
-    if not analysis.closed(snap, snap.ref(bound.node_id)):
-        return PreconditionViolated("closed", _locate(snap, target, bound))
-    # lifting changes how often and when the expression runs
-    if not analysis.total(bound):
-        return PreconditionViolated("pure", _locate(snap, target, bound))
-    try:
-        b = eval_condition(inst.ref_rule.condition, b, snap, target)
-    except ConditionFailure as f:
-        return PreconditionViolated(f.predicate, f.location)
+    dest, inherent = analysis.scope(snap, target), _INTRODUCE_VARIABLE_WHEN
+    if not in_scope:
+        owner = snap.parent_of(snap.node(dest).node_id)
+        if isinstance(owner, FunDef):
+            return NotApplicable("binding is already at function scope")
+        # owner is the lambda whose body holds the binding
+        try:
+            dest = analysis.scope(snap, snap.ref(owner.node_id))
+        except NotApplicableError:
+            return NotApplicable("no outer scope")
+        # fresh(@Name) would find the lifted binding itself: only the
+        # code outside the lambda must not use its names
+        fundef = snap.fundef_of(subj.node_id)
+        for nm in analysis.pattern_vars(b["Name"]):
+            if analysis.occurs_var(nm, fundef, owner):
+                return PreconditionViolated("fresh", _locate(snap, target, nm))
+        inherent = Condition(inherent.conjuncts[1:])  # all but fresh(@Name)
+    # the binding moves to the scope front, so on top of emitting nothing
+    # the expression must provably evaluate to a value (raising earlier
+    # would truncate the trace of the code it jumps ahead of)
+    b = eval_condition(_with_instance_when(inherent, inst.ref_rule), b, snap, target)
 
     ctx = SubstCtx.for_module(snap.module, freed=[subj])
-    new_match = Match(ctx.take(pattern), ctx.take(bound), node_id=ctx.fresh())
-    return _bind_at_front(snap, outer_body, new_match, subj,
-                          substitute(inst.ref_rule.rhs, b, ctx), ctx)
+    binding = subst_fragment(inst.definition, b, ctx, "expr")
+    replacement = substitute(inst.ref_rule.rhs, b, ctx)
 
-
-def _bind_at_front(snap: Snapshot, body: Body, binding: Match, subj: Node,
-                   replacement: Node, ctx: SubstCtx) -> StepOutcome:
-    """Put binding first in body and replacement in place of subj."""
     def edit(n: Node) -> Node:
         if n.node_id == subj.node_id:
             return replacement
-        if n.node_id == body.node_id:
+        if n.node_id == dest.node_id:
             return Body((binding,) + n.exprs, node_id=n.node_id)
         return n
 
@@ -231,6 +195,7 @@ def _bind_at_front(snap: Snapshot, body: Body, binding: Match, subj: Node,
 # Introduce function
 
 
+@reports_violations
 def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
                            target: NodeRef) -> StepOutcome:
     subj = snap.node(target)
@@ -238,38 +203,28 @@ def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
         return NotApplicable("target is not an expression or body")
     if not _NAME_RE.match(inst.name):
         return NotApplicable(f"invalid function name {inst.name!r}")
-    key = FunKey(inst.name, len(inst.params))
-    free = analysis.free_vars(snap, target)
-    param_names = set(analysis.pattern_vars(list(inst.params)))
-    missing = [v for v in free if v not in param_names]
-    if missing:
-        return PreconditionViolated("is_subset", _locate(snap, target, tuple(sorted(missing))))
-    if snap.find_def(key) is not None:
-        return PreconditionViolated("signature_clash", f"{key} already defined")
-    # bindings made by the extracted code would die inside the new function
-    if not analysis.non_bind(snap, target):
-        return PreconditionViolated("non_bind", _locate(snap, target, subj))
-    if inst.extra_condition.conjuncts:
-        try:
-            eval_condition(inst.extra_condition,
-                           {"E": subj, "Params": tuple(inst.params), "Name": inst.name},
-                           snap, target)
-        except ConditionFailure as f:
-            return PreconditionViolated(f.predicate, f.location)
+    b = match_template(inst.ref_rule.lhs, subj,
+                       {"Name": inst.name, "Params": tuple(inst.params)})
+    if b is None:
+        return NotApplicable("reference rule does not match the target")
+    if not isinstance(b.get("E"), Node):
+        return NotApplicable("reference rule does not capture @E")
+    # the parameters must cover the free variables, and bindings made by
+    # the extracted code would die inside the new function
+    b = eval_condition(_with_instance_when(_INTRODUCE_FUNCTION_WHEN, inst.ref_rule),
+                       b, snap, target)
 
     ctx = SubstCtx.for_module(snap.module, freed=[subj])
-    def_params = tuple(ctx.take(p) for p in inst.params)
+    new_def = subst_fragment(inst.definition, b, ctx, "expr")
+    # a clash concerns the new function's key, not a fragment
+    key = FunKey(new_def.name, new_def.arity)
+    if snap.find_def(key) is not None:
+        return PreconditionViolated("signature_clash", f"{key} already defined")
+    replacement = subst_fragment(inst.ref_rule.rhs, b, ctx, "expr")
     if isinstance(subj, Body):
-        def_body = ctx.take(subj)
-    else:
-        def_body = Body((ctx.take(subj),), node_id=ctx.fresh())
-    new_def = FunDef(inst.name, def_params, def_body, node_id=ctx.fresh())
-    call = StaticCall(inst.name,
-                      tuple(pattern_to_expr(p, ctx.gen) for p in inst.params),
-                      node_id=ctx.fresh())
-    replacement: Node = call
-    if isinstance(subj, Body):
-        replacement = Body((call,), node_id=ctx.fresh())
+        # a Body target is the new definition's body (see subst_fragment),
+        # and what replaces it must be a Body too
+        replacement = Body((replacement,), node_id=ctx.fresh())
     module = module_replace(snap.module, {subj.node_id: replacement}, ctx.gen.high)
     module = ModuleAst(module.definitions + (new_def,), module.next_node_id)
     return finish_step(module, new_def.node_id)
@@ -307,6 +262,7 @@ def _replace_def(snap: Snapshot, d: FunDef, new_def: FunDef,
     return finish_step(ModuleAst(defs, ctx.gen.high), d.node_id)
 
 
+@reports_violations
 def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
                              target: NodeRef) -> StepOutcome:
     d = snap.node(target)
@@ -315,10 +271,7 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
     b = match_template(inst.def_rule.lhs, d)
     if b is None:
         return NotApplicable("definition rule does not match")
-    try:
-        b = eval_condition(inst.def_rule.condition, b, snap, target)
-    except ConditionFailure as f:
-        return PreconditionViolated(f.predicate, f.location)
+    b = eval_condition(inst.def_rule.condition, b, snap, target)
 
     old_key = FunKey(d.name, d.arity)
     # metavariables the reference rule re-inserts but does not itself match
@@ -362,6 +315,7 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
 # Function signature refactoring
 
 
+@reports_violations
 def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
                               target: NodeRef) -> StepOutcome:
     d = snap.node(target)
@@ -371,10 +325,7 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
     b = match_template(inst.head_rule.lhs, d, pre)
     if b is None:
         return NotApplicable("head rule does not match")
-    try:
-        b = eval_condition(inst.head_rule.condition, b, snap, target)
-    except ConditionFailure as f:
-        return PreconditionViolated(f.predicate, f.location)
+    b = eval_condition(inst.head_rule.condition, b, snap, target)
 
     old_key = FunKey(d.name, d.arity)
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
@@ -393,11 +344,7 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
         if rb is None:
             raise _SiteFailure(NotApplicable(
                 f"head rule does not match {_site(snap, call)}"))
-        try:
-            rb = eval_condition(inst.head_rule.condition, rb, snap,
-                                snap.ref(call.node_id))
-        except ConditionFailure as f:
-            raise _SiteFailure(PreconditionViolated(f.predicate, f.location))
+        rb = eval_condition(inst.head_rule.condition, rb, snap, snap.ref(call.node_id))
         ref_name, ref_args = substitute(inst.head_rule.rhs, rb, ctx, "expr")
         return StaticCall(ref_name, ref_args, node_id=call.node_id)
 
@@ -417,6 +364,8 @@ _HEADERS = (
     ("LOCAL REFACTORING", "local"),
     ("COMPOSITE", "composite"),
 )
+
+_PLACEMENTS = {"IN": "in_scope", "IN OUTER": "outer_scope"}  # DEFINITION IN .. SCOPE
 
 _STEP_RE = re.compile(r"(?:([A-Z_]\w*)\s*:=\s*)?(ITERATE\s+)?(\w+\s*\(.*\))(\s+TRACED)?")
 
@@ -486,14 +435,17 @@ def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
 
 def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
                           steps: Optional[dict] = None):
-    """Parse a scheme-instance block into (kind, name, instance factory).
+    """Parse a scheme-instance block into (kind, name, instance).
 
-    The factory takes the instance arguments named in the header (for
-    example the variable name for extract_to_variable) and returns the
-    SchemeInstance. Supported blocks mirror the fixed per-scheme formats
-    with DEFINITION / REFERENCE / WHEN sections; an INTRODUCE block's
-    DEFINITION is its scheme's fixed template, and its REFERENCE is an
-    expression rule whose WHEN clause the instance keeps. A COMPOSITE
+    Supported blocks mirror the fixed per-scheme formats with DEFINITION
+    / REFERENCE / WHEN sections, and the engines honour all three. An
+    INTRODUCE VARIABLE block's DEFINITION reads ``IN [OUTER] SCOPE``
+    followed by a match template; an INTRODUCE FUNCTION block's is a
+    function definition template. An INTRODUCE block's REFERENCE is an
+    expression rule, and its WHEN clause is evaluated after the scheme's
+    own side conditions (see the module docstring). The header's
+    arguments (the name, the parameters) are set on the instance, as
+    ``name`` and ``params``, before it runs. A COMPOSITE
     block, one ``[Local :=] [ITERATE] op(Target, Arg, ..) [TRACED]`` step
     per line over the selectors and steps, two name -> callable(snap,
     target, *args) tables, parses to a CompositeProgram; a step's call is
@@ -518,21 +470,19 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
         return kind, name, SignatureRefactoring(rule)
     if kind in ("introduce_variable", "introduce_function"):
         sections = _split_sections(body, ("DEFINITION", "REFERENCE"))
-        def_text = sections["DEFINITION"].strip()
         ref_rule = parse_rule_text(sections["REFERENCE"], "expr")
-    if kind == "introduce_variable":
-        m = re.fullmatch(r"IN\s+(OUTER\s+)?SCOPE\s+@?\w+\s*=\s*@?\w+", def_text)
-        if not m:
-            raise TemplateError(f"definition must be 'IN [OUTER] SCOPE Name = E': {def_text!r}")
-        return kind, name, IntroduceVariable("outer_scope" if m.group(1) else "in_scope", ref_rule)
-    if kind == "introduce_function":
-        if not re.fullmatch(r"@?\w+\s*\(\s*@?\w+\.\.\.\s*\)\s*->\s*@?\w+\s*\.", def_text):
-            raise TemplateError(f"definition must be 'Name(Params...) -> E .': {def_text!r}")
-
-        def factory(fn_name: str, params: tuple[Pattern, ...]):
-            return IntroduceFunction(fn_name, tuple(params), ref_rule.condition)
-
-        return kind, name, factory
+        try:
+            if kind == "introduce_function":
+                return kind, name, IntroduceFunction(
+                    parse_template_def(sections["DEFINITION"]), ref_rule)
+            where, _, def_text = sections["DEFINITION"].partition("SCOPE")
+            placement = _PLACEMENTS.get(" ".join(where.split()))
+            definition = parse_template_expr(def_text)
+        except ParseError as err:
+            raise TemplateError(f"cannot parse definition: {err}") from None
+        if placement is None or type(definition) is not Match:
+            raise TemplateError("definition must be 'IN [OUTER] SCOPE Pattern = Expr'")
+        return kind, name, IntroduceVariable(placement, definition, ref_rule)
     if kind == "function":
         sections = _split_sections(body, ("DEFINITION", "REFERENCE", "WHEN"))
         def_rule = parse_rule_text(sections["DEFINITION"], "head")

@@ -502,7 +502,7 @@ def expr_to_pattern(e: Expr, gen: IdGen) -> Pattern:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_KEYWORDS = {"begin", "end", "fun", "div", "print"}
+KEYWORDS = {"begin", "end", "fun", "div", "print"}
 
 # One match per token: group 1 takes the blanks and the comment before it,
 # group 2 the token, tried in the order listed. "." matches any character
@@ -522,7 +522,7 @@ _TOKEN = re.compile(r"""
 _NEWLINE = object()
 _CHUNK = 8192
 # token text -> kind, for the texts whose kind is fixed
-_KINDS = {"\n": _NEWLINE, **{k: k for k in _KEYWORDS},
+_KINDS = {"\n": _NEWLINE, **{k: k for k in KEYWORDS},
           **{p: p for p in ("->", "==", *"(){},.=<+-*")}}
 
 
@@ -669,7 +669,8 @@ class _Parser:
 
     def parse_fundef(self) -> FunDef:
         start = self.toks[self.pos]
-        if start[0] != "atom":
+        # a template may hold a metavariable in name position, as in a call
+        if start[0] != "atom" and not (self.meta and start[0] == "metavar"):
             self.error(f"expected function name, found {start[1] or 'end of input'!r}")
         self.pos += 1
         params, body = self._clause()
@@ -971,6 +972,14 @@ def parse_exprseq_text(source: str, *, meta: bool = False, gen: Optional[IdGen] 
     seq = p.parse_exprseq()
     p.expect("eof")
     return seq
+
+
+def parse_fundef_text(source: str, *, meta: bool = False) -> FunDef:
+    """Parse a single function definition, its closing '.' included."""
+    p = _Parser(lex(source, meta=meta), IdGen(), meta=meta)
+    d = p.parse_fundef()
+    p.expect("eof")
+    return d
 
 
 def parse_patterns_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> tuple[Pattern, ...]:

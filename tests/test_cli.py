@@ -253,6 +253,18 @@ def test_step_outer_variable(tmp_path, capsys):
         "f(X) -> Y = 1, G = fun() -> Y, X + Y end, G().\n"
 
 
+@pytest.mark.parametrize("keyword", ["print", "begin", "end", "fun", "div"])
+@pytest.mark.parametrize("step", ["rename_function", "extract_to_function"])
+def test_step_rejects_a_keyword_as_function_name(l1, capsys, step, keyword):
+    # the lexer reads a keyword, so a function of that name could not be parsed
+    how = (["--fun", "f/1", "--to", keyword] if step == "rename_function"
+           else ["--pos", "1:15", "--name", keyword, "--params", "X"])
+    assert main(["refactor", "step", step, str(l1), *how]) == 1
+    err = capsys.readouterr().err
+    assert f"not applicable: invalid function name {keyword!r}" in err
+    assert "Traceback" not in err
+
+
 def test_step_failure_exit_1(tmp_path, capsys):
     p = tmp_path / "m.mer"
     p.write_text("f() -> Y = 5, Y + 1.\n")

@@ -7,13 +7,13 @@ import pytest
 from mer.analysis import FunKey, Snapshot, references
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated, TemplateError
 from mer.schemes import (
-    IntroduceFunction, IntroduceVariable, Local, SignatureRefactoring,
+    Local, SignatureRefactoring,
     parse_scheme_instance, run_function_refactoring, run_introduce_function,
     run_introduce_variable, run_local, run_signature_refactoring,
 )
 from mer.refactorings import (
     EXTRACT_TO_VARIABLE_REF_TEXT, OUTER_VARIABLE_REF_TEXT, WRAP_RULE,
-    WRAP_RULE_TEXT, _EXTRACT_VAR, _OUTER_VAR, _RENAME, _VAR_TO_PARAM,
+    WRAP_RULE_TEXT, _EXTRACT_FUN, _EXTRACT_VAR, _OUTER_VAR, _RENAME, _VAR_TO_PARAM,
 )
 from mer.syntax import parse_patterns_text, pretty
 
@@ -53,7 +53,7 @@ def test_run_local_not_applicable_on_fundef(doubler):
 
 
 def _in_scope(name):
-    return IntroduceVariable("in_scope", _EXTRACT_VAR.ref_rule, name=name)
+    return dataclasses.replace(_EXTRACT_VAR, name=name)
 
 
 def test_introduce_variable_in_scope():
@@ -88,7 +88,7 @@ def test_introduce_variable_closed_violation(doubler):
 # introduce variable (outer scope)
 
 
-OUTER = IntroduceVariable("outer_scope", _OUTER_VAR.ref_rule)
+OUTER = _OUTER_VAR
 
 
 def test_outer_scope_lift():
@@ -122,11 +122,15 @@ def test_outer_scope_name_clash_rejected():
 # introduce function
 
 
+def _intro_fun(name, params):
+    return dataclasses.replace(_EXTRACT_FUN, name=name, params=tuple(params))
+
+
 def test_introduce_function_on_body():
     snap = _snap("f(X) -> begin X * (fun() -> 2 end)() end.\ng(X) -> f(X+1).\n")
     f = snap.module.definitions[0]
     out = run_introduce_function(
-        IntroduceFunction("tmp", tuple(f.params)), snap, snap.ref(f.body.node_id))
+        _intro_fun("tmp", f.params), snap, snap.ref(f.body.node_id))
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {
         "f(X) -> tmp(X).",
@@ -142,7 +146,7 @@ def test_introduce_function_on_body():
 def test_introduce_function_free_var_not_covered():
     snap = _snap("f(X) -> X + Z.\n")
     out = run_introduce_function(
-        IntroduceFunction("tmp", parse_patterns_text("X")), snap,
+        _intro_fun("tmp", parse_patterns_text("X")), snap,
         target_of(snap, "X + Z"))
     assert isinstance(out, PreconditionViolated) and out.predicate == "is_subset"
 
@@ -150,7 +154,7 @@ def test_introduce_function_free_var_not_covered():
 def test_introduce_function_name_clash():
     snap = _snap("f(X) -> X.\ng(X) -> X + 1.\n")
     out = run_introduce_function(
-        IntroduceFunction("g", parse_patterns_text("X")), snap,
+        _intro_fun("g", parse_patterns_text("X")), snap,
         target_of(snap, "X + 1"))
     assert isinstance(out, PreconditionViolated) and out.predicate == "signature_clash"
 
@@ -158,7 +162,7 @@ def test_introduce_function_name_clash():
 def test_introduce_function_superset_params_allowed():
     snap = _snap("f(X) -> 7.\n")
     out = run_introduce_function(
-        IntroduceFunction("tmp", parse_patterns_text("X")), snap,
+        _intro_fun("tmp", parse_patterns_text("X")), snap,
         target_of(snap, "7"))
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {"f(X) -> tmp(X).", "tmp(X) -> 7."}
@@ -318,7 +322,7 @@ def test_outer_scope_rejects_raising_expression():
 
 def test_introduce_function_rejects_leaking_binding():
     snap = _snap("f() -> V1 = 5, V1.\n")
-    out = run_introduce_function(IntroduceFunction("ex0", ()), snap,
+    out = run_introduce_function(_intro_fun("ex0", ()), snap,
                                  target_of(snap, "V1 = 5"))
     assert isinstance(out, PreconditionViolated) and out.predicate == "non_bind"
 
@@ -327,7 +331,7 @@ def test_introduce_function_rejects_rematch():
     # the second V1 = 4 re-checks the first binding, so V1 is a free
     # variable of the extracted code and must be covered by the parameters
     snap = _snap("f() -> V1 = 4, V1 = 4.\n")
-    out = run_introduce_function(IntroduceFunction("ex0", ()), snap,
+    out = run_introduce_function(_intro_fun("ex0", ()), snap,
                                  target_of(snap, "V1 = 4", occurrence=2))
     assert isinstance(out, PreconditionViolated) and out.predicate == "is_subset"
 
@@ -403,14 +407,14 @@ def test_parse_introduce_variable_blocks():
 
 
 def test_parse_introduce_function_block():
-    kind, name, factory = parse_scheme_instance(
+    kind, name, inst = parse_scheme_instance(
         "INTRODUCE FUNCTION extract_to_function(Name, Params...)\n"
         "DEFINITION\n@Name(@Params...) -> @E .\n"
         "REFERENCE\n@E\n-----\n@Name(@Params...)\n"
         "WHEN is_subset(free_vars(@E), vars(@Params...))\n")
     assert (kind, name) == ("introduce_function", "extract_to_function")
     snap = _snap("f(X) -> X + 1.\n")
-    inst = factory("helper", parse_patterns_text("X"))
+    inst = dataclasses.replace(inst, name="helper", params=parse_patterns_text("X"))
     out = run_introduce_function(inst, snap, target_of(snap, "X + 1"))
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {"f(X) -> helper(X).",
@@ -485,3 +489,47 @@ _INTRO_VAR = "INTRODUCE VARIABLE extract_to_variable(Name)\n"
 def test_introduce_block_sections_checked(block):
     with pytest.raises(TemplateError):
         parse_scheme_instance(block)
+
+
+_DEFAULT_FUN_DEF = "DEFINITION\n@Name(@Params...) -> @E .\n"
+_DEFAULT_FUN_REF = "REFERENCE\n@E\n-----\n@Name(@Params...)\n"
+
+
+@pytest.mark.parametrize("definition,reference,expected", [
+    (_DEFAULT_FUN_DEF, "REFERENCE\n@E\n-----\nbegin @Name(@Params...) end\n",
+     "f(X) -> begin h(X) end.\nh(X) -> X + 1.\n"),
+    ("DEFINITION\n@Name(@Params...) -> begin @E end .\n", _DEFAULT_FUN_REF,
+     "f(X) -> h(X).\nh(X) -> begin X + 1 end.\n"),
+], ids=["reference", "definition"])
+def test_introduce_function_instantiates_its_rule_text(definition, reference, expected):
+    _, _, inst = parse_scheme_instance(_INTRO_FUN + definition + reference)
+    snap = _snap("f(X) -> X + 1.\n")
+    out = run_introduce_function(
+        dataclasses.replace(inst, name="h", params=parse_patterns_text("X")),
+        snap, target_of(snap, "X + 1"))
+    assert isinstance(out, Applied)
+    assert pretty(out.snapshot.module) == expected
+
+
+def test_introduce_variable_instantiates_its_definition():
+    _, _, inst = parse_scheme_instance(
+        _INTRO_VAR + "DEFINITION IN SCOPE\n@Name = begin @E end\nREFERENCE\n"
+        + EXTRACT_TO_VARIABLE_REF_TEXT)
+    snap = _snap("tmp(X) -> begin X * (fun() -> 2 end)() end.\n")
+    out = run_introduce_variable(dataclasses.replace(inst, name="Y"), snap,
+                                 target_of(snap, "fun() -> 2 end"))
+    assert isinstance(out, Applied)
+    assert pretty(out.snapshot.module) == \
+        "tmp(X) -> Y = begin fun() -> 2 end end, begin X * Y() end.\n"
+
+
+def test_introduce_variable_inherent_conditions_come_first():
+    # print(1) is impure and its binding of V is used outside: the scheme's
+    # own pure is reported ahead of the instance's non_bind
+    _, _, inst = parse_scheme_instance(
+        _INTRO_VAR + "DEFINITION IN SCOPE\n@Name = @E\nREFERENCE\n"
+        + EXTRACT_TO_VARIABLE_REF_TEXT + "WHEN non_bind(@E)\n")
+    snap = _snap("f() -> V = print(1), V.\n")
+    target = target_of(snap, "V = print(1)")
+    out = run_introduce_variable(dataclasses.replace(inst, name="Y"), snap, target)
+    assert out == PreconditionViolated("pure", "f/0: V = print(1)")
