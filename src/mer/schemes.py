@@ -443,13 +443,14 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
     followed by a match template; an INTRODUCE FUNCTION block's is a
     function definition template. An INTRODUCE block's REFERENCE is an
     expression rule, and its WHEN clause is evaluated after the scheme's
-    own side conditions (see the module docstring). The header's
-    arguments (the name, the parameters) are set on the instance, as
-    ``name`` and ``params``, before it runs. A COMPOSITE
-    block, one ``[Local :=] [ITERATE] op(Target, Arg, ..) [TRACED]`` step
-    per line over the selectors and steps, two name -> callable(snap,
-    target, *args) tables, parses to a CompositeProgram; a step's call is
-    an expression parsed in meta mode.
+    own side conditions (see the module docstring). The caller sets the
+    header's arguments on an INTRODUCE instance (``name``, and
+    ``params`` for a function) before running it.
+
+    A COMPOSITE block, one ``[Local :=] [ITERATE] op(Target, Arg, ..)
+    [TRACED]`` step per line over the selectors and steps, two name ->
+    callable(snap, target, *args) tables, parses to a CompositeProgram;
+    a step's call is an expression parsed in meta mode.
     """
     stripped = text.strip()
     for header, kind in _HEADERS:
