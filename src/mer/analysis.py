@@ -19,14 +19,16 @@ node references carry the snapshot version and fail with
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from operator import is_not
+from typing import Iterable, KeysView, Optional
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, FunDef, IntLit, Lambda, Match,
     ModuleAst, Node, PVar, Pattern, Print, StaticCall, TupleExpr, VarRef,
-    children, is_expr, node_ids, parse, walk,
+    NODE_ID, check_module, children, is_expr, node_ids, parse, walk,
 )
 
 
@@ -62,29 +64,109 @@ class NodeRef:
     node_id: int
 
 
+Key = tuple[str, int]  # a function's (name, arity), as the index keys it
+
+
 class _Index:
-    def __init__(self, module: ModuleAst):
-        self.by_id = by_id = {}  # node id -> node
-        self.parent = parents = {}  # node id -> parent id or None
-        self.def_of = def_of = {}  # node id -> id of its definition
-        # an explicit stack: Python's stack does not bound a tree's depth
-        for d in module.definitions:
-            stack: list[tuple[Node, Optional[int]]] = [(d, None)]
+    """Lookup tables over a module's definitions: each node's definition
+    id; each definition by id, and its id by key; the ids of the
+    definitions holding a static call to each key; and, made on first
+    use, each definition's node tables (see tables) and effect summary
+    (see _effects).
+
+    An index is derived from parent, an index of an earlier module, by
+    dropping the nodes of the definitions removed and adding those of the
+    definitions added; the rest is parent's, copied, not walked. Built
+    from nothing (parent None), it is the index of the definitions added.
+    """
+
+    def __init__(self, parent: Optional[_Index], removed: Iterable[FunDef],
+                 added: Iterable[FunDef]):
+        if parent is None:
+            def_of, defs, by_key, callers, local, effects = {}, {}, {}, {}, {}, {}
+        else:
+            def_of, defs, by_key = parent.def_of.copy(), parent.defs.copy(), parent.by_key.copy()
+            callers, local, effects = (parent.callers.copy(), parent.local.copy(),
+                                       parent.effects.copy())
+        self.def_of, self.defs, self.by_key = def_of, defs, by_key
+        self.callers, self.local, self.effects = callers, local, effects
+        gone: defaultdict[Key, set[int]] = defaultdict(set)  # callers lost, by key
+        new: defaultdict[Key, set[int]] = defaultdict(set)  # and gained
+        for d in removed:
+            for n in walk(d):
+                del def_of[n.node_id]
+                if type(n) is StaticCall:
+                    gone[n.name, len(n.args)].add(d.node_id)
+            del defs[d.node_id], by_key[d.name, d.arity]
+            local.pop(d.node_id, None)
+            effects.pop(d.node_id, None)
+        for d in added:
+            stack = [d]  # as walk, without a generator's cost per node
             while stack:
-                n, parent = stack.pop()
-                nid = n.node_id
-                by_id[nid] = n
-                parents[nid] = parent
-                def_of[nid] = d.node_id
+                n = stack.pop()
+                def_of[n.node_id] = d.node_id
+                if type(n) is StaticCall:
+                    new[n.name, len(n.args)].add(d.node_id)
+                stack += children(n)
+            defs[d.node_id] = d
+            by_key.setdefault((d.name, d.arity), d.node_id)
+        for key in gone.keys() | new.keys():
+            callers[key] = (callers.get(key, frozenset()) - gone[key]) | new[key]
+            if not callers[key]:
+                del callers[key]
+
+    def tables(self, def_id: int) -> tuple[dict[int, Node], dict[int, Optional[int]]]:
+        """The nodes of one definition by id, and each one's parent's id."""
+        t = self.local.get(def_id)
+        if t is None:
+            by_id, parents = {}, {}
+            # an explicit stack: Python's stack does not bound a tree's depth
+            stack: list[tuple[Node, Optional[int]]] = [(self.defs[def_id], None)]
+            while stack:
+                n, parent_id = stack.pop()
+                by_id[n.node_id] = n
+                parents[n.node_id] = parent_id
                 for c in children(n):
-                    stack.append((c, nid))
+                    stack.append((c, n.node_id))
+            t = self.local[def_id] = by_id, parents
+        return t
+
+
+class _Outside:
+    """The keys of table, which maps each to a definition's id, whose
+    definition is not one of dropped."""
+
+    def __init__(self, table: dict, dropped: set[int]):
+        self.table, self.dropped = table, dropped
+
+    def __contains__(self, key) -> bool:
+        d = self.table.get(key)
+        return d is not None and d not in self.dropped
+
+
+def _changed(old: tuple[FunDef, ...], new: tuple[FunDef, ...]
+             ) -> tuple[list[FunDef], list[FunDef]]:
+    """The definitions of old not at their place in new, and those of new
+    not at their place in old, each in module order."""
+    differs = list(map(is_not, old, new))  # at C speed, as below
+    removed = list(itertools.compress(old, differs)) + list(old[len(new):])
+    added = list(itertools.compress(new, differs)) + list(new[len(old):])
+    return removed, added
 
 
 _version_counter = itertools.count(1)
 
 
 class Snapshot:
-    """An immutable module plus a monotone version number."""
+    """An immutable module plus a monotone version number.
+
+    A refactoring step's snapshot is derived from its input's (derive):
+    only the definitions the step replaced or added are checked and
+    indexed, the rest is carried over from the input's index. A snapshot
+    made from source (from_source) is well formed by construction; one
+    made from a hand-built module is checked whole, once, before the
+    first snapshot is derived from it.
+    """
 
     def __init__(self, module: ModuleAst, version: Optional[int] = None):
         self.module = module
@@ -94,41 +176,89 @@ class Snapshot:
     def from_source(cls, source: str,
                     base: Optional[tuple[str, ModuleAst]] = None) -> "Snapshot":
         """The snapshot of source, parsed against base (see syntax.parse)."""
-        return cls(parse(source, base))
+        snap = cls(parse(source, base))
+        snap.well_formed = True  # a parse passes check_module
+        return snap
 
     @cached_property
     def _index(self) -> _Index:
-        return _Index(self.module)
+        return _Index(None, (), self.module.definitions)
+
+    @cached_property
+    def well_formed(self) -> bool:
+        """True iff the module passes syntax.check_module."""
+        try:
+            check_module(self.module)
+        except ValueError:
+            return False
+        return True
+
+    def derive(self, module: ModuleAst) -> "Snapshot":
+        """The snapshot of module, an edit of this snapshot's module. Only
+        the definitions of module that are not, the very object, at their
+        place in this one are checked (syntax.check_module, against the
+        ids and keys of the others, taken from this snapshot's index) and
+        indexed; the rest of the index is carried over. Raises what the
+        check raises. If this module is not well formed, the new one is
+        checked and indexed whole."""
+        if self.well_formed:
+            base = self._index
+            removed, added = _changed(self.module.definitions, module.definitions)
+            dropped = {d.node_id for d in removed}
+            check_module(module, added, _Outside(base.def_of, dropped),
+                         _Outside(base.by_key, dropped))
+        else:
+            check_module(module)
+            base, removed, added = None, (), module.definitions
+        snap = Snapshot(module)
+        snap._index = _Index(base, removed, added)
+        snap.well_formed = True
+        return snap
+
+    @property
+    def node_ids(self) -> KeysView[int]:
+        """The ids of the module's nodes."""
+        return self._index.def_of.keys()
 
     def ref(self, node_or_id) -> NodeRef:
         node_id = node_or_id if isinstance(node_or_id, int) else node_or_id.node_id
-        if node_id not in self._index.by_id:
+        if node_id not in self._index.def_of:
             raise StaleRef(f"node {node_id} not in snapshot v{self.version}")
         return NodeRef(self.version, node_id)
 
     def node(self, ref: NodeRef) -> Node:
         if ref.version != self.version:
             raise StaleRef(f"ref v{ref.version} resolved against snapshot v{self.version}")
-        n = self._index.by_id.get(ref.node_id)
-        if n is None:
+        did = self._index.def_of.get(ref.node_id)
+        if did is None:
             raise StaleRef(f"node {ref.node_id} not in snapshot v{self.version}")
-        return n
+        return self._index.tables(did)[0][ref.node_id]
 
     def parent_of(self, node_id: int) -> Optional[Node]:
-        pid = self._index.parent.get(node_id)
-        return None if pid is None else self._index.by_id[pid]
+        did = self._index.def_of.get(node_id)
+        if did is None:
+            return None
+        by_id, parents = self._index.tables(did)
+        pid = parents[node_id]
+        return None if pid is None else by_id[pid]
 
     def fundef_of(self, node_id: int) -> FunDef:
-        return self._index.by_id[self._index.def_of[node_id]]
+        return self._index.defs[self._index.def_of[node_id]]
 
     def fun_keys(self) -> list[FunKey]:
         return [FunKey(d.name, d.arity) for d in self.module.definitions]
 
     def find_def(self, key: FunKey) -> Optional[FunDef]:
-        for d in self.module.definitions:
-            if d.name == key.name and d.arity == key.arity:
-                return d
-        return None
+        did = self._index.by_key.get((key.name, key.arity))
+        return None if did is None else self._index.defs[did]
+
+    def callers(self, key: FunKey) -> list[FunDef]:
+        """The definitions holding a static call to key, in module order."""
+        ids = self._index.callers.get((key.name, key.arity), ())
+        if not ids:
+            return []
+        defs = self.module.definitions
+        return list(itertools.compress(defs, map(ids.__contains__, map(NODE_ID, defs))))
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +277,29 @@ def pattern_vars(pats) -> list[str]:
     return out
 
 
-def effect_free(e: Node, call_ok: Callable[[StaticCall], bool]) -> bool:
-    """True iff evaluating e can emit no side effect: no print, no dynamic
-    call, and only static calls that call_ok accepts; creating a closure has
-    no effects, so lambda bodies are not inspected."""
-    if isinstance(e, (Print, DynCall)):
-        return False
-    if isinstance(e, Lambda):
-        return True
-    if isinstance(e, StaticCall) and not call_ok(e):
-        return False
-    return all(effect_free(c, call_ok) for c in children(e))
+def _effects(e: Node) -> tuple[bool, frozenset[Key]]:
+    """Whether evaluating e itself can emit a side effect, a print or a
+    dynamic call, and if not, the keys of the static calls it makes.
+    Creating a closure has no effects, so lambda bodies are not inspected."""
+    keys = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        t = type(n)
+        if t is Lambda:
+            continue
+        if t is Print or t is DynCall:
+            return True, frozenset()
+        if t is StaticCall:
+            keys.add((n.name, len(n.args)))
+        stack.extend(children(n))
+    return False, frozenset(keys)
 
 
 def standalone_pure(e: Node) -> bool:
     """Purity with no module context: any call is treated as effectful."""
-    return effect_free(e, lambda call: False)
+    effectful, calls = _effects(e)
+    return not (effectful or calls)
 
 
 def occurs_var(name: str, n: Node, excluded: Optional[Node] = None) -> bool:
@@ -389,31 +526,35 @@ def non_bind(snap: Snapshot, e: NodeRef) -> bool:
     return used_outside.isdisjoint(inside)
 
 
-def fun_purity(module: ModuleAst) -> dict[FunKey, bool]:
-    """Least fixpoint over the static call graph; lambda bodies inside a
-    function body do not count (closure creation is effect free)."""
-    keys = {FunKey(d.name, d.arity): d for d in module.definitions}
-    pure_map = {k: True for k in keys}
-
-    def call_ok(call: StaticCall) -> bool:
-        return pure_map.get(FunKey(call.name, len(call.args)), False)
-
-    changed = True
-    while changed:
-        changed = False
-        for k, d in keys.items():
-            if pure_map[k] and not effect_free(d.body, call_ok):
-                pure_map[k] = False
-                changed = True
-    return pure_map
+def fun_purity(snap: Snapshot, keys: Iterable[Key]) -> bool:
+    """True iff every function keys name is pure: the least fixpoint over
+    the static call graph (lambda bodies inside a function body do not
+    count; closure creation is effect free), followed only from keys.
+    Each definition's effect summary is kept on the index, and carried
+    over to the indexes derived from it."""
+    index = snap._index
+    seen = set(keys)
+    todo = list(seen)
+    while todo:
+        did = index.by_key.get(todo.pop())
+        if did is None:
+            return False  # a call to an undefined function raises
+        summary = index.effects.get(did)
+        if summary is None:
+            summary = index.effects[did] = _effects(index.defs[did].body)
+        effectful, calls = summary
+        if effectful:
+            return False
+        todo += calls - seen
+        seen |= calls
+    return True
 
 
 def pure(snap: Snapshot, e: NodeRef) -> bool:
     """True iff evaluating e can emit no side effect: no print, no dynamic
     call, and no static call reaching either (lambda bodies excluded)."""
-    n = _expr_node(snap, e)
-    purity = fun_purity(snap.module)
-    return effect_free(n, lambda call: purity.get(FunKey(call.name, len(call.args)), False))
+    effectful, calls = _effects(_expr_node(snap, e))
+    return not effectful and fun_purity(snap, calls)
 
 
 def fresh(snap: Snapshot, name: str, ctx: NodeRef) -> bool:
@@ -471,7 +612,7 @@ def body(snap: Snapshot, f: NodeRef) -> NodeRef:
 def references(snap: Snapshot, key: FunKey) -> list[NodeRef]:
     """All static calls matching key, in source order, recursion included."""
     out: list[NodeRef] = []
-    for d in snap.module.definitions:
+    for d in snap.callers(key):
         for n in walk(d):
             if is_call_to(n, key):
                 out.append(snap.ref(n.node_id))

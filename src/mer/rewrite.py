@@ -28,17 +28,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import wraps
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Container, Optional, Sequence, Union
 
 from . import analysis
 from .analysis import NodeRef, Snapshot, StaleRef
 from .syntax import (
     FIELDS, MIRROR, SLOTS, AtomLit, Body, Expr, FunDef, IdGen, Match, MetaSeq,
     MetaVar, ModuleAst, Node, ParseError, PVar, Pattern, StaticCall,
-    SyntacticFlaw, VarRef, check_module, clone_fresh, expr_to_pattern,
-    is_expr, is_pattern, module_node_ids, module_replace, node_ids,
-    parse_expr_text, parse_exprseq_text, parse_fundef_text, parse_patterns_text,
-    pattern_to_expr, pretty_expr, pretty_fragment, remake, struct_eq, walk,
+    SyntacticFlaw, VarRef, clone_fresh, expr_to_pattern, is_expr, is_pattern,
+    module_replace, node_ids, parse_expr_text, parse_exprseq_text,
+    parse_fundef_text, parse_patterns_text, pattern_to_expr, pretty_expr,
+    pretty_fragment, remake, struct_eq, walk,
 )
 
 
@@ -311,32 +311,39 @@ class SubstCtx:
 
     A fragment moved from the source tree keeps its node ids the first
     time it is inserted; later insertions (a repeated metavariable) are
-    re-idded clones.
+    re-idded clones. An id is in use if the module edited holds it and
+    the edit does not free it (held, freed), or if this context has taken
+    or made it since.
     """
 
-    def __init__(self, gen: IdGen, used: set[int]):
+    def __init__(self, gen: IdGen, held: Container[int], freed: Container[int] = ()):
         self.gen = gen
-        self.used = used
+        self.held = held
+        self.freed = freed
+        self.taken: set[int] = set()
 
     @classmethod
-    def for_module(cls, module: ModuleAst, freed: Sequence[Node] = ()) -> "SubstCtx":
-        used = module_node_ids(module)
+    def for_snapshot(cls, snap: Snapshot, freed: Sequence[Node] = ()) -> "SubstCtx":
+        ids: set[int] = set()
         for f in freed:
-            used -= node_ids(f)
-        return cls(IdGen(module.next_node_id), used)
+            ids |= node_ids(f)
+        return cls(IdGen(snap.module.next_node_id), snap.node_ids, ids)
+
+    def _used(self, node_id: int) -> bool:
+        return node_id in self.taken or (node_id in self.held and node_id not in self.freed)
 
     def take(self, frag: Node) -> Node:
         ids = node_ids(frag)
-        if ids & self.used:
+        if any(map(self._used, ids)):
             fresh = clone_fresh(frag, self.gen)
-            self.used |= node_ids(fresh)
+            self.taken |= node_ids(fresh)
             return fresh
-        self.used |= ids
+        self.taken |= ids
         return frag
 
     def fresh(self) -> int:
         n = self.gen.fresh()
-        self.used.add(n)
+        self.taken.add(n)
         return n
 
 
@@ -350,7 +357,9 @@ def _as_sort(frag: Fragment, ctx: SubstCtx, slot: str) -> Node:
         if is_pattern(frag) == to_pattern:
             return ctx.take(frag)
         return expr_to_pattern(frag, ctx.gen) if to_pattern else pattern_to_expr(frag, ctx.gen)
-    raise UnboundMetavariable(f"cannot use {frag!r} as {'a pattern' if to_pattern else 'an expression'}")
+    # the type, not the repr: a tree may be too deep to print
+    sort = "a pattern" if to_pattern else "an expression"
+    raise UnboundMetavariable(f"cannot use a {type(frag).__name__} as {sort}")
 
 
 def _lookup(binding: Binding, name: str) -> Fragment:
@@ -419,15 +428,16 @@ def substitute(t: Template, binding: Binding, ctx: SubstCtx, arg_slot: str = "pa
     return subst_fragment(t, binding, ctx, "expr")
 
 
-def finish_step(module: ModuleAst, result_id: int) -> StepOutcome:
-    """Applied with a snapshot of module, or NotApplicable when the edit left
-    a shape the language cannot express."""
+def finish_step(snap: Snapshot, module: ModuleAst, result_id: int) -> StepOutcome:
+    """Applied with the snapshot of module, an edit of snap's module,
+    derived from snap (see Snapshot.derive: only the definitions the step
+    replaced or added are checked and indexed); NotApplicable when the
+    edit left a shape the language cannot express."""
     try:
-        check_module(module)
+        out = snap.derive(module)
     except SyntacticFlaw as flaw:
         return NotApplicable(str(flaw))
-    snap = Snapshot(module)
-    return Applied(snap, snap.ref(result_id))
+    return Applied(out, out.ref(result_id))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +692,8 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcom
     if b is None:
         return NotApplicable("left side does not match")
     b = eval_condition(rule.condition, b, snap, target)
-    ctx = SubstCtx.for_module(snap.module, freed=[subj])
+    ctx = SubstCtx.for_snapshot(snap, freed=[subj])
     new_frag = subst_fragment(rule.rhs, b, ctx, "expr")
-    new_module = module_replace(snap.module, {subj.node_id: new_frag}, ctx.gen.high)
-    return finish_step(new_module, new_frag.node_id)
+    new_module = module_replace(snap.module, {subj.node_id: new_frag}, ctx.gen.high,
+                                snap.fundef_of)
+    return finish_step(snap, new_module, new_frag.node_id)

@@ -37,15 +37,15 @@ from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
     Binding, Condition, NotApplicable, PreconditionViolated, RewriteRule,
-    SigTemplate, StepOutcome, SubstCtx, TemplateError, _locate, apply_rule,
-    eval_condition, finish_step, match_template, parse_rule_text,
-    parse_template_def, parse_template_expr, reports_violations,
-    subst_fragment, substitute, template_metavars,
+    SigTemplate, StepOutcome, SubstCtx, TemplateError, UnboundMetavariable,
+    _locate, apply_rule, eval_condition, finish_step, match_template,
+    parse_rule_text, parse_template_def, parse_template_expr,
+    reports_violations, subst_fragment, substitute, template_metavars,
 )
 from .syntax import (
-    KEYWORDS, AtomLit, Body, Expr, FunDef, Match, ModuleAst, Node, ParseError,
-    Pattern, StaticCall, VarRef, is_expr, module_replace, parse_expr_text,
-    pretty_expr, rebuild, walk,
+    KEYWORDS, AtomLit, Body, Expr, FunDef, Match, MetaSeq, ModuleAst, Node,
+    ParseError, Pattern, StaticCall, VarRef, edit_definitions, is_expr,
+    module_replace, parse_expr_text, pretty_expr, rebuild, walk,
 )
 
 
@@ -176,7 +176,7 @@ def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
     # would truncate the trace of the code it jumps ahead of)
     b = eval_condition(_with_instance_when(inherent, inst.ref_rule), b, snap, target)
 
-    ctx = SubstCtx.for_module(snap.module, freed=[subj])
+    ctx = SubstCtx.for_snapshot(snap, freed=[subj])
     binding = subst_fragment(inst.definition, b, ctx, "expr")
     replacement = substitute(inst.ref_rule.rhs, b, ctx)
 
@@ -187,8 +187,9 @@ def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
             return Body((binding,) + n.exprs, node_id=n.node_id)
         return n
 
-    defs = tuple(rebuild(d, edit) for d in snap.module.definitions)
-    return finish_step(ModuleAst(defs, ctx.gen.high), binding.node_id)
+    holder = snap.fundef_of(subj.node_id).node_id  # dest's too
+    defs = edit_definitions(snap.module, {holder}, lambda d: rebuild(d, edit))
+    return finish_step(snap, ModuleAst(defs, ctx.gen.high), binding.node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +215,25 @@ def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
     b = eval_condition(_with_instance_when(_INTRODUCE_FUNCTION_WHEN, inst.ref_rule),
                        b, snap, target)
 
-    ctx = SubstCtx.for_module(snap.module, freed=[subj])
-    new_def = subst_fragment(inst.definition, b, ctx, "expr")
-    # a clash concerns the new function's key, not a fragment
-    key = FunKey(new_def.name, new_def.arity)
-    if snap.find_def(key) is not None:
-        return PreconditionViolated("signature_clash", f"{key} already defined")
-    replacement = subst_fragment(inst.ref_rule.rhs, b, ctx, "expr")
+    ctx = SubstCtx.for_snapshot(snap, freed=[subj])
+    try:
+        new_def = subst_fragment(inst.definition, b, ctx, "expr")
+        # a clash concerns the new function's key, not a fragment
+        key = FunKey(new_def.name, new_def.arity)
+        if snap.find_def(key) is not None:
+            return PreconditionViolated("signature_clash", f"{key} already defined")
+        replacement = subst_fragment(inst.ref_rule.rhs, b, ctx, "expr")
+    except UnboundMetavariable as err:
+        # a Body target can only be a definition's whole body
+        return NotApplicable(f"the block cannot take this target: {err}")
     if isinstance(subj, Body):
         # a Body target is the new definition's body (see subst_fragment),
         # and what replaces it must be a Body too
         replacement = Body((replacement,), node_id=ctx.fresh())
-    module = module_replace(snap.module, {subj.node_id: replacement}, ctx.gen.high)
+    module = module_replace(snap.module, {subj.node_id: replacement}, ctx.gen.high,
+                            snap.fundef_of)
     module = ModuleAst(module.definitions + (new_def,), module.next_node_id)
-    return finish_step(module, new_def.node_id)
+    return finish_step(snap, module, new_def.node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +255,18 @@ def _replace_def(snap: Snapshot, d: FunDef, new_def: FunDef,
     """Put new_def in place of d and rewrite every call to d with make,
     bottom-up, nested calls included; a site make rejects aborts the step."""
     key = FunKey(d.name, d.arity)
+    holders = {c.node_id for c in snap.callers(key)} | {d.node_id}
 
     def edit(n: Node) -> Node:
         return make(n) if is_call_to(n, key) else n
 
     try:
         new_def = rebuild(new_def, edit)
-        defs = tuple(new_def if old.node_id == d.node_id else rebuild(old, edit)
-                     for old in snap.module.definitions)
+        defs = edit_definitions(snap.module, holders,
+                                lambda old: new_def if old is d else rebuild(old, edit))
     except _SiteFailure as sf:
         return sf.outcome
-    return finish_step(ModuleAst(defs, ctx.gen.high), d.node_id)
+    return finish_step(snap, ModuleAst(defs, ctx.gen.high), d.node_id)
 
 
 @reports_violations
@@ -288,7 +295,7 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
             return PreconditionViolated("pure", _locate(snap, target, frag))
 
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
-    ctx = SubstCtx.for_module(snap.module, freed=[d] + refs)
+    ctx = SubstCtx.for_snapshot(snap, freed=[d] + refs)
     new_params, new_body_exprs = substitute(inst.def_rule.rhs, b, ctx)
     if not new_body_exprs:
         return NotApplicable("resulting body would be empty")
@@ -329,7 +336,7 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
 
     old_key = FunKey(d.name, d.arity)
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
-    ctx = SubstCtx.for_module(snap.module, freed=list(d.params) + refs)
+    ctx = SubstCtx.for_snapshot(snap, freed=list(d.params) + refs)
     new_name, new_params = substitute(inst.head_rule.rhs, b, ctx)
     if not _NAME_RE.match(new_name):
         return NotApplicable(f"invalid function name {new_name!r}")
@@ -433,6 +440,24 @@ def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
     return CompositeProgram(name, params, tuple(out))
 
 
+def _arity_shape(seq: Sequence[Node]) -> tuple[int, list[str]]:
+    """What fixes the length of a template sequence's instances: its
+    scalar items' number and its list metavariables' names."""
+    return (sum(type(x) is not MetaSeq for x in seq),
+            sorted(x.name for x in seq if type(x) is MetaSeq))
+
+
+def _check_reference_calls(definition: FunDef, ref_rule: RewriteRule):
+    """An INTRODUCE FUNCTION block's REFERENCE must call the function its
+    DEFINITION makes, with as many arguments as it has parameters."""
+    calls = [n for n in walk(ref_rule.rhs)
+             if type(n) is StaticCall and n.name == definition.name]
+    if not calls or any(_arity_shape(c.args) != _arity_shape(definition.params)
+                        for c in calls):
+        raise TemplateError(f"the REFERENCE must call {definition.name} with as many "
+                            "arguments as the DEFINITION has parameters")
+
+
 def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
                           steps: Optional[dict] = None):
     """Parse a scheme-instance block into (kind, name, instance).
@@ -474,8 +499,9 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
         ref_rule = parse_rule_text(sections["REFERENCE"], "expr")
         try:
             if kind == "introduce_function":
-                return kind, name, IntroduceFunction(
-                    parse_template_def(sections["DEFINITION"]), ref_rule)
+                definition = parse_template_def(sections["DEFINITION"])
+                _check_reference_calls(definition, ref_rule)
+                return kind, name, IntroduceFunction(definition, ref_rule)
             where, _, def_text = sections["DEFINITION"].partition("SCOPE")
             placement = _PLACEMENTS.get(" ".join(where.split()))
             definition = parse_template_expr(def_text)

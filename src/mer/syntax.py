@@ -50,9 +50,11 @@ import gc
 import re
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import (
+    Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
+)
 
 
 class ParseError(Exception):
@@ -392,15 +394,11 @@ def walk(n: Node) -> Iterator[Node]:
         stack.extend(reversed(children(cur)))
 
 
+NODE_ID = attrgetter("node_id")
+
+
 def node_ids(n: Node) -> set[int]:
     return {x.node_id for x in walk(n)}
-
-
-def module_node_ids(m: ModuleAst) -> set[int]:
-    out: set[int] = set()
-    for d in m.definitions:
-        out |= node_ids(d)
-    return out
 
 
 def is_expr(n: Node) -> bool:
@@ -471,12 +469,26 @@ def rebuild(n: Node, f: Callable[[Node], Node]) -> Node:
     return f(n)
 
 
-def module_replace(m: ModuleAst, replacements: dict[int, Node], next_node_id: int) -> ModuleAst:
-    """Replace nodes by id throughout m; a replacement is inserted as-is."""
+def edit_definitions(m: ModuleAst, holders: Container[int],
+                     edit: Callable[[FunDef], FunDef]) -> tuple[FunDef, ...]:
+    """m's definitions with each d whose id is in holders replaced by
+    edit(d), called in module order; the others are shared, not walked."""
+    defs = list(m.definitions)
+    # the definitions to edit are found at C speed: a module may hold thousands
+    for i in compress(range(len(defs)), map(holders.__contains__, map(NODE_ID, defs))):
+        defs[i] = edit(defs[i])
+    return tuple(defs)
+
+
+def module_replace(m: ModuleAst, replacements: dict[int, Node], next_node_id: int,
+                   holder: Callable[[int], FunDef]) -> ModuleAst:
+    """Replace nodes by id; a replacement is inserted as-is. holder(i) is
+    the definition holding node i: only those definitions are rebuilt."""
     def f(n: Node) -> Node:
         return replacements.get(n.node_id, n)
 
-    return ModuleAst(tuple(rebuild(d, f) for d in m.definitions), next_node_id)
+    holders = {holder(i).node_id for i in replacements}
+    return ModuleAst(edit_definitions(m, holders, lambda d: rebuild(d, f)), next_node_id)
 
 
 def _mirror(n: Node, gen: IdGen, to_pattern: bool) -> Node:
@@ -1043,9 +1055,16 @@ def pretty_expr(e: Expr, ctx: int = 0) -> str:
     if isinstance(e, MetaSeq):
         return "@" + e.name + "..."
     if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        s = f"{pretty_expr(e.left, p)} {e.op} {pretty_expr(e.right, p + 1)}"
-        return f"({s})" if p < ctx else s
+        # a left-associative chain, which may be thousands of levels deep,
+        # is printed by a loop down its left spine
+        spine = [e]
+        while type(spine[-1].left) is BinOp and _PREC[spine[-1].left.op] >= _PREC[spine[-1].op]:
+            spine.append(spine[-1].left)
+        parts = [pretty_expr(spine[-1].left, _PREC[spine[-1].op])]
+        for b in reversed(spine):
+            parts += (" ", b.op, " ", pretty_expr(b.right, _PREC[b.op] + 1))
+        s = "".join(parts)
+        return f"({s})" if _PREC[e.op] < ctx else s
     if isinstance(e, Match):
         s = f"{pretty_pattern(e.pattern)} = {pretty_expr(e.rhs, 1)}"
         return f"({s})" if 1 < ctx else s
@@ -1093,11 +1112,11 @@ def find_node(m: ModuleAst, line: int, col: int) -> int:
 # Well-formedness (used by engines after every edit)
 
 
-def syntactic_flaws(m: ModuleAst) -> list[str]:
+def syntactic_flaws(defs: Iterable[FunDef]) -> list[str]:
     """Shape violations a transformation may legitimately run into (the
     language simply cannot express the result), reported rather than raised."""
     flaws = []
-    for d in m.definitions:
+    for d in defs:
         for n in walk(d):
             if isinstance(n, (Body, Block)) and not children(n):
                 flaws.append(f"empty expression sequence in {d.name}/{d.arity}")
@@ -1110,21 +1129,38 @@ class SyntacticFlaw(ValueError):
     """A module shape the language cannot express (see syntactic_flaws)."""
 
 
-def check_module(m: ModuleAst):
+def check_module(m: ModuleAst, changed: Optional[Sequence[FunDef]] = None,
+                 held_ids: Container[int] = (), held_keys: Container[tuple[str, int]] = ()):
     """Assert module invariants; raises SyntacticFlaw for the first shape
-    flaw, else ValueError on a duplicate definition or node id."""
-    for flaw in syntactic_flaws(m):
+    flaw, else ValueError on a duplicate definition or node id.
+
+    Given changed, m's definitions that may fail, in module order, only
+    those are walked: the others passed the check in an earlier module,
+    and held_ids and held_keys are their node ids and (name, arity)
+    keys. The error raised is the one the whole check raises."""
+    defs = m.definitions if changed is None else changed
+    for flaw in syntactic_flaws(defs):
         raise SyntacticFlaw(flaw)
+    try:
+        _check_unique(defs, m.next_node_id, held_ids, held_keys)
+    except ValueError:
+        if changed is not None:
+            check_module(m)  # the definition it names depends on module order
+        raise
+
+
+def _check_unique(defs: Iterable[FunDef], next_node_id: int, held_ids: Container[int],
+                  held_keys: Container[tuple[str, int]]):
     seen_keys: set[tuple[str, int]] = set()
     seen_ids: set[int] = set()
-    for d in m.definitions:
+    for d in defs:
         key = (d.name, d.arity)
-        if key in seen_keys:
+        if key in seen_keys or key in held_keys:
             raise ValueError(f"duplicate definition {d.name}/{d.arity}")
         seen_keys.add(key)
         for n in walk(d):
-            if n.node_id in seen_ids:
+            if n.node_id in seen_ids or n.node_id in held_ids:
                 raise ValueError(f"duplicate node id {n.node_id} in {d.name}/{d.arity}")
             seen_ids.add(n.node_id)
-            if n.node_id >= m.next_node_id:
-                raise ValueError(f"node id {n.node_id} beyond next_node_id {m.next_node_id}")
+            if n.node_id >= next_node_id:
+                raise ValueError(f"node id {n.node_id} beyond next_node_id {next_node_id}")

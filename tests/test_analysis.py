@@ -10,9 +10,11 @@ from mer import analysis
 from mer.analysis import FunKey, NotApplicableError, Snapshot, StaleRef
 from mer.equiv import GenConfig, gen_expr, gen_module
 from mer.interp import IntV, eval_expr
+from mer.refactorings import extract_to_variable, generalise_function, rename_function, wrap
+from mer.rewrite import Applied, NotApplicable
 from mer.syntax import (
-    Body, FunDef, Lambda, Match, PVar, VarRef, find_node, is_expr,
-    parse_expr_text, pretty_expr, rebuild, walk,
+    Body, FunDef, Lambda, Match, ModuleAst, PVar, VarRef, check_module, children,
+    find_node, is_expr, parse_expr_text, pretty_expr, rebuild, walk,
 )
 
 from conftest import DOUBLER_SRC, target_of
@@ -440,3 +442,84 @@ def test_find_node_and_ref_on_a_3000_term_chain():
     assert isinstance(first, VarRef) and first.span.start_col == 9
     assert snap.node(snap.ref(find_node(snap.module, 1, 12))).op == "+"
     assert snap.parent_of(chain.node_id) is snap.module.definitions[0].body
+
+
+# ---------------------------------------------------------------------------
+# Derived snapshots
+
+
+def test_derived_snapshot_answers_from_its_module():
+    # a step's snapshot is indexed from its input's; each query must
+    # answer from the module itself, found here by walking it
+    steps = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        snap = Snapshot(gen_module(seed, size=6))
+        for _ in range(4):
+            exprs = [n for d in snap.module.definitions for n in walk(d) if is_expr(n)]
+            target = snap.ref(rng.choice(exprs).node_id)
+            fn = snap.ref(rng.choice(snap.module.definitions).node_id)
+            out = rng.choice([
+                lambda: wrap(snap, target),
+                lambda: extract_to_variable(snap, target, "W9"),
+                lambda: generalise_function(snap, target, "G9"),
+                lambda: rename_function(snap, fn, f"r{steps}"),
+            ])()
+            if not isinstance(out, Applied):
+                continue
+            steps += 1
+            snap, whole = out.snapshot, Snapshot(out.snapshot.module)
+            defs = snap.module.definitions
+            parent = {c.node_id: n for d in defs for n in walk(d) for c in children(n)}
+            assert set(snap.node_ids) == {n.node_id for d in defs for n in walk(d)}
+            for d in defs:
+                key = FunKey(d.name, d.arity)
+                assert snap.find_def(key) is d
+                calls = [(c, n) for c in defs for n in walk(c) if analysis.is_call_to(n, key)]
+                assert [r.node_id for r in analysis.references(snap, key)] == [
+                    n.node_id for _, n in calls]
+                assert snap.callers(key) == [c for c in defs if any(x is c for x, _ in calls)]
+                for n in walk(d):
+                    ref = snap.ref(n.node_id)
+                    assert snap.node(ref) is n
+                    assert snap.parent_of(n.node_id) is parent.get(n.node_id)
+                    assert snap.fundef_of(n.node_id) is d
+                    if is_expr(n):
+                        assert analysis.pure(snap, ref) == \
+                            analysis.pure(whole, whole.ref(n.node_id))
+    assert steps >= 100
+
+
+def _raised(fn):
+    try:
+        fn()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f, h, top: replace(f, body=replace(f.body, exprs=())),
+    lambda f, h, top: replace(f, name="g"),
+    lambda f, h, top: replace(f, body=replace(f.body, exprs=(h.body.exprs[0],))),
+    lambda f, h, top: replace(f, body=replace(f.body, node_id=top)),
+], ids=["empty-body", "duplicate-key", "id-of-a-later-definition", "id-beyond-next"])
+def test_derived_snapshot_is_refused_as_the_whole_check_refuses(edit):
+    # the check walks the changed definition only, and raises what the
+    # check of the whole module raises
+    snap = Snapshot.from_source("f(X) -> X + 1.\ng(X) -> X.\nh(Z) -> Z.\n")
+    f, g, h = snap.module.definitions
+    m = ModuleAst((edit(f, h, snap.module.next_node_id), g, h), snap.module.next_node_id)
+    assert _raised(lambda: snap.derive(m)) == _raised(lambda: check_module(m)) is not None
+
+
+def test_hand_built_snapshot_is_checked_whole():
+    # g/1's empty body is outside the step's edit, yet refuses it: a
+    # snapshot of a hand-built module is checked whole
+    parsed = Snapshot.from_source("f(X) -> X + 1.\ng(X) -> X.\n").module
+    f, g = parsed.definitions
+    snap = Snapshot(ModuleAst((f, replace(g, body=replace(g.body, exprs=()))),
+                              parsed.next_node_id))
+    assert not snap.well_formed
+    assert wrap(snap, target_of(snap, "X + 1")) == \
+        NotApplicable("empty expression sequence in g/1")

@@ -265,6 +265,27 @@ def test_step_rejects_a_keyword_as_function_name(l1, capsys, step, keyword):
     assert "Traceback" not in err
 
 
+DEEP_DEF = "deep(X) -> " + "X + " * 2999 + "1."  # 3,000 levels deep
+
+
+@pytest.mark.parametrize("command,options", [
+    (["refactor", "step", "wrap"], ["--pos", "1:15"]),
+    (["refactor", "step", "extract_to_variable"], ["--pos", "1:19", "--name", "Y"]),
+    (["refactor", "step", "rename_function"], ["--fun", "f/1", "--to", "h"]),
+    (["refactor", "generalise"], ["--pos", "1:19", "--param", "Y"]),
+], ids=["wrap", "extract_to_variable", "rename_function", "generalise"])
+def test_step_next_to_a_deep_definition(tmp_path, capsys, command, options):
+    # the step touches f/1 only; deep/1 is neither walked nor rebuilt, and
+    # is printed back as it was read
+    p = tmp_path / "m.mer"
+    p.write_text("f(X) -> begin X * 2 end.\n" + DEEP_DEF + "\n")
+    assert main([*command, str(p), *options]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    parse(out)
+    assert DEEP_DEF in out.splitlines()
+
+
 def test_step_failure_exit_1(tmp_path, capsys):
     p = tmp_path / "m.mer"
     p.write_text("f() -> Y = 5, Y + 1.\n")

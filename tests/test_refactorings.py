@@ -457,3 +457,50 @@ def test_rejections_are_located_in_the_target_function():
                         assert o.location.startswith(f"{d.name}/{d.arity}: "), o
                         located += 1
     assert located > 200
+
+
+# ---------------------------------------------------------------------------
+# locality: a step costs time in the definitions it touches
+
+
+def _module_with_others(others: int) -> str:
+    # the others call each other, never f/1, and f/1 calls none of them
+    lines = ["f(X) -> begin X * 2 end."]
+    lines += [f"g{i}(X) -> Y = g{i - 1}(X), {{Y, print(X)}}." for i in range(1, others)]
+    return "g0(X) -> X + 1.\n" + "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """Counts the nodes the traversal visits: the calls of children, which
+    walking, indexing and checking a tree make once a node, and of rebuild."""
+    import mer
+    from mer import syntax
+    counts = {"nodes": 0}
+    for name in ("children", "rebuild"):
+        orig = getattr(syntax, name)
+
+        def counted(*args, orig=orig):
+            counts["nodes"] += 1
+            return orig(*args)
+
+        for mod in vars(mer).values():
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("step", [
+    wrap,
+    lambda snap, target: extract_to_variable(snap, target, "Y"),
+    lambda snap, target: generalise_function(snap, target, "Y"),
+], ids=["wrap", "extract_to_variable", "generalise_function"])
+def test_step_visits_as_many_nodes_whatever_the_module_size(visits, step):
+    counts = []
+    for others in (10, 1000):
+        snap = Snapshot.from_source(_module_with_others(others))
+        target = target_of(snap, "2")  # builds the input snapshot's index
+        visits["nodes"] = 0
+        assert isinstance(step(snap, target), Applied)
+        counts.append(visits["nodes"])
+    assert counts[0] == counts[1]

@@ -480,11 +480,18 @@ _INTRO_VAR = "INTRODUCE VARIABLE extract_to_variable(Name)\n"
     _INTRO_VAR + "DEFINITION IN SCOPE\n@Name = @E\n",
     _INTRO_VAR + "DEFINITION IN SCOPE\n@Name = @E\nREFERENCE\n@E\n-----\n@Name\n"
     "REFERENCE\n@E\n-----\n@Name\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E .\nREFERENCE\n@E\n-----\n"
+    "@Name(@Params..., 1)\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E .\nREFERENCE\n@E\n-----\n@Name()\n",
+    _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> @E .\nREFERENCE\n@E\n-----\n"
+    "g(@Params...)\n",
 ], ids=[
     "fun-garbage-definition", "fun-definition-without-dot", "fun-no-definition",
     "fun-no-reference", "fun-reference-unparsable", "fun-reference-not-a-rule",
     "fun-when-unparsable", "var-text-before-definition", "var-bad-placement",
     "var-definition-not-a-match", "var-no-reference", "var-reference-twice",
+    "fun-reference-extra-argument", "fun-reference-no-arguments",
+    "fun-reference-calls-another-function",
 ])
 def test_introduce_block_sections_checked(block):
     with pytest.raises(TemplateError):
@@ -509,6 +516,19 @@ def test_introduce_function_instantiates_its_rule_text(definition, reference, ex
         snap, target_of(snap, "X + 1"))
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == expected
+
+
+def test_introduce_function_body_target_inside_a_block_not_applicable():
+    # a Body target can only be the new definition's whole body
+    _, _, inst = parse_scheme_instance(
+        _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> begin @E end .\n" + _DEFAULT_FUN_REF)
+    snap = _snap("f(X) -> X + 1, X.\n")
+    body = snap.module.definitions[0].body
+    out = run_introduce_function(
+        dataclasses.replace(inst, name="h", params=parse_patterns_text("X")),
+        snap, snap.ref(body.node_id))
+    assert out == NotApplicable(
+        "the block cannot take this target: cannot use a Body as an expression")
 
 
 def test_introduce_variable_instantiates_its_definition():
