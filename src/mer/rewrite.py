@@ -368,14 +368,18 @@ def _lookup(binding: Binding, name: str) -> Fragment:
     return binding[name]
 
 
+def _lookup_seq(binding: Binding, name: str) -> tuple:
+    frag = _lookup(binding, name)
+    if not isinstance(frag, tuple):
+        raise UnboundMetavariable(f"{name} is not a sequence")
+    return frag
+
+
 def subst_seq(pats: Sequence[Node], binding: Binding, ctx: SubstCtx, slot: str) -> tuple:
     out = []
     for p in pats:
         if isinstance(p, MetaSeq):
-            frag = _lookup(binding, p.name)
-            if not isinstance(frag, tuple):
-                raise UnboundMetavariable(f"{p.name} is not a sequence")
-            out.extend(_as_sort(f, ctx, slot) for f in frag)
+            out.extend(_as_sort(f, ctx, slot) for f in _lookup_seq(binding, p.name))
         else:
             out.append(subst_fragment(p, binding, ctx, slot))
     return tuple(out)

@@ -38,9 +38,9 @@ from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
     Binding, Condition, NotApplicable, PreconditionViolated, RewriteRule,
     SigTemplate, StepOutcome, SubstCtx, TemplateError, UnboundMetavariable,
-    _locate, apply_rule, eval_condition, finish_step, match_template,
-    parse_rule_text, parse_template_def, parse_template_expr,
-    reports_violations, subst_fragment, substitute, template_metavars,
+    _locate, _lookup_seq, _subst_name, apply_rule, eval_condition, finish_step,
+    match_template, parse_rule_text, parse_template_def, parse_template_expr,
+    reports_violations, subst_fragment, subst_seq, substitute, template_metavars,
 )
 from .syntax import (
     KEYWORDS, AtomLit, Body, Expr, FunDef, Match, MetaSeq, ModuleAst, Node,
@@ -334,17 +334,21 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
         return NotApplicable("head rule does not match")
     b = eval_condition(inst.head_rule.condition, b, snap, target)
 
-    old_key = FunKey(d.name, d.arity)
-    refs = [snap.node(r) for r in analysis.references(snap, old_key)]
-    ctx = SubstCtx.for_snapshot(snap, freed=list(d.params) + refs)
-    new_name, new_params = substitute(inst.head_rule.rhs, b, ctx)
+    rhs = inst.head_rule.rhs
+    if not isinstance(rhs, SigTemplate):
+        raise TemplateError("signature rule right side must be a signature")
+    # the new key is known before the callers are walked, so a clash is
+    # refused in time independent of their number
+    new_name = _subst_name(rhs.name, b)
+    arity = sum(len(_lookup_seq(b, a.name)) if type(a) is MetaSeq else 1 for a in rhs.args)
     if not _NAME_RE.match(new_name):
         return NotApplicable(f"invalid function name {new_name!r}")
-    new_key = FunKey(new_name, len(new_params))
+    old_key, new_key = FunKey(d.name, d.arity), FunKey(new_name, arity)
     if new_key != old_key and snap.find_def(new_key) is not None:
         return PreconditionViolated("signature_clash", f"{new_key} already defined")
-    if not isinstance(inst.head_rule.rhs, SigTemplate):
-        raise TemplateError("signature rule right side must be a signature")
+    refs = [snap.node(r) for r in analysis.references(snap, old_key)]
+    ctx = SubstCtx.for_snapshot(snap, freed=list(d.params) + refs)
+    new_params = subst_seq(rhs.args, b, ctx, "pattern")
 
     def rewrite_ref(call: StaticCall) -> StaticCall:
         rb = match_template(inst.head_rule.lhs, call, pre)

@@ -23,7 +23,8 @@ token too deep, never a ``RecursionError``. Node ids are allocated in
 parse order, each node after its children; the left side of a match is
 parsed as an expression, then mirrored into a pattern with fresh ids.
 Given an earlier parse as its base, ``parse`` shares each definition
-unchanged in place, the very ``FunDef`` object, and parses the rest.
+that starts its line on lines unchanged in place, the very ``FunDef``
+object, and lexes and parses only the rest.
 
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
@@ -48,10 +49,10 @@ from __future__ import annotations
 
 import gc
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, fields
 from itertools import accumulate, compress
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq
 from typing import (
     Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
 )
@@ -554,18 +555,24 @@ def _kind(tok: str, meta: bool, line: int, col: int) -> str:
     raise ParseError(f"unexpected character {c!r}", line, col)
 
 
-def lex(source: str, *, meta: bool = False,
-        start: int = 0, line: int = 1, col: int = 1) -> list[tuple]:
-    """Tokens (kind, text, line, col, end_col) of source from offset start,
-    which lies at line:col and not inside a token or a comment, ending
-    with an eof token."""
+def lex(source: str, *, meta: bool = False, skip: Sequence[tuple] = ()) -> list[tuple]:
+    """Tokens (kind, text, line, col, end_col) of source, ending with an
+    eof token. skip lists spans of source not to lex, in source order,
+    each (start, end, end_line, end_col, token): start is where a token
+    starts, after only blanks on its line, end is just past a '.' token
+    and lies at end_line:end_col, and the span is the one token given."""
     tokens = []
     append = tokens.append
     kinds = _KINDS.copy()  # and each other text met so far
+    start, line, col = 0, 1, 1
+    skip = iter(skip)
+    jump = next(skip, None)
     while start < len(source):
-        # whole lines of about _CHUNK characters at a time: findall
-        # holds every match of its span at once
+        # whole lines of about _CHUNK characters at a time, or up to the
+        # next span skipped: findall holds every match of its span at once
         stop = source.find("\n", start + _CHUNK) + 1 or len(source)
+        if jump is not None and jump[0] <= stop:
+            stop = jump[0]
         for blank, tok in _TOKEN.findall(source, start, stop):
             col += len(blank)
             kind = kinds.get(tok)
@@ -580,7 +587,12 @@ def lex(source: str, *, meta: bool = False,
             end = col + len(tok)
             append((kind, tok, line, col, end))
             col = end
-        start = stop
+        if jump is not None and jump[0] == stop:
+            _, start, line, col, tok = jump
+            append(tok)
+            jump = next(skip, None)
+        else:
+            start = stop
     append(("eof", "", line, col, col))
     return tokens
 
@@ -655,28 +667,26 @@ class _Parser:
 
     # ---- module level
 
-    def parse_module(self, defs: list[FunDef],
-                     shared: Optional[Callable[[tuple], Optional[FunDef]]]) -> ModuleAst:
-        """The module of defs followed by the definitions in the tokens.
-        shared, given a definition's first token, returns the FunDef of
-        an earlier parse that the definition repeats, or None; a repeated
-        definition's tokens are skipped, not parsed."""
+    def parse_module(self) -> ModuleAst:
+        """The module of the definitions in the tokens. A shared token
+        (see _shared) stands for the definitions it carries, at a
+        definition's start only: anywhere else it is a ParseError."""
         toks = self.toks
-        seen = {(d.name, d.arity) for d in defs}
+        defs = []
+        seen = set()
         while toks[self.pos][0] != "eof":
-            d = shared(toks[self.pos]) if shared else None
-            if d is None:
-                d = self.parse_fundef()
-            else:  # on to the token after its '.'
-                end = d.span
-                self.pos = bisect_left(toks, (end.end_line, end.end_col), self.pos,
-                                       key=_LINE_COL)
-            key = (d.name, d.arity)
-            if key in seen:
-                raise DuplicateDefinition(f"duplicate definition {d.name}/{d.arity}",
-                                          d.span.start_line, d.span.start_col)
-            seen.add(key)
-            defs.append(d)
+            if toks[self.pos][0] == "shared":
+                run = toks[self.pos][5]
+                self.pos += 1
+            else:
+                run = (self.parse_fundef(),)
+            for d in run:
+                key = (d.name, d.arity)
+                if key in seen:
+                    raise DuplicateDefinition(f"duplicate definition {d.name}/{d.arity}",
+                                              d.span.start_line, d.span.start_col)
+                seen.add(key)
+                defs.append(d)
         return ModuleAst(tuple(defs), self.gen.high)
 
     def parse_fundef(self) -> FunDef:
@@ -902,73 +912,62 @@ def parse(source: str, base: Optional[tuple[str, ModuleAst]] = None) -> ModuleAs
     cycle collector is paused meanwhile (see the module docstring).
 
     base, if given, is the source and module of an earlier parse. A
-    definition of source whose text, from its first token through its
-    closing '.', is that of a definition of base's module and starts at
-    the same line and column is that FunDef object: its tokens, spans
-    and nesting are provably the same. This is incremental reuse of
-    unchanged subtrees (Wagner & Graham, "Efficient and flexible
-    incremental parsing", TOPLAS 1998). Source is lexed only from the end
-    of the last definition shared from its top, and new nodes take ids
-    from base's next_node_id upward, so ids stay unique. The result, ids
-    aside, and any error are those of parse(source)."""
+    definition of base's module that starts its line, after blanks only,
+    on lines source holds unchanged at the same line numbers is that
+    FunDef object (incremental reuse of unchanged subtrees, Wagner &
+    Graham, "Efficient and flexible incremental parsing", TOPLAS 1998).
+    Its text is not lexed: the lexer starts it fresh after a newline and
+    blanks and ends it at a '.', which joins no character after it into
+    a token, and base lexed it without error; so its tokens are the same
+    and skipping it hides no lex error. A run of them, with the blanks
+    and comments between, is one token, which the parser takes at a
+    definition's start only. A definition after another token on its
+    line is lexed and parsed anew. New nodes take ids from base's
+    next_node_id upward. On a ParseError source is parsed again with
+    nothing skipped, which raises parse(source)'s error; so the result,
+    ids aside, and any error are those of parse(source)."""
     with collector_paused():
-        if base is None:
-            return _Parser(lex(source), IdGen()).parse_module([], None)
-        top, shared, start, line, col = _against(source, *base)
-        tokens = lex(source, start=start, line=line, col=col)
-        return _Parser(tokens, IdGen(base[1].next_node_id)).parse_module(top, shared)
+        skip = () if base is None else _shared(source, *base)
+        first_id = 0 if base is None else base[1].next_node_id
+        try:
+            return _Parser(lex(source, skip=skip), IdGen(first_id)).parse_module()
+        except ParseError:
+            if not skip:
+                raise
+        return _Parser(lex(source), IdGen(first_id)).parse_module()
 
 
-_LINE_COL = itemgetter(2, 3)  # of a token
-
-
-def _line_offsets(text: str) -> list[int]:
-    """The offset of each line's first character, and one past the end.
-    Lines end at '\n' only, as in the lexer; str.splitlines also ends
-    them at '\r', '\x0c', '\x85', '\u2028' and more."""
-    return [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
-
-
-def _common_prefix(a: str, b: str) -> int:
-    """The length of the longest common prefix of a and b."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:  # a[:lo] == b[:lo]
-        mid = (lo + hi + 1) // 2
-        if a.startswith(b[lo:mid], lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _against(source: str, old: str, m: ModuleAst):
-    """For parsing source against old, parsed as m: the definitions of m
-    that source holds unchanged from its top, parse_module's shared for
-    the definitions after them, and the offset, line and column at which
-    to lex on."""
-    old_lines, new_lines = _line_offsets(old), _line_offsets(source)
-    prefix = _common_prefix(source, old)
-    top = []
-    rest = {}  # start line and column -> (definition, its text)
-    for d in m.definitions:
-        s = d.span
-        end = old_lines[s.end_line - 1] + s.end_col - 1
-        if end <= prefix:
-            top.append(d)
-        else:
-            start = old_lines[s.start_line - 1] + s.start_col - 1
-            rest[s.start_line, s.start_col] = (d, old[start:end])
-
-    def shared(t: tuple) -> Optional[FunDef]:
-        hit = rest.get((t[2], t[3]))
-        if hit is not None and source.startswith(hit[1], new_lines[t[2] - 1] + t[3] - 1):
-            return hit[0]
-        return None
-
-    if not top:
-        return top, shared, 0, 1, 1
-    s = top[-1].span
-    return top, shared, old_lines[s.end_line - 1] + s.end_col - 1, s.end_line, s.end_col
+def _shared(source: str, old: str, m: ModuleAst) -> list[tuple]:
+    """lex's skip list for parsing source against old, parsed as m: a span
+    for each run of m's definitions that start their line on lines source
+    holds unchanged in place, with the token ("shared", "", line, col,
+    col, those FunDefs). Lines end at '\n' only, as in the lexer."""
+    lines = source.split("\n")
+    offsets = [0, *accumulate(len(line) + 1 for line in lines)]
+    same = bytes(map(eq, old.split("\n"), lines)) + b"\0"  # 1: line unchanged in place
+    defs = m.definitions
+    starts, ends = [d.span.start_line for d in defs], [d.span.end_line for d in defs]
+    # 1: the definition starts on the line the one before it ends on (in
+    # old only blanks and comments, which end their line, lie between two)
+    follows = bytes(map(eq, [0, *ends], starts))
+    skip = []
+    b = 0
+    while (a := same.find(1, b)) >= 0:
+        b = same.find(0, a)
+        # lines a + 1 to b are unchanged, and so are the definitions on them
+        i, j = bisect_left(starts, a + 1), bisect_right(ends, b)
+        while i < j:
+            if follows[i]:  # lexed and parsed as any other
+                i += 1
+                continue
+            k = follows.find(1, i, j)
+            if k < 0:
+                k = j
+            (line, col, _, _), (_, _, end_line, end_col) = defs[i].span, defs[k - 1].span
+            skip.append((offsets[line - 1] + col - 1, offsets[end_line - 1] + end_col - 1,
+                         end_line, end_col, ("shared", "", line, col, col, defs[i:k])))
+            i = k
+    return skip
 
 
 def parse_expr_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> Expr:

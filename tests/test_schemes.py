@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from mer import analysis
 from mer.analysis import FunKey, Snapshot, references
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated, TemplateError
 from mer.schemes import (
@@ -14,6 +15,7 @@ from mer.schemes import (
 from mer.refactorings import (
     EXTRACT_TO_VARIABLE_REF_TEXT, OUTER_VARIABLE_REF_TEXT, WRAP_RULE,
     WRAP_RULE_TEXT, _EXTRACT_FUN, _EXTRACT_VAR, _OUTER_VAR, _RENAME, _VAR_TO_PARAM,
+    rename_function,
 )
 from mer.syntax import parse_patterns_text, pretty
 
@@ -259,6 +261,17 @@ def test_rename_clash():
     fn = snap.ref(snap.module.definitions[0].node_id)
     out = run_signature_refactoring(_rename("g"), snap, fn)
     assert isinstance(out, PreconditionViolated) and out.predicate == "signature_clash"
+
+
+def test_rename_clash_is_refused_before_the_callers_are_walked(monkeypatch):
+    snap = _snap("tmp(X, Y) -> X.\ng(X, Y) -> X + Y.\nh() -> tmp(1, 2).\n")
+
+    def walk_callers(*args):
+        raise AssertionError("the callers were walked")
+
+    monkeypatch.setattr(analysis, "references", walk_callers)
+    out = rename_function(snap, snap.ref(snap.module.definitions[0].node_id), "g")
+    assert out == PreconditionViolated("signature_clash", "g/2 already defined")
 
 
 def test_rename_identity():

@@ -13,9 +13,11 @@ from typing import Iterator
 import pytest
 
 from mer import syntax
-from mer.analysis import FunKey
+from mer.analysis import FunKey, Snapshot
 from mer.equiv import gen_module
 from mer.interp import IntV, Ok, eval_call
+from mer.refactorings import generalise_function
+from mer.rewrite import Applied
 from mer.syntax import (
     FIELDS, MAX_NESTING, SLOTS, Block, Body, DynCall, DuplicateDefinition,
     FunDef, IdGen, IntLit, Lambda, Match, Node, NotFound, ParseError, PVar,
@@ -533,6 +535,100 @@ def test_parse_against_a_base_shares_definitions_unchanged_in_place():
     # new nodes take ids from the base's next_node_id upward
     assert min(n.node_id for d in (f2, h2, k2) for n in walk(d)) == m.next_node_id
     assert m2.next_node_id > m.next_node_id
+
+
+def test_parse_against_a_base_lexes_only_the_gaps(monkeypatch):
+    old = pretty(gen_module(5, 200))
+    lines = old.split("\n")
+    assert len(lines) > 100
+    lines[0] = lines[0].replace(" -> ", " -> 0, ", 1)
+    new = "\n".join(lines)
+    base = (old, parse(old))
+    real = syntax._TOKEN
+    scanned = []
+
+    class Counting:
+        def findall(self, source, start, stop):
+            scanned.append(stop - start)
+            return real.findall(source, start, stop)
+
+    monkeypatch.setattr(syntax, "_TOKEN", Counting())
+    m = parse(new, base)
+    assert m.definitions[1:] == base[1].definitions[1:]
+    assert sum(scanned) < len(new) / 10
+
+
+# (BEFORE, AFTER, whether AFTER's last definition is BEFORE's)
+_MARKER_EDGES = [
+    # the shared g/0 stands inside f/0's unterminated expression
+    ("f() -> 1.\ng() -> 2.\n", "f() -> 1 +\ng() -> 2.\n", True),
+    # the line before the candidate ends in a comment
+    ("f() -> 1. % one\ng() -> 2.\n", "f() -> 3. % one\ng() -> 2.\n", True),
+    ("f() -> 1.\ng() -> 2.\n", "f() -> 1. % g() -> 2.\ng() -> 2.\n", True),
+    # an indented candidate; one after another token on its line is parsed
+    ("f() -> 1.\n \t g() -> 2.\n", "f() -> 3.\n \t g() -> 2.\n", True),
+    ("f() -> 1. g() -> 2.\n", "f() -> 3. g() -> 2.\n", False),
+    ("f() -> 1.\ng() -> 2. h() -> 3.\n", "f() -> 9.\ng() -> 2. h() -> 3.\n", False),
+    # a definition unchanged in place on a line that changed
+    ("f() -> 1. g() -> 2.\n", "          g() -> 2.\n", False),
+    ("f() -> 1.\ng() -> 2. % two\n", "f() -> 1.\ng() -> 2. % 2\n", False),
+    # a candidate's text inside a comment
+    ("f() -> 1. g() -> 2.\n", "f() -> 3.%g() -> 2.\n", False),
+    # CRLF text
+    ("f() -> 1.\r\ng() ->\r\n  2.\r\n", "f() -> 3.\r\ng() ->\r\n  2.\r\n", True),
+    # a duplicate key made by a shared definition
+    ("f() -> 1.\ng() -> 2.\n", "g() -> 1.\ng() -> 2.\n", True),
+]
+
+
+@pytest.mark.parametrize("old, new, shared", _MARKER_EDGES)
+def test_parse_against_a_base_edge_cases(old, new, shared):
+    base = (old, parse(old))
+    assert _outcome(new, base) == _outcome(new)
+    try:
+        last = parse(new, base).definitions[-1]
+    except ParseError:
+        return
+    assert (last is base[1].definitions[-1]) == shared
+
+
+def _line_edits(text: str) -> list[str]:
+    """text with its middle line edited, a definition inserted before it,
+    and that line deleted."""
+    lines = text.split("\n")
+    at = (len(lines) - 1) // 2
+    return ["\n".join(lines[:at] + [lines[at].replace(" -> ", " -> 0, ", 1)] + lines[at + 1:]),
+            "\n".join(lines[:at] + ["inserted(X) -> X."] + lines[at:]),
+            "\n".join(lines[:at] + lines[at + 1:])]
+
+
+def test_parse_against_a_base_matches_parse_on_large_inputs():
+    for old in _large_inputs():
+        base = (old, parse(old))
+        for new in _line_edits(old):
+            assert _outcome(new, base) == _outcome(new)
+
+
+def test_parse_against_a_base_shares_a_refactored_large_module():
+    # the shape of the verify_large benchmark: a generated module and its
+    # generalised form, each followed by a 3,000-term definition
+    deep = "deep(X) -> " + "X + " * 2999 + "1.\n"
+    snap = Snapshot.from_source(pretty(gen_module(0, 200)))
+    d = snap.module.definitions[len(snap.module.definitions) // 3]
+    lit = next(n for n in walk(d) if type(n) is IntLit)
+    out = generalise_function(snap, snap.ref(lit.node_id), "Gp")
+    assert isinstance(out, Applied)
+    old, new = pretty(snap.module) + deep, pretty(out.snapshot.module) + deep
+    base = parse(old)
+    m = parse(new, (old, base))
+    assert _shape(m) == _shape(parse(new))
+    # one definition a line: a line unchanged in place holds the very object
+    at_line = {d.span.start_line: d for d in base.definitions}
+    same = [i for i, (a, b) in enumerate(zip(old.split("\n"), new.split("\n")), 1)
+            if a == b and a]
+    assert len(same) > 90
+    for d in m.definitions:
+        assert (d is at_line.get(d.span.start_line)) == (d.span.start_line in same)
 
 
 # ---------------------------------------------------------------------------
