@@ -42,6 +42,8 @@ class NotApplicableError(Exception):
 
 @dataclass(frozen=True)
 class FunKey:
+    """A function's name and arity, printed ``name/arity``."""
+
     name: str
     arity: int
 
@@ -371,6 +373,9 @@ def _total_kind(e: Node) -> tuple[bool, Optional[str]]:
 
 @dataclass(frozen=True)
 class Occurrence:
+    """One variable occurrence: the node, its name, its kind, and for a
+    reference the binding it resolves to and the body of that scope."""
+
     node_id: int
     name: str
     kind: str  # "binding" | "reference" | "unbound"

@@ -101,6 +101,9 @@ def _resolve_target(snap: Snapshot, args) -> Optional[NodeRef]:
     if args.pos is not None and args.expr is not None:
         _err("use exactly one of --pos and --expr")
         return None
+    if args.occurrence is not None and args.expr is None:
+        _err("--occurrence selects among matches of --expr, which is not given")
+        return None
     if args.pos is not None:
         try:
             line, col = _parse_pos(args.pos)

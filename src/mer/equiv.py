@@ -96,11 +96,16 @@ def eq_outcomes(o1: Outcome, o2: Outcome, compare_env: bool) -> tuple[str, Optio
 
 @dataclass(frozen=True)
 class Equivalent:
+    """Every trial gave the same outcome on both sides."""
+
     trials: int
 
 
 @dataclass(frozen=True)
 class Inequivalent:
+    """A trial whose outcomes differ: its entry (None in a rule check)
+    and arguments, both outcomes, and why they differ."""
+
     entry: Optional[FunKey]
     args: tuple
     outcome1: Outcome
@@ -112,6 +117,8 @@ class Inequivalent:
 
 @dataclass(frozen=True)
 class Unknown:
+    """No difference found, but some trials timed out."""
+
     timeouts: int
     trials: int
 
@@ -149,6 +156,9 @@ def format_verdict(v: Verdict) -> str:
 
 @dataclass(frozen=True)
 class TrialPlan:
+    """Which entries a module check calls, how many times, and how it
+    draws their arguments."""
+
     entries: tuple[FunKey, ...]
     trials: int = 50
     seed: int = 0

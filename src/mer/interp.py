@@ -62,21 +62,30 @@ from .analysis import FunKey, pattern_vars
 
 @dataclass(frozen=True)
 class IntV:
+    """An integer value."""
+
     value: int
 
 
 @dataclass(frozen=True)
 class AtomV:
+    """An atom value."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class TupleV:
+    """A tuple value."""
+
     elements: tuple["Value", ...]
 
 
 @dataclass(frozen=True)
 class ClosureV:
+    """A closure value: a lambda's parameters and body, and the
+    environment it captured."""
+
     params: tuple[Pattern, ...]
     body: Body
     env: dict  # never mutated; no entries for the closure's own params
@@ -96,6 +105,8 @@ DEFAULT_FUEL = 100_000
 
 @dataclass(frozen=True)
 class Ok:
+    """A call returned value, binding env_after and printing trace."""
+
     value: Value
     env_after: Env
     trace: tuple[Value, ...]
@@ -103,12 +114,16 @@ class Ok:
 
 @dataclass(frozen=True)
 class Exn:
+    """A call raised an exception of the given kind after printing trace."""
+
     kind: str  # badmatch | badarith | badfun | badarity | undef | unbound
     trace: tuple[Value, ...]
 
 
 @dataclass(frozen=True)
 class Timeout:
+    """A call ran out of fuel after printing trace."""
+
     trace: tuple[Value, ...]
 
 

@@ -60,12 +60,18 @@ Binding = dict  # metavariable name -> Fragment or tuple of Fragments
 
 @dataclass(frozen=True)
 class Applied:
+    """A step applied: the new snapshot, and a reference to the node it
+    produced."""
+
     snapshot: Snapshot
     result: NodeRef
 
 
 @dataclass(frozen=True)
 class NotApplicable:
+    """A step did not apply, for reason; in a composite, the step's
+    index and name."""
+
     reason: str
     step: Optional[int] = None
     step_name: Optional[str] = None
@@ -73,6 +79,9 @@ class NotApplicable:
 
 @dataclass(frozen=True)
 class PreconditionViolated:
+    """A WHEN predicate failed at location; in a composite, the
+    step's index and name."""
+
     predicate: str
     location: str
     step: Optional[int] = None
@@ -646,6 +655,8 @@ _RULE_SEP = re.compile(r"^\s*-{3,}\s*$", re.M)
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """``lhs ----- rhs WHEN condition``, the templates validated."""
+
     lhs: Template
     rhs: Template
     condition: Condition = Condition(())

@@ -55,6 +55,8 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Local:
+    """A rule that rewrites the target node in place."""
+
     rule: RewriteRule
 
 
@@ -84,12 +86,19 @@ class IntroduceFunction:
 
 @dataclass(frozen=True)
 class FunctionRefactoring:
+    """A rule for a function's definition and one for each of its
+    call sites' arguments."""
+
     def_rule: RewriteRule  # head/body shaped, carrying the WHEN clause
     ref_rule: RewriteRule  # argument-list shaped
 
 
 @dataclass(frozen=True)
 class SignatureRefactoring:
+    """A rule for a function's signature, applied to its head and to
+    every call; pre_binding, when set, binds metavariables before
+    the head is matched."""
+
     head_rule: RewriteRule  # signature shaped
     pre_binding: Optional[Binding] = None
 

@@ -29,13 +29,15 @@ object, and lexes and parses only the rest.
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
 node references stay valid across refactoring snapshots. Modules and
-nodes are immutable after construction: frozen slotted dataclasses
-with no per-node ``__dict__`` (see ``_node``). A parsed tree holds no
-reference cycle, yet parsing a 27,000-node module would set off about
-130 cycle collections, one of them over the whole heap, that can free
-nothing; so ``parse`` runs under ``collector_paused``, which pauses the
-collector and then restores the state it found, as Mercurial's
-``util.nogc`` does. ``cli.main`` runs a whole command under it too.
+nodes are immutable after construction. A module is a frozen dataclass;
+a node is a slotted dataclass with no per-node ``__dict__`` (see
+``_node``) whose immutability comes from the ``Node`` base class, not
+from ``frozen=True``, as do its equality, hash and repr. A parsed tree
+holds no reference cycle, yet parsing a 27,000-node module would set
+off about 130 cycle collections, one of them over the whole heap, that
+can free nothing; so ``parse`` runs under ``collector_paused``, which
+pauses the collector and then restores the state it found, as
+Mercurial's ``util.nogc`` does. ``cli.main`` runs a whole command under it too.
 
 ``SLOTS`` and ``MIRROR`` are the one place a node type is registered:
 ``SLOTS`` lists each compound type's child fields and whether each holds
@@ -50,7 +52,7 @@ from __future__ import annotations
 import gc
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import accumulate, compress
 from operator import attrgetter, eq
 from typing import (
@@ -89,9 +91,41 @@ class SourceSpan(NamedTuple):
 
 
 class Node:
-    """Marker base class for all tree nodes."""
+    """Base class of all tree nodes. It holds, once for all node types, the
+    methods dataclass(frozen=True, slots=True) would compile for each:
+    __setattr__ and __delattr__, which refuse every write with
+    FrozenInstanceError; __eq__, __hash__ and __repr__, over the fields in
+    declaration order as the dataclass ones are; and __getstate__ and
+    __setstate__, which copy and pickle restore a slotted node through.
+    _values, which _node sets, reads a node's fields as a tuple."""
 
     __slots__ = ()
+    _values: Callable[["Node"], tuple]
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __getstate__(self):
+        return self._values(self)
+
+    def __setstate__(self, state):
+        for f, value in zip(self.__slots__, state):
+            object.__setattr__(self, f, value)
 
 
 # node type -> its fields other than node_id and span, in declaration order
@@ -99,11 +133,13 @@ FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def _node(cls: type) -> type:
-    """cls as a frozen slotted dataclass with an __init__ of its own that
-    stores each field through its slot's descriptor, at half the cost of
-    the object.__setattr__ a frozen dataclass's __init__ goes through."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    """cls as a slotted dataclass that takes immutability, equality,
+    hashing, repr and pickling from Node (dataclass would compile those
+    for each node type), with an __init__ of its own that stores each
+    field through its slot's descriptor, past Node's __setattr__."""
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
     fs = fields(cls)
+    cls._values = attrgetter(*(f.name for f in fs))  # every node has node_id and span
     ns = {f"set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
     params = ", ".join(f.name if f.default is MISSING else f"{f.name}=None" for f in fs)
     exec(f"def __init__(self, {params}):" + "".join(
@@ -119,6 +155,8 @@ def _node(cls: type) -> type:
 
 @_node
 class PVar(Node):
+    """A variable pattern: binds name, or matches its value if bound."""
+
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
@@ -126,6 +164,8 @@ class PVar(Node):
 
 @_node
 class PInt(Node):
+    """An integer literal pattern."""
+
     value: int
     node_id: int
     span: Optional[SourceSpan] = None
@@ -133,6 +173,8 @@ class PInt(Node):
 
 @_node
 class PAtom(Node):
+    """An atom literal pattern."""
+
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
@@ -140,6 +182,8 @@ class PAtom(Node):
 
 @_node
 class PTuple(Node):
+    """A tuple pattern: matches a tuple of as many elements."""
+
     elements: tuple["Pattern", ...]
     node_id: int
     span: Optional[SourceSpan] = None
@@ -151,6 +195,8 @@ class PTuple(Node):
 
 @_node
 class IntLit(Node):
+    """An integer literal."""
+
     value: int
     node_id: int
     span: Optional[SourceSpan] = None
@@ -158,6 +204,8 @@ class IntLit(Node):
 
 @_node
 class AtomLit(Node):
+    """An atom literal."""
+
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
@@ -165,6 +213,8 @@ class AtomLit(Node):
 
 @_node
 class VarRef(Node):
+    """A variable occurrence in an expression."""
+
     name: str
     node_id: int
     span: Optional[SourceSpan] = None
@@ -172,6 +222,8 @@ class VarRef(Node):
 
 @_node
 class BinOp(Node):
+    """A binary operator application; op is a key of _PREC."""
+
     op: str
     left: "Expr"
     right: "Expr"
@@ -181,6 +233,8 @@ class BinOp(Node):
 
 @_node
 class Match(Node):
+    """A pattern match ``pattern = rhs``: binds the pattern's variables."""
+
     pattern: "Pattern"
     rhs: "Expr"
     node_id: int
@@ -189,6 +243,8 @@ class Match(Node):
 
 @_node
 class Block(Node):
+    """A ``begin .. end`` block."""
+
     body: tuple["Expr", ...]  # nonempty; transparent for bindings
     node_id: int
     span: Optional[SourceSpan] = None
@@ -205,6 +261,8 @@ class Body(Node):
 
 @_node
 class Lambda(Node):
+    """A ``fun(params) -> body end`` closure."""
+
     params: tuple["Pattern", ...]
     body: Body
     node_id: int
@@ -213,6 +271,8 @@ class Lambda(Node):
 
 @_node
 class StaticCall(Node):
+    """A call of a module function by name, ``name(args)``."""
+
     name: str  # a leading '@' marks a metavariable name slot (templates only)
     args: tuple["Expr", ...]
     node_id: int
@@ -221,6 +281,8 @@ class StaticCall(Node):
 
 @_node
 class DynCall(Node):
+    """A call of a closure value, ``Var(args)`` or ``(fun .. end)(args)``."""
+
     callee: "Expr"  # VarRef or Lambda (direct application)
     args: tuple["Expr", ...]
     node_id: int
@@ -229,6 +291,8 @@ class DynCall(Node):
 
 @_node
 class Print(Node):
+    """``print(arg)``, the sole effect primitive."""
+
     arg: "Expr"
     node_id: int
     span: Optional[SourceSpan] = None
@@ -236,6 +300,8 @@ class Print(Node):
 
 @_node
 class TupleExpr(Node):
+    """A tuple expression ``{elements}``."""
+
     elements: tuple["Expr", ...]
     node_id: int
     span: Optional[SourceSpan] = None
@@ -269,6 +335,8 @@ class MetaSeq(Node):
 
 @_node
 class FunDef(Node):
+    """A function definition: one clause ``name(params) -> body.``"""
+
     name: str
     params: tuple["Pattern", ...]
     body: Body
@@ -282,6 +350,9 @@ class FunDef(Node):
 
 @dataclass(frozen=True)
 class ModuleAst:
+    """A parsed module: its definitions in source order, and the next
+    unused node id."""
+
     definitions: tuple[FunDef, ...]
     next_node_id: int
 
@@ -1113,15 +1184,55 @@ def find_node(m: ModuleAst, line: int, col: int) -> int:
 
 def syntactic_flaws(defs: Iterable[FunDef]) -> list[str]:
     """Shape violations a transformation may legitimately run into (the
-    language simply cannot express the result), reported rather than raised."""
+    language simply cannot express the result), reported rather than raised.
+    A definition whose printed text would nest deeper than MAX_NESTING is
+    one: it is printed and parsed again only if the bound _shape takes says
+    it may be."""
     flaws = []
     for d in defs:
-        for n in walk(d):
-            if isinstance(n, (Body, Block)) and not children(n):
-                flaws.append(f"empty expression sequence in {d.name}/{d.arity}")
-            if isinstance(n, DynCall) and not isinstance(n.callee, (VarRef, Lambda)):
-                flaws.append(f"dynamic call callee must be a variable or lambda in {d.name}/{d.arity}")
+        found, bound = _shape(d)
+        flaws += found
+        if bound > MAX_NESTING:
+            try:
+                parse(pretty_def(d))
+            except ParseError as exc:
+                flaws.append(f"{exc.message} in {d.name}/{d.arity}")
+            except RecursionError:
+                # pretty_def recurses about once a level, the parser stops
+                # at MAX_NESTING: a definition too deep to print is too deep
+                flaws.append(f"nesting deeper than {MAX_NESTING} levels in {d.name}/{d.arity}")
     return flaws
+
+
+def _shape(d: FunDef) -> tuple[list[str], int]:
+    """d's flaws other than its nesting, in preorder, and an upper bound on
+    the parser's nesting depth in pretty_def(d), from one walk. The parser
+    takes a level for each expression it parses below a definition's head
+    and for each tuple pattern; so each edge counts one, except a BinOp's
+    operands. Its left one takes none if pretty_expr prints it on the
+    chain's spine, as it does a left-associative chain of any length; its
+    right one takes two if it is an operator, which may be parenthesized."""
+    flaws = []
+    deepest = 0
+    stack = [(d, 0)]
+    while stack:
+        n, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
+        t = type(n)
+        if t is BinOp:
+            left, right = n.left, n.right
+            spine = type(left) is BinOp and _PREC[left.op] >= _PREC[n.op]
+            stack.append((right, depth + 2 if type(right) in (BinOp, Match) else depth + 1))
+            stack.append((left, depth if spine else depth + 1))
+            continue
+        kids = children(n)
+        if (t is Body or t is Block) and not kids:
+            flaws.append(f"empty expression sequence in {d.name}/{d.arity}")
+        elif t is DynCall and type(n.callee) not in (VarRef, Lambda):
+            flaws.append(f"dynamic call callee must be a variable or lambda in {d.name}/{d.arity}")
+        stack.extend([(c, depth + 1) for c in reversed(kids)])
+    return flaws, deepest
 
 
 class SyntacticFlaw(ValueError):

@@ -129,6 +129,15 @@ def test_generalise_occurrence_below_one_exits_2(l1, capsys):
     assert "--occurrence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("occurrence", ["0", "1"])
+def test_step_occurrence_without_expr_exits_2(l1, capsys, occurrence):
+    assert main(["refactor", "step", "wrap", str(l1), "--pos", "1:19",
+                 "--occurrence", occurrence]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--expr" in captured.err
+    assert l1.read_text() == DOUBLER_SRC
+
+
 def test_generalise_by_expression_text(l1, capsys):
     assert main(["refactor", "generalise", str(l1), "--expr", "2",
                  "--occurrence", "1", "--param", "Y"]) == 0

@@ -15,7 +15,10 @@ from mer.refactorings import (
     rename_function, run_composite, to_function_parameter, var_to_param, wrap,
 )
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated, parse_rule_text
-from mer.syntax import Match, parse_patterns_text, pretty, pretty_def, walk
+from mer.syntax import (
+    MAX_NESTING, Body, FunDef, IdGen, Match, ModuleAst, PVar, SyntacticFlaw, TupleExpr,
+    VarRef, module_struct_eq, parse, parse_patterns_text, pretty, pretty_def, walk,
+)
 
 from conftest import DOUBLER_SRC, defs_of, target_of
 
@@ -457,6 +460,67 @@ def test_rejections_are_located_in_the_target_function():
                         assert o.location.startswith(f"{d.name}/{d.arity}: "), o
                         located += 1
     assert located > 200
+
+
+# ---------------------------------------------------------------------------
+# round trip: an applied step prints what the parser accepts
+
+
+@pytest.fixture
+def reparses(monkeypatch):
+    """The texts the step check parses again (see syntax.syntactic_flaws)."""
+    from mer import syntax
+    texts = []
+    parse = syntax.parse
+
+    def counted(text, *args):
+        texts.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(syntax, "parse", counted)
+    return texts
+
+
+def _nested_tuples(levels: int) -> Snapshot:
+    return Snapshot.from_source("f(X) -> " + "{" * levels + "X" + "}" * levels + ".\n")
+
+
+def test_step_nesting_deeper_than_the_parser_accepts_is_not_applicable(reparses):
+    # X is at level MAX_NESTING; wrapped, the lambda body holding it is two deeper
+    snap = _nested_tuples(MAX_NESTING - 1)
+    out = wrap(snap, target_of(snap, "X"))
+    assert out == NotApplicable(f"nesting deeper than {MAX_NESTING} levels in f/1")
+    assert len(reparses) == 1
+
+
+def test_step_nesting_as_deep_as_the_parser_accepts_applies(reparses):
+    snap = _nested_tuples(MAX_NESTING - 3)
+    out = wrap(snap, target_of(snap, "X"))
+    assert isinstance(out, Applied)
+    assert reparses == [pretty_def(out.snapshot.module.definitions[0])]
+    assert module_struct_eq(parse(pretty(out.snapshot.module)), out.snapshot.module)
+
+
+def test_hand_built_module_too_deep_to_print_is_not_well_formed():
+    gen = IdGen()
+    e = VarRef("X", gen.fresh())
+    for _ in range(3000):
+        e = TupleExpr((e,), gen.fresh())
+    d = FunDef("f", (PVar("X", gen.fresh()),), Body((e,), gen.fresh()), gen.fresh())
+    snap = Snapshot(ModuleAst((d,), gen.high))
+    assert not snap.well_formed
+    with pytest.raises(SyntacticFlaw, match=f"nesting deeper than {MAX_NESTING} levels in f/1"):
+        snap.derive(snap.module)
+
+
+def test_step_on_a_shallow_or_chained_definition_parses_nothing(reparses):
+    snap = Snapshot.from_source(DOUBLER_SRC)
+    assert isinstance(wrap(snap, target_of(snap, "2")), Applied)
+    # a tree more than MAX_NESTING levels high, whose printed text nests
+    # two: a left-associative chain
+    snap = Snapshot.from_source("f(X) -> " + "X + " * (MAX_NESTING + 99) + "1.\n")
+    assert isinstance(wrap(snap, target_of(snap, "1")), Applied)
+    assert reparses == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import os
 import pickle
 import random
 import re
 import string
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
 from typing import Iterator
 
@@ -225,6 +228,47 @@ def test_nesting_limit():
                  "f(X) -> " + "X = " * 3000 + "1."):
         with pytest.raises(ParseError, match="nesting deeper"):
             parse(text)
+
+
+# operator operands that pretty_expr parenthesizes or not, tuple patterns
+# in a head, a lambda and a match, and a lambda applied directly
+_NESTING_CASES = (
+    "f(X) -> (X = 1) + 2.",
+    "f(X) -> X - (X - (X - (X - 1))).",
+    "f(X) -> (((((X = 1) + 1) * 2 + 1) * 2 + 1) * 2 + 1) * 2.",
+    "f(X) -> X * (X + 1) - (X = 2) < X div (2 * X) == true.",
+    "f({A, {B, {C}}}) -> (fun({D, {E}}) -> {D, E} end)({A, {B}}).",
+    "f(X) -> {Y, {Z}} = {X, {X}}, begin print(Y), Z = W = X end.",
+    "f(F) -> F(F(F(begin 1 end))).",
+)
+
+
+def test_nesting_bound_is_never_below_the_parsers_depth(monkeypatch):
+    reached = []
+    nest = syntax._Parser._nest
+
+    def spy(self, t):
+        nest(self, t)
+        reached.append(self.depth)
+
+    monkeypatch.setattr(syntax._Parser, "_nest", spy)
+    texts = [*_NESTING_CASES, *_parse_corpus(), *_large_inputs()]
+    checked = 0
+    for text in texts:
+        try:
+            m = parse(text)
+        except ParseError:
+            continue
+        for d in m.definitions:
+            reached.clear()
+            parse(pretty_def(d))
+            assert syntax._shape(d)[1] >= max(reached, default=0), pretty_def(d)
+            checked += 1
+    assert checked > 1000
+    # a left-associative chain of any length takes no more than one operator
+    chain = parse(_large_inputs()[-1]).definitions[0]
+    one = parse("f(X) -> X + 1.").definitions[0]
+    assert syntax._shape(chain)[1] == syntax._shape(one)[1] == 3
 
 
 def test_operator_names_reserved():
@@ -688,6 +732,50 @@ def test_nodes_are_frozen_and_slotted():
         for f in fields(n):
             with pytest.raises(FrozenInstanceError):
                 setattr(n, f.name, None)
+
+
+def test_every_node_type_takes_its_immutability_from_node():
+    inherited = ("__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__",
+                 "__getstate__", "__setstate__")
+    for t, n in _one_of_each_type().items():
+        assert [getattr(t, m) for m in inherited] == [getattr(Node, m) for m in inherited], t
+        for f in fields(n):
+            with pytest.raises(FrozenInstanceError):
+                setattr(n, f.name, getattr(n, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(n, f.name)
+            assert hasattr(n, f.name)
+
+
+def test_every_node_type_survives_copy_and_pickle():
+    for t, n in _one_of_each_type().items():
+        for c in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+            assert type(c) is t and c is not n
+            assert c == n and repr(c) == repr(n) and hash(c) == hash(n)
+
+
+def test_importing_mer_inspects_no_class_signature():
+    # dataclass builds a class's __doc__ from inspect.signature when the
+    # class has none, which costs start-up time; schemes may still read
+    # the signatures of functions
+    code = (
+        "import inspect, sys\n"
+        "signature = inspect.signature\n"
+        "def spy(obj, *args, **kw):\n"
+        "    if isinstance(obj, type):\n"
+        "        print(obj.__qualname__)\n"
+        "    return signature(obj, *args, **kw)\n"
+        "inspect.signature = spy\n"
+        "import mer.cli\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('mer.')))\n"
+    )
+    package = os.path.dirname(os.path.abspath(syntax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True, timeout=60)
+    modules = sorted(f"mer.{name[:-3]}" for name in os.listdir(package)
+                     if name.endswith(".py") and name != "__init__.py")
+    assert done.stdout == " ".join(modules) + "\n"
 
 
 def test_node_equality_hash_and_repr_are_the_dataclass_ones():
