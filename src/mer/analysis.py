@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from operator import is_not
 from typing import Iterable, KeysView, Optional
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, FunDef, IntLit, Lambda, Match,
-    ModuleAst, Node, PVar, Pattern, Print, StaticCall, TupleExpr, VarRef,
-    NODE_ID, check_module, children, is_expr, node_ids, parse, walk,
+    ModuleAst, Node, PVar, Pattern, Print, Record, StaticCall, TupleExpr,
+    VarRef, NODE_ID, check_module, children, is_expr, node_ids, parse, record,
+    walk,
 )
 
 
@@ -40,8 +40,8 @@ class NotApplicableError(Exception):
     """A selector does not apply to the given node."""
 
 
-@dataclass(frozen=True)
-class FunKey:
+@record
+class FunKey(Record):
     """A function's name and arity, printed ``name/arity``."""
 
     name: str
@@ -58,8 +58,8 @@ class FunKey:
         return cls(name, int(arity))
 
 
-@dataclass(frozen=True)
-class NodeRef:
+@record
+class NodeRef(Record):
     """Stable handle on a node within one module snapshot."""
 
     version: int
@@ -371,8 +371,8 @@ def _total_kind(e: Node) -> tuple[bool, Optional[str]]:
 # Binding classification
 
 
-@dataclass(frozen=True)
-class Occurrence:
+@record
+class Occurrence(Record):
     """One variable occurrence: the node, its name, its kind, and for a
     reference the binding it resolves to and the body of that scope."""
 
@@ -383,8 +383,8 @@ class Occurrence:
     scope_body_id: Optional[int]
 
 
-@dataclass(frozen=True)
-class BindingInfo:
+@record
+class BindingInfo(Record):
     """Per-occurrence classification for one resolved node."""
 
     occurrences: tuple[Occurrence, ...]

@@ -23,7 +23,7 @@ verdict carries a directly replayable witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from . import analysis
@@ -39,8 +39,8 @@ from .rewrite import (
 )
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, Expr, FunDef, IdGen, IntLit,
-    Lambda, Match, ModuleAst, PVar, Print, StaticCall, TupleExpr, VarRef,
-    pretty_expr,
+    Lambda, Match, ModuleAst, PVar, Print, Record, StaticCall, TupleExpr,
+    VarRef, pretty_expr, record,
 )
 
 
@@ -94,15 +94,15 @@ def eq_outcomes(o1: Outcome, o2: Outcome, compare_env: bool) -> tuple[str, Optio
 # Verdicts
 
 
-@dataclass(frozen=True)
-class Equivalent:
+@record
+class Equivalent(Record):
     """Every trial gave the same outcome on both sides."""
 
     trials: int
 
 
-@dataclass(frozen=True)
-class Inequivalent:
+@record
+class Inequivalent(Record):
     """A trial whose outcomes differ: its entry (None in a rule check)
     and arguments, both outcomes, and why they differ."""
 
@@ -115,8 +115,8 @@ class Inequivalent:
     timeouts: int = 0
 
 
-@dataclass(frozen=True)
-class Unknown:
+@record
+class Unknown(Record):
     """No difference found, but some trials timed out."""
 
     timeouts: int
@@ -154,8 +154,8 @@ def format_verdict(v: Verdict) -> str:
 # Module-level differential check
 
 
-@dataclass(frozen=True)
-class TrialPlan:
+@record
+class TrialPlan(Record):
     """Which entries a module check calls, how many times, and how it
     draws their arguments."""
 
@@ -170,7 +170,24 @@ class TrialPlan:
     def make_args(self, rng: random.Random, arity: int) -> tuple[Value, ...]:
         if self.arg_gen is not None:
             return tuple(self.arg_gen(rng, arity))
-        return tuple(IntV(rng.randint(self.arg_lo, self.arg_hi)) for _ in range(arity))
+        # rng.randrange(width) draws as rng.randint(arg_lo, arg_hi) does:
+        # one _randbelow(width), so the stream is the same
+        width = self.arg_hi - self.arg_lo + 1
+        values = _int_values(self.arg_lo, self.arg_hi)
+        if values is None:
+            return tuple(IntV(self.arg_lo + rng.randrange(width)) for _ in range(arity))
+        return tuple([values[rng.randrange(width)] for _ in range(arity)])
+
+
+# argument ranges up to this wide are drawn from a table of their values
+_TABLED_WIDTH = 4096
+
+
+@lru_cache(maxsize=8)
+def _int_values(lo: int, hi: int) -> Optional[tuple[IntV, ...]]:
+    """The IntV of every integer in [lo, hi], made once per range, or None
+    for a range too wide to tabulate."""
+    return tuple(map(IntV, range(lo, hi + 1))) if hi - lo < _TABLED_WIDTH else None
 
 
 def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
@@ -240,8 +257,8 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
 # Expression generation
 
 
-@dataclass(frozen=True)
-class GenConfig:
+@record
+class GenConfig(Record):
     """Knobs for the expression generator.
 
     allow_print permits print anywhere; visible_match permits matches

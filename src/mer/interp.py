@@ -49,40 +49,40 @@ it is run in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Optional, Sequence, Union
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, Expr, FunDef, IntLit, Lambda,
     Match, ModuleAst, Node, PAtom, PInt, PTuple, PVar, Pattern, Print,
-    StaticCall, TupleExpr, VarRef, children, struct_eq, walk,
+    Record, StaticCall, TupleExpr, VarRef, children, record, struct_eq, walk,
 )
 from .analysis import FunKey, pattern_vars
 
 
-@dataclass(frozen=True)
-class IntV:
+@record
+class IntV(Record):
     """An integer value."""
 
     value: int
 
 
-@dataclass(frozen=True)
-class AtomV:
+@record
+class AtomV(Record):
     """An atom value."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class TupleV:
+@record
+class TupleV(Record):
     """A tuple value."""
 
     elements: tuple["Value", ...]
 
 
-@dataclass(frozen=True)
-class ClosureV:
+@record
+class ClosureV(Record):
     """A closure value: a lambda's parameters and body, and the
     environment it captured."""
 
@@ -103,8 +103,8 @@ Env = dict  # variable name -> Value
 DEFAULT_FUEL = 100_000
 
 
-@dataclass(frozen=True)
-class Ok:
+@record
+class Ok(Record):
     """A call returned value, binding env_after and printing trace."""
 
     value: Value
@@ -112,16 +112,16 @@ class Ok:
     trace: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class Exn:
+@record
+class Exn(Record):
     """A call raised an exception of the given kind after printing trace."""
 
     kind: str  # badmatch | badarith | badfun | badarity | undef | unbound
     trace: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class Timeout:
+@record
+class Timeout(Record):
     """A call ran out of fuel after printing trace."""
 
     trace: tuple[Value, ...]

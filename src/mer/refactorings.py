@@ -30,7 +30,7 @@ stay untouched.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain, count
 from typing import Callable, Optional, Sequence
 
@@ -196,16 +196,16 @@ def _text(snap: Snapshot, v) -> str:
     return str(v)
 
 
-@dataclass
 class _Runner:
     """Runs a composite over a current snapshot. Snapshots are immutable, so
     a failed run leaves the caller's input snapshot as it was: rollback is
     keeping the original reference, byte-identical when printed. A
     NotApplicableError or StaleRef (a consumed node) fails the step."""
 
-    current: Snapshot
-    on_step: Optional[TraceFn]
-    fail_at: Optional[int]
+    def __init__(self, current: Snapshot, on_step: Optional[TraceFn], fail_at: Optional[int]):
+        self.current = current
+        self.on_step = on_step
+        self.fail_at = fail_at
 
     def run(self, program: CompositeProgram, target: NodeRef,
             args: Sequence[object]) -> StepOutcome:

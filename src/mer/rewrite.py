@@ -26,7 +26,7 @@ rule-level equivalence checker) otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import wraps
 from typing import Callable, Container, Optional, Sequence, Union
 
@@ -34,11 +34,11 @@ from . import analysis
 from .analysis import NodeRef, Snapshot, StaleRef
 from .syntax import (
     FIELDS, MIRROR, SLOTS, AtomLit, Body, Expr, FunDef, IdGen, Match, MetaSeq,
-    MetaVar, ModuleAst, Node, ParseError, PVar, Pattern, StaticCall,
+    MetaVar, ModuleAst, Node, ParseError, PVar, Pattern, Record, StaticCall,
     SyntacticFlaw, VarRef, clone_fresh, expr_to_pattern, is_expr, is_pattern,
     module_replace, node_ids, parse_expr_text, parse_exprseq_text,
     parse_fundef_text, parse_patterns_text, pattern_to_expr, pretty_expr,
-    pretty_fragment, remake, struct_eq, walk,
+    pretty_fragment, record, remake, struct_eq, walk,
 )
 
 
@@ -58,8 +58,8 @@ Binding = dict  # metavariable name -> Fragment or tuple of Fragments
 # Step outcomes (the transaction currency of every engine)
 
 
-@dataclass(frozen=True)
-class Applied:
+@record
+class Applied(Record):
     """A step applied: the new snapshot, and a reference to the node it
     produced."""
 
@@ -67,8 +67,8 @@ class Applied:
     result: NodeRef
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+@record
+class NotApplicable(Record):
     """A step did not apply, for reason; in a composite, the step's
     index and name."""
 
@@ -77,8 +77,8 @@ class NotApplicable:
     step_name: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PreconditionViolated:
+@record
+class PreconditionViolated(Record):
     """A WHEN predicate failed at location; in a composite, the
     step's index and name."""
 
@@ -99,23 +99,23 @@ def is_applied(o: StepOutcome) -> bool:
 # Template containers
 
 
-@dataclass(frozen=True)
-class HeadTemplate:
+@record
+class HeadTemplate(Record):
     """A (params, body) shape matched against a function definition."""
 
     params: tuple[Pattern, ...]
     body: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class ArgsTemplate:
+@record
+class ArgsTemplate(Record):
     """An argument-list shape matched against a call's arguments."""
 
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class SigTemplate:
+@record
+class SigTemplate(Record):
     """A name-plus-arguments shape matched against heads and calls."""
 
     name: str  # '@X' marks a name metavariable
@@ -480,8 +480,8 @@ def _parse_conjunct(text: str) -> Expr:
     return e
 
 
-@dataclass(frozen=True)
-class Condition:
+@record
+class Condition(Record):
     """A WHEN clause: conjuncts joined by AND (see _parse_conjunct)."""
 
     conjuncts: tuple[Expr, ...] = ()
@@ -653,8 +653,8 @@ def reports_violations(run: Callable[..., StepOutcome]) -> Callable[..., StepOut
 _RULE_SEP = re.compile(r"^\s*-{3,}\s*$", re.M)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+@record
+class RewriteRule(Record):
     """``lhs ----- rhs WHEN condition``, the templates validated."""
 
     lhs: Template

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import inspect
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 from . import analysis
@@ -44,8 +44,8 @@ from .rewrite import (
 )
 from .syntax import (
     KEYWORDS, AtomLit, Body, Expr, FunDef, Match, MetaSeq, ModuleAst, Node,
-    ParseError, Pattern, StaticCall, VarRef, edit_definitions, is_expr,
-    module_replace, parse_expr_text, pretty_expr, rebuild, walk,
+    ParseError, Pattern, Record, StaticCall, VarRef, edit_definitions, is_expr,
+    module_replace, parse_expr_text, pretty_expr, rebuild, record, walk,
 )
 
 
@@ -53,15 +53,15 @@ from .syntax import (
 # Scheme instances
 
 
-@dataclass(frozen=True)
-class Local:
+@record
+class Local(Record):
     """A rule that rewrites the target node in place."""
 
     rule: RewriteRule
 
 
-@dataclass(frozen=True)
-class IntroduceVariable:
+@record
+class IntroduceVariable(Record):
     """The definition, a match template, goes first in the target's own
     scope ("in_scope") or the next outer one ("outer_scope"). In scope,
     @Name is the instance's name and the target an expression; outer,
@@ -73,8 +73,8 @@ class IntroduceVariable:
     name: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class IntroduceFunction:
+@record
+class IntroduceFunction(Record):
     """The definition, a function definition template, is appended to the
     module; @Name and @Params... are the instance's name and parameters."""
 
@@ -84,8 +84,8 @@ class IntroduceFunction:
     params: tuple[Pattern, ...] = ()
 
 
-@dataclass(frozen=True)
-class FunctionRefactoring:
+@record
+class FunctionRefactoring(Record):
     """A rule for a function's definition and one for each of its
     call sites' arguments."""
 
@@ -93,8 +93,8 @@ class FunctionRefactoring:
     ref_rule: RewriteRule  # argument-list shaped
 
 
-@dataclass(frozen=True)
-class SignatureRefactoring:
+@record
+class SignatureRefactoring(Record):
     """A rule for a function's signature, applied to its head and to
     every call; pre_binding, when set, binds metavariables before
     the head is matched."""
@@ -103,8 +103,8 @@ class SignatureRefactoring:
     pre_binding: Optional[Binding] = None
 
 
-@dataclass(frozen=True)
-class CompositeProgram:
+@record
+class CompositeProgram(Record):
     """A step is (assign or None, iterate, call, traced); a call is
     (op, terms); a term is a local name, an atom, or a selector call."""
 

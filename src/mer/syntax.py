@@ -29,10 +29,12 @@ object, and lexes and parses only the rest.
 Every node carries an integer id that is unique within its module and
 never reused; tree surgery preserves the ids of moved fragments so that
 node references stay valid across refactoring snapshots. Modules and
-nodes are immutable after construction. A module is a frozen dataclass;
-a node is a slotted dataclass with no per-node ``__dict__`` (see
-``_node``) whose immutability comes from the ``Node`` base class, not
-from ``frozen=True``, as do its equality, hash and repr. A parsed tree
+nodes are immutable after construction. Both are records, as is every
+immutable value in mer: a slotted dataclass made by ``record``, with no
+``__dict__`` (a module keeps one for caches), whose immutability comes
+from the ``Record`` base class, not from ``frozen=True``, as do its
+equality, hash, repr and pickling; its ``__init__`` shares its code with
+every record of as many fields. A parsed tree
 holds no reference cycle, yet parsing a 27,000-node module would set
 off about 130 cycle collections, one of them over the whole heap, that
 can free nothing; so ``parse`` runs under ``collector_paused``, which
@@ -55,6 +57,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import accumulate, compress
 from operator import attrgetter, eq
+from reprlib import recursive_repr
+from types import CodeType, FunctionType
 from typing import (
     Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
 )
@@ -90,17 +94,23 @@ class SourceSpan(NamedTuple):
         return (self.start_line, self.start_col) <= (line, col) < (self.end_line, self.end_col)
 
 
-class Node:
-    """Base class of all tree nodes. It holds, once for all node types, the
+class Record:
+    """Base class of every immutable record: tree nodes and modules, and
+    the values, outcomes, verdicts, templates, scheme instances and keys
+    of the other modules. It holds, once for all record types, the
     methods dataclass(frozen=True, slots=True) would compile for each:
     __setattr__ and __delattr__, which refuse every write with
-    FrozenInstanceError; __eq__, __hash__ and __repr__, over the fields in
-    declaration order as the dataclass ones are; and __getstate__ and
-    __setstate__, which copy and pickle restore a slotted node through.
-    _values, which _node sets, reads a node's fields as a tuple."""
+    FrozenInstanceError; __eq__ and __hash__ over the compare fields, and
+    __repr__ over the repr fields, in declaration order as the dataclass
+    ones are; and __getstate__ and __setstate__, which copy and pickle
+    restore a slotted record through. record() sets _values (the compare
+    fields' values as a tuple), _state (every field's value as a tuple)
+    and _shown (the repr fields' names)."""
 
     __slots__ = ()
-    _values: Callable[["Node"], tuple]
+    _values: Callable[["Record"], tuple]
+    _state: Callable[["Record"], tuple]
+    _shown: tuple[str, ...]
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -110,22 +120,100 @@ class Node:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self):
         return hash(self._values(self))
 
+    @recursive_repr()
     def __repr__(self):
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values(self)))
-        return f"{type(self).__qualname__}({shown})"
+        # records and tuples are expanded from an explicit stack, so a tree
+        # of any depth prints; a piece of output is a str, a value still to
+        # print is a 1-tuple
+        out, todo = [], [(self,)]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            v = item[0]
+            if v.__class__ is tuple:
+                out.append("(")
+                todo.append(",)" if len(v) == 1 else ")")
+                for i in range(len(v) - 1, 0, -1):
+                    todo += ((v[i],), ", ")
+                if v:
+                    todo.append((v[0],))
+            elif isinstance(v, Record):
+                out.append(f"{v.__class__.__qualname__}(")
+                todo.append(")")
+                for i in range(len(v._shown) - 1, -1, -1):
+                    name = v._shown[i]
+                    todo += ((getattr(v, name),), f", {name}=" if i else f"{name}=")
+            else:
+                out.append(repr(v))
+        return "".join(out)
 
     def __getstate__(self):
-        return self._values(self)
+        return self._state(self)
 
     def __setstate__(self, state):
         for f, value in zip(self.__slots__, state):
             object.__setattr__(self, f, value)
+
+
+def _getter(names: tuple[str, ...]):
+    """A function from a record to the values of the fields names, as a
+    tuple (a 1-tuple for one name, as dataclass hashes it)."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return staticmethod(lambda r: (get(r),))
+    return attrgetter(*names)
+
+
+# (field count, calls __post_init__) -> code of an __init__ that stores its
+# arguments a0, a1, ... through the functions s0, s1, ... it finds as
+# globals; every record of that shape shares it, its parameters renamed
+_INIT_CODE: dict[tuple[int, bool], CodeType] = {}
+
+
+def record(cls: type) -> type:
+    """cls, a subclass of Record, as a slotted dataclass that takes
+    immutability, equality, hashing, repr and pickling from Record
+    (dataclass would compile those for each class). Its __init__ stores
+    each field through its slot's descriptor, past Record's __setattr__,
+    and then calls __post_init__ if cls has one."""
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    names = tuple(f.name for f in fs)
+    compared = tuple(f.name for f in fs if f.compare)
+    cls._state = state = _getter(names)
+    cls._values = state if compared == names else _getter(compared)
+    cls._shown = tuple(f.name for f in fs if f.repr)
+    shape = (len(fs), hasattr(cls, "__post_init__"))
+    if shape not in _INIT_CODE:
+        args = [f"a{i}" for i in range(len(fs))]
+        ns: dict = {}
+        exec(f"def __init__(self, {', '.join(args)}):"
+             + "".join(f"\n    s{i}(self, {a})" for i, a in enumerate(args))
+             + ("\n    self.__post_init__()" if shape[1] else ""), ns)
+        _INIT_CODE[shape] = ns["__init__"].__code__
+    init = FunctionType(_INIT_CODE[shape].replace(co_varnames=("self", *names)),
+                        {f"s{i}": getattr(cls, n).__set__ for i, n in enumerate(names)},
+                        "__init__", tuple(f.default for f in fs if f.default is not MISSING))
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+class Node(Record):
+    """Base class of all tree nodes. A node type is a record (see Record
+    and record) whose fields end with node_id and span; _node also
+    registers its other fields in FIELDS."""
+
+    __slots__ = ()
 
 
 # node type -> its fields other than node_id and span, in declaration order
@@ -133,19 +221,9 @@ FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def _node(cls: type) -> type:
-    """cls as a slotted dataclass that takes immutability, equality,
-    hashing, repr and pickling from Node (dataclass would compile those
-    for each node type), with an __init__ of its own that stores each
-    field through its slot's descriptor, past Node's __setattr__."""
-    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
-    fs = fields(cls)
-    cls._values = attrgetter(*(f.name for f in fs))  # every node has node_id and span
-    ns = {f"set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
-    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=None" for f in fs)
-    exec(f"def __init__(self, {params}):" + "".join(
-        f"\n    set_{f.name}(self, {f.name})" for f in fs), ns)  # the one default is span=None
-    cls.__init__ = ns["__init__"]
-    FIELDS[cls] = tuple(f.name for f in fs if f.name not in ("node_id", "span"))
+    """cls as a record, registered in FIELDS."""
+    cls = record(cls)
+    FIELDS[cls] = tuple(f.name for f in fields(cls) if f.name not in ("node_id", "span"))
     return cls
 
 
@@ -348,18 +426,20 @@ class FunDef(Node):
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class ModuleAst:
+class _Caches:
+    """A base without __slots__: it gives its subclasses' instances a
+    __dict__, for caches kept out of their fields."""
+
+
+@record
+class ModuleAst(Record, _Caches):
     """A parsed module: its definitions in source order, and the next
-    unused node id."""
+    unused node id. Caches kept in its __dict__, such as the evaluator's
+    compiled program, are not copied or pickled: Record's __getstate__
+    holds the fields only."""
 
     definitions: tuple[FunDef, ...]
     next_node_id: int
-
-    def __getstate__(self):
-        # the fields only: caches kept on the object, such as the
-        # evaluator's compiled program, are not copied or pickled
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 Pattern = Union[PVar, PInt, PAtom, PTuple, MetaVar, MetaSeq]
