@@ -23,7 +23,6 @@ verdict carries a directly replayable witness.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from . import analysis
@@ -168,26 +167,23 @@ class TrialPlan(Record):
     arg_gen: Optional[Callable[[random.Random, int], tuple]] = None
 
     def make_args(self, rng: random.Random, arity: int) -> tuple[Value, ...]:
-        if self.arg_gen is not None:
-            return tuple(self.arg_gen(rng, arity))
+        return self.arg_maker()(rng, arity)
+
+    def arg_maker(self) -> Callable[[random.Random, int], tuple[Value, ...]]:
+        """make_args as a function of its own, made once per check: without
+        arg_gen it indexes a table of the IntVs in [arg_lo, arg_hi]."""
+        gen = self.arg_gen
+        if gen is not None:
+            return lambda rng, arity: tuple(gen(rng, arity))
+        values = tuple(map(IntV, range(self.arg_lo, self.arg_hi + 1)))
+        width = len(values)
         # rng.randrange(width) draws as rng.randint(arg_lo, arg_hi) does:
         # one _randbelow(width), so the stream is the same
-        width = self.arg_hi - self.arg_lo + 1
-        values = _int_values(self.arg_lo, self.arg_hi)
-        if values is None:
-            return tuple(IntV(self.arg_lo + rng.randrange(width)) for _ in range(arity))
-        return tuple([values[rng.randrange(width)] for _ in range(arity)])
+        return lambda rng, arity: tuple([values[rng.randrange(width)] for _ in range(arity)])
 
 
-# argument ranges up to this wide are drawn from a table of their values
-_TABLED_WIDTH = 4096
-
-
-@lru_cache(maxsize=8)
-def _int_values(lo: int, hi: int) -> Optional[tuple[IntV, ...]]:
-    """The IntV of every integer in [lo, hi], made once per range, or None
-    for a range too wide to tabulate."""
-    return tuple(map(IntV, range(lo, hi + 1))) if hi - lo < _TABLED_WIDTH else None
+# the most argument values a plan's range may hold: make_args tabulates them
+MAX_ARG_RANGE = 4096
 
 
 def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
@@ -197,6 +193,9 @@ def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
         raise PlanError(f"a trial plan needs a fuel of at least 1, got {fuel}")
     if arg_lo > arg_hi:
         raise PlanError(f"a trial plan needs arg_lo <= arg_hi, got {arg_lo} > {arg_hi}")
+    if arg_hi - arg_lo >= MAX_ARG_RANGE:
+        raise PlanError(f"a trial plan's argument range holds at most {MAX_ARG_RANGE} "
+                        f"values, got {arg_hi - arg_lo + 1}")
 
 
 def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> Verdict:
@@ -219,6 +218,7 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
             raise PlanError(f"entry {entry} is not defined in both modules")
     entries = [(i, entry, same_code(before, after, entry))
                for i, entry in enumerate(plan.entries)]
+    make_args = plan.arg_maker()
     rng = random.Random(plan.seed)
     seen: dict = {}  # (entry position, args) of an evaluated trial -> it timed out
     timeouts = 0
@@ -226,7 +226,7 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
     for _ in range(plan.trials):
         for i, entry, unchanged in entries:
             trial_no += 1
-            args = plan.make_args(rng, entry.arity)
+            args = make_args(rng, entry.arity)
             if len(args) != entry.arity:
                 raise PlanError(f"the arguments made for entry {entry} number "
                                 f"{len(args)}, not {entry.arity}")

@@ -33,8 +33,7 @@ nodes are immutable after construction. Both are records, as is every
 immutable value in mer: a slotted dataclass made by ``record``, with no
 ``__dict__`` (a module keeps one for caches), whose immutability comes
 from the ``Record`` base class, not from ``frozen=True``, as do its
-equality, hash, repr and pickling; its ``__init__`` shares its code with
-every record of as many fields. A parsed tree
+equality, hash, repr and pickling. A parsed tree
 holds no reference cycle, yet parsing a 27,000-node module would set
 off about 130 cycle collections, one of them over the whole heap, that
 can free nothing; so ``parse`` runs under ``collector_paused``, which
@@ -58,7 +57,6 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import accumulate, compress
 from operator import attrgetter, eq
 from reprlib import recursive_repr
-from types import CodeType, FunctionType
 from typing import (
     Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
 )
@@ -173,12 +171,6 @@ def _getter(names: tuple[str, ...]):
     return attrgetter(*names)
 
 
-# (field count, calls __post_init__) -> code of an __init__ that stores its
-# arguments a0, a1, ... through the functions s0, s1, ... it finds as
-# globals; every record of that shape shares it, its parameters renamed
-_INIT_CODE: dict[tuple[int, bool], CodeType] = {}
-
-
 def record(cls: type) -> type:
     """cls, a subclass of Record, as a slotted dataclass that takes
     immutability, equality, hashing, repr and pickling from Record
@@ -192,17 +184,12 @@ def record(cls: type) -> type:
     cls._state = state = _getter(names)
     cls._values = state if compared == names else _getter(compared)
     cls._shown = tuple(f.name for f in fs if f.repr)
-    shape = (len(fs), hasattr(cls, "__post_init__"))
-    if shape not in _INIT_CODE:
-        args = [f"a{i}" for i in range(len(fs))]
-        ns: dict = {}
-        exec(f"def __init__(self, {', '.join(args)}):"
-             + "".join(f"\n    s{i}(self, {a})" for i, a in enumerate(args))
-             + ("\n    self.__post_init__()" if shape[1] else ""), ns)
-        _INIT_CODE[shape] = ns["__init__"].__code__
-    init = FunctionType(_INIT_CODE[shape].replace(co_varnames=("self", *names)),
-                        {f"s{i}": getattr(cls, n).__set__ for i, n in enumerate(names)},
-                        "__init__", tuple(f.default for f in fs if f.default is not MISSING))
+    ns = {f"set_{n}": getattr(cls, n).__set__ for n in names}
+    exec(f"def __init__(self, {', '.join(names)}):"
+         + "".join(f"\n    set_{n}(self, {n})" for n in names)
+         + ("\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""), ns)
+    init = ns["__init__"]
+    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     return cls

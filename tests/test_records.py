@@ -15,7 +15,9 @@ import pytest
 
 from mer import syntax
 from mer.analysis import FunKey
-from mer.equiv import TrialPlan, check_module_equiv, gen_module
+from mer.equiv import (
+    MAX_ARG_RANGE, Equivalent, PlanError, TrialPlan, check_module_equiv, gen_module,
+)
 from mer.interp import ClosureV, IntV, eval_call
 from mer.refactorings import WRAP_RULE
 from mer.rewrite import RewriteRule, TemplateError
@@ -176,10 +178,19 @@ def test_repr_of_a_deep_tree_returns():
 
 
 def test_trial_arguments_follow_the_randint_stream():
-    for lo, hi in ((-5, 5), (0, 0), (3, 9), (-10 ** 6, 10 ** 6)):
+    for lo, hi in ((-5, 5), (0, 0), (3, 9), (-2048, 2047)):
         plan = TrialPlan((FunKey("f", 2),), arg_lo=lo, arg_hi=hi)
         rng, old = random.Random(11), random.Random(11)
         for arity in (0, 1, 2, 3) * 5:
             args = plan.make_args(rng, arity)
             assert args == tuple(IntV(old.randint(lo, hi)) for _ in range(arity))
         assert rng.getstate() == old.getstate()
+
+
+def test_a_plan_refuses_an_argument_range_too_wide_to_tabulate():
+    m = parse("f(X) -> X.\n")
+    plan = TrialPlan((FunKey("f", 1),), arg_lo=0, arg_hi=MAX_ARG_RANGE)
+    with pytest.raises(PlanError, match=f"at most {MAX_ARG_RANGE} values, got {MAX_ARG_RANGE + 1}"):
+        check_module_equiv(m, m, plan)
+    widest = TrialPlan((FunKey("f", 1),), arg_lo=1, arg_hi=MAX_ARG_RANGE, trials=3)
+    assert check_module_equiv(m, m, widest) == Equivalent(3)
