@@ -9,11 +9,15 @@ their bindings to themselves, parameters shadow, and a pattern variable
 that is already bound re-matches it. :func:`resolve` is the one place
 these rules live: ``free_vars``, ``closed``, ``non_bind`` and their
 standalone forms ``expr_free_vars`` and ``visible_bindings`` all read
-its occurrences.
+its occurrences. One walk, ``_summary``, finds the facts ``pure``,
+``standalone_pure``, ``total`` and ``fun_purity`` read.
 
 All queries are pure functions over an immutable :class:`Snapshot`;
 node references carry the snapshot version and fail with
-:class:`StaleRef` when resolved against any other snapshot.
+:class:`StaleRef` when resolved against any other snapshot. A derived
+snapshot's index checks the definitions it adds as it walks them. No
+walk in this module recurses: each keeps its nodes on an explicit
+stack, so a definition of any depth is analysed.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from operator import is_not
 from typing import Iterable, KeysView, Optional
 
 from .syntax import (
-    AtomLit, BinOp, Block, Body, DynCall, FunDef, IntLit, Lambda, Match,
-    ModuleAst, Node, PVar, Pattern, Print, Record, StaticCall, TupleExpr,
-    VarRef, NODE_ID, check_module, children, is_expr, node_ids, parse, record,
-    walk,
+    AtomLit, BinOp, Block, Body, DynCall, FunDef, IntLit, Lambda, Match, ModuleAst, Node,
+    PATTERN_TYPES, PVar, Pattern, Print, Record, StaticCall, SyntacticFlaw, TupleExpr, VarRef,
+    NODE_ID, check_module, children, is_expr, node_ids, parse, record, syntactic_flaws, walk,
 )
 
 
@@ -74,16 +77,19 @@ class _Index:
     id; each definition by id, and its id by key; the ids of the
     definitions holding a static call to each key; and, made on first
     use, each definition's node tables (see tables) and effect summary
-    (see _effects).
+    (see fun_purity).
 
     An index is derived from parent, an index of an earlier module, by
-    dropping the nodes of the definitions removed and adding those of the
-    definitions added; the rest is parent's, copied, not walked. Built
-    from nothing (parent None), it is the index of the definitions added.
+    dropping the nodes of the definitions removed and then adding those
+    of the definitions added; the rest is parent's, copied, not walked.
+    Built from nothing (parent None), it is the index of the definitions
+    added. The walk that adds a definition also checks it: a ValueError
+    names a key or node id already held, or an id not below
+    next_node_id, as syntax.check_module does.
     """
 
     def __init__(self, parent: Optional[_Index], removed: Iterable[FunDef],
-                 added: Iterable[FunDef]):
+                 added: Iterable[FunDef], next_node_id: int):
         if parent is None:
             def_of, defs, by_key, callers, local, effects = {}, {}, {}, {}, {}, {}
         else:
@@ -103,15 +109,21 @@ class _Index:
             local.pop(d.node_id, None)
             effects.pop(d.node_id, None)
         for d in added:
+            if (d.name, d.arity) in by_key:
+                raise ValueError(f"duplicate definition {d.name}/{d.arity}")
+            by_key[d.name, d.arity] = d.node_id
+            defs[d.node_id] = d
             stack = [d]  # as walk, without a generator's cost per node
             while stack:
                 n = stack.pop()
+                if n.node_id in def_of:
+                    raise ValueError(f"duplicate node id {n.node_id} in {d.name}/{d.arity}")
+                if n.node_id >= next_node_id:
+                    raise ValueError(f"node id {n.node_id} beyond next_node_id {next_node_id}")
                 def_of[n.node_id] = d.node_id
                 if type(n) is StaticCall:
                     new[n.name, len(n.args)].add(d.node_id)
                 stack += children(n)
-            defs[d.node_id] = d
-            by_key.setdefault((d.name, d.arity), d.node_id)
         for key in gone.keys() | new.keys():
             callers[key] = (callers.get(key, frozenset()) - gone[key]) | new[key]
             if not callers[key]:
@@ -132,18 +144,6 @@ class _Index:
                     stack.append((c, n.node_id))
             t = self.local[def_id] = by_id, parents
         return t
-
-
-class _Outside:
-    """The keys of table, which maps each to a definition's id, whose
-    definition is not one of dropped."""
-
-    def __init__(self, table: dict, dropped: set[int]):
-        self.table, self.dropped = table, dropped
-
-    def __contains__(self, key) -> bool:
-        d = self.table.get(key)
-        return d is not None and d not in self.dropped
 
 
 def _changed(old: tuple[FunDef, ...], new: tuple[FunDef, ...]
@@ -184,7 +184,7 @@ class Snapshot:
 
     @cached_property
     def _index(self) -> _Index:
-        return _Index(None, (), self.module.definitions)
+        return _Index(None, (), self.module.definitions, self.module.next_node_id)
 
     @cached_property
     def well_formed(self) -> bool:
@@ -198,22 +198,24 @@ class Snapshot:
     def derive(self, module: ModuleAst) -> "Snapshot":
         """The snapshot of module, an edit of this snapshot's module. Only
         the definitions of module that are not, the very object, at their
-        place in this one are checked (syntax.check_module, against the
-        ids and keys of the others, taken from this snapshot's index) and
-        indexed; the rest of the index is carried over. Raises what the
-        check raises. If this module is not well formed, the new one is
-        checked and indexed whole."""
+        place in this one are checked, for flaws (syntax.syntactic_flaws)
+        and by the index that adds them; the rest of the index is carried
+        over. Raises what syntax.check_module(module) raises. If this
+        module is not well formed, every definition counts as added."""
         if self.well_formed:
             base = self._index
             removed, added = _changed(self.module.definitions, module.definitions)
-            dropped = {d.node_id for d in removed}
-            check_module(module, added, _Outside(base.def_of, dropped),
-                         _Outside(base.by_key, dropped))
         else:
-            check_module(module)
             base, removed, added = None, (), module.definitions
+        for flaw in syntactic_flaws(added):
+            raise SyntacticFlaw(flaw)
+        try:
+            index = _Index(base, removed, added, module.next_node_id)
+        except ValueError:
+            check_module(module)  # the definition it names depends on module order
+            raise
         snap = Snapshot(module)
-        snap._index = _Index(base, removed, added)
+        snap._index = index
         snap.well_formed = True
         return snap
 
@@ -279,11 +281,14 @@ def pattern_vars(pats) -> list[str]:
     return out
 
 
-def _effects(e: Node) -> tuple[bool, frozenset[Key]]:
-    """Whether evaluating e itself can emit a side effect, a print or a
-    dynamic call, and if not, the keys of the static calls it makes.
-    Creating a closure has no effects, so lambda bodies are not inspected."""
+def _summary(e: Node) -> tuple[bool, frozenset[Key], bool]:
+    """What evaluating e itself may do, from one walk: whether it may
+    emit a side effect, a print or a dynamic call; if not, the keys of
+    the static calls it makes; and whether it provably yields a value
+    (see total). Creating a closure has no effect and cannot raise, so
+    lambda bodies are not inspected."""
     keys = set()
+    is_total = True
     stack = [e]
     while stack:
         n = stack.pop()
@@ -291,16 +296,30 @@ def _effects(e: Node) -> tuple[bool, frozenset[Key]]:
         if t is Lambda:
             continue
         if t is Print or t is DynCall:
-            return True, frozenset()
+            return True, frozenset(), False
         if t is StaticCall:
             keys.add((n.name, len(n.args)))
-        stack.extend(children(n))
-    return False, frozenset(keys)
+            is_total = False
+        elif t is BinOp:
+            if n.op == "div" or n.op != "==" and not (
+                    _int_valued(n.left) and _int_valued(n.right)):
+                is_total = False  # div by zero; +, -, * or < on a non-integer
+        elif t not in (IntLit, AtomLit, VarRef, TupleExpr, Block):
+            is_total = False  # a match may bind or fail, a call raise
+        stack += children(n)
+    return False, frozenset(keys), is_total
+
+
+def _int_valued(e: Node) -> bool:
+    """True iff e's value, if it has one, is statically an integer."""
+    while type(e) is Block and e.body:
+        e = e.body[-1]
+    return type(e) is IntLit or type(e) is BinOp and e.op in ("+", "-", "*")
 
 
 def standalone_pure(e: Node) -> bool:
     """Purity with no module context: any call is treated as effectful."""
-    effectful, calls = _effects(e)
+    effectful, calls, _ = _summary(e)
     return not (effectful or calls)
 
 
@@ -330,41 +349,7 @@ def total(e: Node) -> bool:
     expressions statically known to be integers. Callers pair this with
     closed(e), which confines variable references to lambda bodies.
     """
-    return _total_kind(e)[0]
-
-
-def _total_kind(e: Node) -> tuple[bool, Optional[str]]:
-    t = type(e)
-    if t is IntLit:
-        return True, "int"
-    if t is AtomLit:
-        return True, "atom"
-    if t is Lambda:
-        return True, "fun"
-    if t is VarRef:
-        return True, None  # bound (given closedness), kind unknown
-    if t is TupleExpr:
-        return all(_total_kind(x)[0] for x in e.elements), "tuple"
-    if t is Block:
-        kind = None
-        for x in e.body:
-            safe, kind = _total_kind(x)
-            if not safe:
-                return False, None
-        return True, kind
-    if t is BinOp:
-        lsafe, lkind = _total_kind(e.left)
-        rsafe, rkind = _total_kind(e.right)
-        if not (lsafe and rsafe):
-            return False, None
-        if e.op == "==":
-            return True, "atom"
-        if e.op in ("+", "-", "*"):
-            return (lkind == "int" and rkind == "int"), "int"
-        if e.op == "<":
-            return (lkind == "int" and rkind == "int"), "atom"
-        return False, None  # div can raise on zero
-    return False, None  # matches, calls, and print may raise or bind
+    return _summary(e)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -390,72 +375,68 @@ class BindingInfo(Record):
     occurrences: tuple[Occurrence, ...]
 
 
+_CLOSE = object()  # on resolve's stack: the innermost scope ends here
+
+
 def resolve(node: Node) -> BindingInfo:
     """Classify every variable occurrence in node, in evaluation order.
 
     node is a function definition or a standalone expression or body. The
     outermost scope of a standalone node has scope_body_id None; function
-    and lambda bodies open their own scopes.
+    and lambda bodies open their own scopes. A bare pattern has no
+    occurrences.
     """
-    r = _Resolver()
-    r.visit(node)
-    return BindingInfo(tuple(r.occs))
-
-
-class _Resolver:
-    """resolve's walk. Methods, not nested functions: a recursive closure
-    refers to itself through its cell, a cycle left behind by every call."""
-
-    def __init__(self):
-        self.occs: list[Occurrence] = []
-        # scope stack: (body id, {name: binder node id})
-        self.scopes: list[tuple[Optional[int], dict[str, int]]] = [(None, {})]
-
-    def lookup(self, name: str) -> Optional[tuple[int, Optional[int]]]:
-        for body_id, binds in reversed(self.scopes):
-            if name in binds:
-                return binds[name], body_id
-        return None
-
-    def bind(self, n: PVar):
-        body_id, binds = self.scopes[-1]
-        binds[n.name] = n.node_id
-        self.occs.append(Occurrence(n.node_id, n.name, "binding", n.node_id, body_id))
-
-    def bind_match_pattern(self, p: Pattern):
-        # a match-pattern variable that is already bound re-matches it
-        for n in walk(p):
-            if isinstance(n, PVar):
-                hit = self.lookup(n.name)
-                if hit is None:
-                    self.bind(n)
-                else:
-                    self.occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
-
-    def visit(self, n: Node):
-        if isinstance(n, VarRef):
-            hit = self.lookup(n.name)
-            if hit is None:
-                self.occs.append(Occurrence(n.node_id, n.name, "unbound", None, None))
-            else:
-                self.occs.append(Occurrence(n.node_id, n.name, "reference", *hit))
-        elif isinstance(n, Match):
-            self.visit(n.rhs)
-            self.bind_match_pattern(n.pattern)
-        elif isinstance(n, (Lambda, FunDef)):
+    occs: list[Occurrence] = []
+    # open scopes, innermost last: (body id, {name: binder node id})
+    scopes: list[tuple[Optional[int], dict[str, int]]] = [(None, {})]
+    # what is left to visit, the next on top: a match's pattern lies
+    # beneath its right-hand side and binds once that is resolved
+    stack: list = [] if type(node) in PATTERN_TYPES else [node]
+    while stack:
+        n = stack.pop()
+        t = type(n)
+        if t is VarRef:
+            hit = _lookup(scopes, n.name)
+            occs.append(Occurrence(n.node_id, n.name, "unbound", None, None) if hit is None
+                        else Occurrence(n.node_id, n.name, "reference", *hit))
+        elif t is Match:
+            stack += n.pattern, n.rhs
+        elif t is Lambda or t is FunDef:
             # parameters always bind: the callee environment drops their
             # names before matching, so they shadow any outer binding
-            self.scopes.append((n.body.node_id, {}))
+            body_id, binds = n.body.node_id, {}
+            scopes.append((body_id, binds))
             for p in n.params:
                 for x in walk(p):
-                    if isinstance(x, PVar):
-                        self.bind(x)
-            for x in n.body.exprs:
-                self.visit(x)
-            self.scopes.pop()
+                    if type(x) is PVar:
+                        binds[x.name] = x.node_id
+                        occs.append(Occurrence(x.node_id, x.name, "binding", x.node_id, body_id))
+            stack.append(_CLOSE)
+            stack += reversed(n.body.exprs)
+        elif n is _CLOSE:
+            scopes.pop()
+        elif t in PATTERN_TYPES:
+            # a match-pattern variable that is already bound re-matches it
+            for x in walk(n):
+                if type(x) is PVar:
+                    hit = _lookup(scopes, x.name)
+                    if hit is None:
+                        scopes[-1][1][x.name] = x.node_id
+                        occs.append(Occurrence(x.node_id, x.name, "binding", x.node_id,
+                                               scopes[-1][0]))
+                    else:
+                        occs.append(Occurrence(x.node_id, x.name, "reference", *hit))
         else:
-            for x in children(n):
-                self.visit(x)
+            stack += reversed(children(n))
+    return BindingInfo(tuple(occs))
+
+
+def _lookup(scopes: list, name: str) -> Optional[tuple[int, Optional[int]]]:
+    """name's binder in the innermost scope binding it, and its body id."""
+    for body_id, binds in reversed(scopes):
+        if name in binds:
+            return binds[name], body_id
+    return None
 
 
 def binding_info(snap: Snapshot, fundef_ref: NodeRef) -> BindingInfo:
@@ -546,8 +527,8 @@ def fun_purity(snap: Snapshot, keys: Iterable[Key]) -> bool:
             return False  # a call to an undefined function raises
         summary = index.effects.get(did)
         if summary is None:
-            summary = index.effects[did] = _effects(index.defs[did].body)
-        effectful, calls = summary
+            summary = index.effects[did] = _summary(index.defs[did].body)
+        effectful, calls, _ = summary
         if effectful:
             return False
         todo += calls - seen
@@ -558,7 +539,7 @@ def fun_purity(snap: Snapshot, keys: Iterable[Key]) -> bool:
 def pure(snap: Snapshot, e: NodeRef) -> bool:
     """True iff evaluating e can emit no side effect: no print, no dynamic
     call, and no static call reaching either (lambda bodies excluded)."""
-    effectful, calls = _effects(_expr_node(snap, e))
+    effectful, calls, _ = _summary(_expr_node(snap, e))
     return not effectful and fun_purity(snap, calls)
 
 

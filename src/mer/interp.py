@@ -54,8 +54,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, Expr, FunDef, IntLit, Lambda,
-    Match, ModuleAst, Node, PAtom, PInt, PTuple, PVar, Pattern, Print,
-    Record, StaticCall, TupleExpr, VarRef, children, record, struct_eq, walk,
+    Match, ModuleAst, PAtom, PInt, PTuple, PVar, Pattern, Print,
+    Record, StaticCall, TupleExpr, VarRef, record, struct_eq, walk,
 )
 from .analysis import FunKey, pattern_vars
 
@@ -452,17 +452,6 @@ def _compile_block(e: Block) -> Code:
     return block
 
 
-def _names_under(n: Node, out: dict) -> dict:
-    """Adds the variable names occurring in n to out, in preorder."""
-    t = type(n)
-    if t is VarRef or t is PVar:
-        out[n.name] = None
-    else:
-        for c in children(n):
-            _names_under(c, out)
-    return out
-
-
 def _compile_lambda(e: Lambda) -> Code:
     params, body = e.params, e.body
     compiled = None  # (capture set, function), made on first evaluation
@@ -474,8 +463,9 @@ def _compile_lambda(e: Lambda) -> Code:
             raise _NoFuel
         if compiled is None:
             own = pattern_vars(params)
-            compiled = (tuple(k for k in _names_under(body, {}) if k not in own),
-                        _compile_function(params, body))
+            captures = dict.fromkeys(x.name for x in walk(body)  # in preorder
+                                     if type(x) in (VarRef, PVar) and x.name not in own)
+            compiled = tuple(captures), _compile_function(params, body)
         captures, fn = compiled
         return ClosureV(params, body, {k: env[k] for k in captures if k in env}, fn), env
     return lambda_

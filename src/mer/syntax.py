@@ -45,7 +45,9 @@ Mercurial's ``util.nogc`` does. ``cli.main`` runs a whole command under it too.
 expressions or patterns, and ``MIRROR`` pairs each expression type with
 the pattern type of the same shape. Traversal, rebuild, cloning,
 structural equality, and the template matcher, substituter and validator
-are all derived from these two tables.
+are all derived from these two tables. ``rebuild`` keeps the nodes left
+to rebuild and those rebuilt on two stacks, and ``clone_fresh`` is a
+``rebuild``, so neither is bounded by Python's stack.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import accumulate, compress
-from operator import attrgetter, eq
+from operator import attrgetter, eq, is_not
 from reprlib import recursive_repr
 from typing import (
     Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
@@ -581,31 +583,38 @@ def _map_children(n: Node, fn: Callable[[Node], Node]) -> dict:
 
 
 def clone_fresh(n: Node, gen: IdGen) -> Node:
-    """Deep copy with all-new node ids and no spans."""
-    return remake(type(n), n, _map_children(n, lambda c: clone_fresh(c, gen)), gen.fresh())
+    """Deep copy with all-new node ids, taken in postorder, and no spans."""
+    return rebuild(n, lambda x: remake(type(x), x, {}, gen.fresh()))
 
 
 def rebuild(n: Node, f: Callable[[Node], Node]) -> Node:
-    """Bottom-up rewrite: rebuild n's children, then apply f to the result.
-
+    """Bottom-up rewrite: rebuild each node's children, left to right,
+    then apply f to the result; so f sees n's nodes in postorder.
     Unchanged subtrees are shared, and f's result is not descended into.
     """
-    slots = SLOTS.get(type(n))
-    if slots:
-        changes = {}
-        for name, seq, _ in slots:
-            old = getattr(n, name)
-            if seq:
-                new = tuple(rebuild(c, f) for c in old)
-                if any(a is not b for a, b in zip(new, old)):
-                    changes[name] = new
-            else:
-                new = rebuild(old, f)
-                if new is not old:
-                    changes[name] = new
-        if changes:
-            n = remake(type(n), n, changes, n.node_id, n.span)
-    return f(n)
+    done: list[Node] = []  # rebuilt nodes whose parent is not yet rebuilt
+    todo: list = [n]  # a node, or (node, its children) once those are queued
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            x, old = x
+            new = done[len(done) - len(old):]
+            del done[len(done) - len(old):]
+            if any(map(is_not, new, old)):  # remade with its new children
+                changes, i = {}, 0
+                for name, seq, _ in SLOTS[type(x)]:
+                    j = i + len(getattr(x, name)) if seq else i + 1
+                    changes[name] = tuple(new[i:j]) if seq else new[i]
+                    i = j
+                x = remake(type(x), x, changes, x.node_id, x.span)
+        else:
+            old = children(x)
+            if old:
+                todo.append((x, old))
+                todo += reversed(old)
+                continue
+        done.append(f(x))
+    return done[0]
 
 
 def edit_definitions(m: ModuleAst, holders: Container[int],
@@ -1306,38 +1315,22 @@ class SyntacticFlaw(ValueError):
     """A module shape the language cannot express (see syntactic_flaws)."""
 
 
-def check_module(m: ModuleAst, changed: Optional[Sequence[FunDef]] = None,
-                 held_ids: Container[int] = (), held_keys: Container[tuple[str, int]] = ()):
+def check_module(m: ModuleAst):
     """Assert module invariants; raises SyntacticFlaw for the first shape
-    flaw, else ValueError on a duplicate definition or node id.
-
-    Given changed, m's definitions that may fail, in module order, only
-    those are walked: the others passed the check in an earlier module,
-    and held_ids and held_keys are their node ids and (name, arity)
-    keys. The error raised is the one the whole check raises."""
-    defs = m.definitions if changed is None else changed
-    for flaw in syntactic_flaws(defs):
+    flaw, else ValueError on a duplicate definition or node id, or on an
+    id not below m.next_node_id."""
+    for flaw in syntactic_flaws(m.definitions):
         raise SyntacticFlaw(flaw)
-    try:
-        _check_unique(defs, m.next_node_id, held_ids, held_keys)
-    except ValueError:
-        if changed is not None:
-            check_module(m)  # the definition it names depends on module order
-        raise
-
-
-def _check_unique(defs: Iterable[FunDef], next_node_id: int, held_ids: Container[int],
-                  held_keys: Container[tuple[str, int]]):
     seen_keys: set[tuple[str, int]] = set()
     seen_ids: set[int] = set()
-    for d in defs:
+    for d in m.definitions:
         key = (d.name, d.arity)
-        if key in seen_keys or key in held_keys:
+        if key in seen_keys:
             raise ValueError(f"duplicate definition {d.name}/{d.arity}")
         seen_keys.add(key)
         for n in walk(d):
-            if n.node_id in seen_ids or n.node_id in held_ids:
+            if n.node_id in seen_ids:
                 raise ValueError(f"duplicate node id {n.node_id} in {d.name}/{d.arity}")
             seen_ids.add(n.node_id)
-            if n.node_id >= next_node_id:
-                raise ValueError(f"node id {n.node_id} beyond next_node_id {next_node_id}")
+            if n.node_id >= m.next_node_id:
+                raise ValueError(f"node id {n.node_id} beyond next_node_id {m.next_node_id}")

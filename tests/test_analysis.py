@@ -9,12 +9,15 @@ import pytest
 from mer import analysis
 from mer.analysis import FunKey, NotApplicableError, Snapshot, StaleRef
 from mer.equiv import GenConfig, gen_expr, gen_module
-from mer.interp import IntV, eval_expr
-from mer.refactorings import extract_to_variable, generalise_function, rename_function, wrap
+from mer.interp import IntV, Ok, eval_expr
+from mer.refactorings import (
+    extract_to_variable, generalise_function, rename_function, var_to_param, wrap,
+)
 from mer.rewrite import Applied, NotApplicable
 from mer.syntax import (
-    Body, FunDef, Lambda, Match, ModuleAst, PVar, VarRef, check_module, children,
-    find_node, is_expr, parse_expr_text, pretty_expr, rebuild, walk,
+    AtomLit, Body, FunDef, IdGen, IntLit, Lambda, Match, ModuleAst, PVar, VarRef, check_module,
+    children, clone_fresh, find_node, is_expr, parse, parse_expr_text, pretty, pretty_expr,
+    rebuild, struct_eq, walk,
 )
 
 from conftest import DOUBLER_SRC, target_of
@@ -151,6 +154,65 @@ def test_pure_call_graph_fixpoint():
     assert not analysis.pure(snap, target_of(snap, "b(X)"))
     assert analysis.pure(snap, target_of(snap, "c(X)"))
     assert analysis.pure(snap, target_of(snap, "c(X) * 2"))
+
+
+@pytest.mark.parametrize("text,is_total,is_pure", [
+    ("1", True, True),
+    ("ok", True, True),
+    ("X", True, True),
+    ("fun() -> 1 end", True, True),
+    ("fun() -> print(1) end", True, True),
+    ("fun(X) -> X div 0 end", True, True),
+    ("fun() -> Y = f(1), Y end", True, True),
+    ("{1, ok, fun() -> 2 end}", True, True),
+    ("begin 1, ok end", True, True),
+    ("begin {X, 1}, begin 2 end end", True, True),
+    ("X == Y", True, True),
+    ("{1, X} == ok", True, True),
+    ("1 < 2", True, True),
+    ("1 + 2 * 3 - 4", True, True),
+    ("begin 1 end - begin ok, 2 end", True, True),
+    ("(1 < 2) + 1", False, True),
+    ("ok * 2", False, True),
+    ("fun() -> 1 end + 1", False, True),
+    ("{1} < 2", False, True),
+    ("X + 1", False, True),
+    ("1 < X", False, True),
+    ("1 div 1", False, True),
+    ("{1, 2 div 1}", False, True),
+    ("Y = 1", False, True),
+    ("begin Y = 1, 2 end", False, True),
+    ("f(1)", False, False),
+    ("{1, f(1)}", False, False),
+    ("X == f(1)", False, False),
+    ("print(1)", False, False),
+    ("begin 1, print(2) end", False, False),
+    ("X(1)", False, False),
+    ("(fun() -> 1 end)()", False, False),
+])
+def test_total_and_standalone_pure_table(text, is_total, is_pure):
+    e = parse_expr_text(text)
+    assert analysis.total(e) is is_total
+    assert analysis.standalone_pure(e) is is_pure
+
+
+def test_total_expressions_evaluate_to_a_value_on_generated():
+    # a total expression, its free variables bound, returns a value with
+    # no print and no binding
+    rng = random.Random(11)
+    checked = compound = 0
+    for seed in range(300):
+        e = gen_expr(seed, rng.randint(0, 4), ("X", "Z"))
+        for n in walk(e):
+            if not is_expr(n) or not analysis.total(n):
+                continue
+            env = {v: IntV(rng.randint(-3, 3)) for v in analysis.expr_free_vars(n)}
+            out = eval_expr(n, env, 10_000)
+            assert isinstance(out, Ok) and out.trace == () and out.env_after == env, \
+                pretty_expr(n)
+            checked += 1
+            compound += not isinstance(n, (IntLit, AtomLit, VarRef, Lambda))
+    assert checked > 500 and compound > 50
 
 
 def test_dyncall_is_impure():
@@ -444,6 +506,22 @@ def test_find_node_and_ref_on_a_3000_term_chain():
     assert snap.parent_of(chain.node_id) is snap.module.definitions[0].body
 
 
+def test_walks_and_a_step_on_a_3000_term_chain():
+    snap = Snapshot.from_source("f(X) -> Y = " + "1 + " * 2999 + "1, Y.\ng(X) -> f(X).\n")
+    f = snap.module.definitions[0]
+    match = f.body.exprs[0]
+    assert analysis.total(match.rhs)
+    assert [(o.name, o.kind) for o in analysis.resolve(f).occurrences] == [
+        ("X", "binding"), ("Y", "binding"), ("Y", "reference")]
+    assert rebuild(f, lambda n: n) is f
+    copy = clone_fresh(f, IdGen(snap.module.next_node_id))
+    assert struct_eq(copy, f)
+    assert min(n.node_id for n in walk(copy)) == snap.module.next_node_id
+    out = var_to_param(snap, snap.ref(f.node_id), snap.ref(match.node_id))
+    assert isinstance(out, Applied)
+    assert parse(pretty(out.snapshot.module)).definitions[0].arity == 2
+
+
 # ---------------------------------------------------------------------------
 # Derived snapshots
 
@@ -503,7 +581,9 @@ def _raised(fn):
     lambda f, h, top: replace(f, name="g"),
     lambda f, h, top: replace(f, body=replace(f.body, exprs=(h.body.exprs[0],))),
     lambda f, h, top: replace(f, body=replace(f.body, node_id=top)),
-], ids=["empty-body", "duplicate-key", "id-of-a-later-definition", "id-beyond-next"])
+    lambda f, h, top: replace(f, body=replace(f.body, node_id=f.body.exprs[0].node_id)),
+], ids=["empty-body", "duplicate-key", "id-of-a-later-definition", "id-beyond-next",
+        "id-repeated-inside"])
 def test_derived_snapshot_is_refused_as_the_whole_check_refuses(edit):
     # the check walks the changed definition only, and raises what the
     # check of the whole module raises

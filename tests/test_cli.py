@@ -295,6 +295,24 @@ def test_step_next_to_a_deep_definition(tmp_path, capsys, command, options):
     assert DEEP_DEF in out.splitlines()
 
 
+@pytest.mark.parametrize("command,deep,options", [
+    (["refactor", "step", "wrap"], DEEP_DEF, ["--pos", "2:12"]),
+    (["refactor", "generalise"], DEEP_DEF, ["--pos", "2:12", "--param", "Y"]),
+    (["refactor", "step", "extract_to_variable"], "ones() -> " + "1 + " * 2999 + "1.",
+     ["--pos", "2:11", "--name", "Y"]),
+], ids=["wrap", "generalise", "extract_to_variable"])
+def test_step_on_a_deep_definition(tmp_path, capsys, command, deep, options):
+    # the step resolves, analyses and rebuilds the 3,000-level definition
+    # itself, none of it by recursion
+    p = tmp_path / "m.mer"
+    p.write_text("f(X) -> begin X * 2 end.\n" + deep + "\n")
+    assert main([*command, str(p), *options]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    parse(out)
+    assert deep not in out.splitlines()
+
+
 def test_step_failure_exit_1(tmp_path, capsys):
     p = tmp_path / "m.mer"
     p.write_text("f() -> Y = 5, Y + 1.\n")
