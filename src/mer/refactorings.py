@@ -42,7 +42,7 @@ from .rewrite import (
 from .schemes import (
     CompositeError, CompositeProgram, parse_scheme_instance,
     run_function_refactoring, run_introduce_function, run_introduce_variable,
-    run_local, run_signature_refactoring,
+    run_local, run_signature_refactoring, signature_clash,
 )
 from .syntax import FunDef, Match, Node, Pattern, pretty_fragment
 
@@ -180,9 +180,10 @@ TraceFn = Callable[[int, str, tuple[str, ...], Snapshot], None]
 
 
 def _fresh_fun_name(snap: Snapshot, base: str, params: Sequence[Pattern]) -> str:
-    """The first of base, base1, base2, .. undefined at len(params)."""
+    """The first of base, base1, base2, .. neither defined nor called at
+    len(params)."""
     names = chain([base], (f"{base}{i}" for i in count(1)))
-    return next(n for n in names if snap.find_def(FunKey(n, len(params))) is None)
+    return next(n for n in names if signature_clash(snap, FunKey(n, len(params))) is None)
 
 
 def _text(snap: Snapshot, v) -> str:

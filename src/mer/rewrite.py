@@ -7,6 +7,15 @@ may hold at most one list metavariable, which makes matching
 deterministic; a metavariable repeated within one pattern must bind
 structurally equal fragments.
 
+A template is a node, or a tuple of nodes for an argument list. Each
+template node takes the sort of the slot it is placed in: a pattern in
+an expression slot becomes the expression of the same shape, and the
+other way round. Three forms are matched against more than their own
+kind of node: an argument list ``(A...)`` against a call's arguments, a
+clause ``(P...) -> B...`` (a Lambda) against a definition's parameters
+and body, and a signature ``name(P...)`` (a StaticCall whose arguments
+are patterns) against a definition's head as well as against calls.
+
 Rule text format::
 
     <lhs>
@@ -26,19 +35,20 @@ rule-level equivalence checker) otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
+from contextlib import suppress
 from functools import wraps
+from itertools import chain
 from typing import Callable, Container, Optional, Sequence, Union
 
 from . import analysis
 from .analysis import NodeRef, Snapshot, StaleRef
 from .syntax import (
-    FIELDS, MIRROR, SLOTS, AtomLit, Body, Expr, FunDef, IdGen, Match, MetaSeq,
-    MetaVar, ModuleAst, Node, ParseError, PVar, Pattern, Record, StaticCall,
+    FIELDS, MIRROR, SLOTS, AtomLit, Body, Expr, FunDef, IdGen, Lambda, Match,
+    MetaSeq, MetaVar, ModuleAst, Node, ParseError, PVar, Record, StaticCall,
     SyntacticFlaw, VarRef, clone_fresh, expr_to_pattern, is_expr, is_pattern,
-    module_replace, node_ids, parse_expr_text, parse_exprseq_text,
-    parse_fundef_text, parse_patterns_text, pattern_to_expr, pretty_expr,
-    pretty_fragment, record, remake, struct_eq, walk,
+    module_replace, node_ids, parse_clause_text, parse_expr_text,
+    parse_exprseq_text, parse_fundef_text, parse_patterns_text, pattern_to_expr,
+    pretty_expr, pretty_fragment, record, remake, struct_eq, walk,
 )
 
 
@@ -96,79 +106,33 @@ def is_applied(o: StepOutcome) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Template containers
+# Templates
 
 
-@record
-class HeadTemplate(Record):
-    """A (params, body) shape matched against a function definition."""
-
-    params: tuple[Pattern, ...]
-    body: tuple[Expr, ...]
+# a node, or an argument list; a node's sort is its slot's
+Template = Union[Node, tuple]
 
 
-@record
-class ArgsTemplate(Record):
-    """An argument-list shape matched against a call's arguments."""
-
-    args: tuple[Expr, ...]
-
-
-@record
-class SigTemplate(Record):
-    """A name-plus-arguments shape matched against heads and calls."""
-
-    name: str  # '@X' marks a name metavariable
-    args: tuple[Pattern, ...]
-
-
-Template = Union[Expr, HeadTemplate, ArgsTemplate, SigTemplate]
-
-
-def _validate_seq(seq: Sequence[Node], what: str):
-    if sum(1 for x in seq if isinstance(x, MetaSeq)) > 1:
-        raise TemplateError(f"more than one list metavariable in {what}")
+def _roots(t: Template) -> tuple:
+    return t if type(t) is tuple else (t,)
 
 
 def validate_template(t: Template):
-    """Reject a sequence slot holding more than one list metavariable."""
-    if isinstance(t, Node):
-        for n in walk(t):
-            for f, seq, _ in SLOTS.get(type(n), ()):
-                if seq:
-                    _validate_seq(getattr(n, f), f"{type(n).__name__}.{f}")
-        return
-    for f in fields(t):
-        seq = getattr(t, f.name)
-        if isinstance(seq, tuple):
-            _validate_seq(seq, f"{type(t).__name__}.{f.name}")
-            for e in seq:
-                validate_template(e)
+    """Reject a sequence holding more than one list metavariable."""
+    seqs = [_roots(t)]
+    for x in chain.from_iterable(map(walk, _roots(t))):
+        seqs += [getattr(x, f) for f, seq, _ in SLOTS.get(type(x), ()) if seq]
+    if any(sum(type(y) is MetaSeq for y in seq) > 1 for seq in seqs):
+        raise TemplateError("more than one list metavariable in a sequence")
 
 
 def template_metavars(t: Template) -> set[str]:
     out: set[str] = set()
-
-    def scan(n: Node):
-        for x in walk(n):
-            if isinstance(x, (MetaVar, MetaSeq)):
-                out.add(x.name)
-            if isinstance(x, StaticCall) and x.name.startswith("@"):
-                out.add(x.name[1:])
-
-    if isinstance(t, HeadTemplate):
-        for n in t.params + t.body:
-            scan(n)
-    elif isinstance(t, ArgsTemplate):
-        for n in t.args:
-            scan(n)
-    elif isinstance(t, SigTemplate):
-        if t.name.startswith("@"):
-            out.add(t.name[1:])
-        for n in t.args:
-            scan(n)
-    else:
-        scan(t)
+    for x in chain.from_iterable(map(walk, _roots(t))):
+        if type(x) is MetaVar or type(x) is MetaSeq:
+            out.add(x.name)
+        elif type(x) is StaticCall and x.name.startswith("@"):
+            out.add(x.name[1:])
     return out
 
 
@@ -185,36 +149,32 @@ def parse_template_def(text: str) -> FunDef:
     return t
 
 
-def parse_template_head(text: str) -> HeadTemplate:
-    m = re.match(r"^\s*\((.*?)\)\s*->\s*(.*?)\s*$", text, re.S)
-    if not m:
-        raise TemplateError(f"head template must look like (..) -> ..: {text!r}")
-    params = parse_patterns_text(m.group(1), meta=True)
-    body = parse_exprseq_text(m.group(2), meta=True)
-    t = HeadTemplate(params, body)
+def parse_template_head(text: str) -> Lambda:
+    """A clause ``(P...) -> B...``, matched against a definition's
+    parameters and body."""
+    t = parse_clause_text(text, meta=True)
     validate_template(t)
     return t
 
 
-def parse_template_args(text: str) -> ArgsTemplate:
+def parse_template_args(text: str) -> tuple:
+    """An argument list ``(A...)``, matched against a call's arguments."""
     m = re.match(r"^\s*\((.*)\)\s*$", text, re.S)
     if not m:
         raise TemplateError(f"argument template must be parenthesized: {text!r}")
-    inner = m.group(1).strip()
-    args = parse_exprseq_text(inner, meta=True) if inner else ()
-    t = ArgsTemplate(args)
+    t = parse_exprseq_text(m.group(1), meta=True) if m.group(1).strip() else ()
     validate_template(t)
     return t
 
 
-def parse_template_signature(text: str) -> SigTemplate:
+def parse_template_signature(text: str) -> StaticCall:
+    """A signature ``name(P...)``, its arguments parsed as patterns,
+    matched against a definition's head and against calls."""
     m = re.match(r"^\s*(@?\w+)\s*\((.*)\)\s*$", text, re.S)
     if not m:
         raise TemplateError(f"signature template must look like name(..): {text!r}")
-    name = m.group(1)
-    inner = m.group(2).strip()
-    args = parse_patterns_text(inner, meta=True) if inner else ()
-    t = SigTemplate(name, args)
+    gen = IdGen()
+    t = StaticCall(m.group(1), parse_patterns_text(m.group(2), meta=True, gen=gen), gen.fresh())
     validate_template(t)
     return t
 
@@ -283,32 +243,20 @@ def match_seq(pats: Sequence[Node], subjs: Sequence[Node], binding: Binding) -> 
 
 
 def match_template(t: Template, subject, binding: Optional[Binding] = None) -> Optional[Binding]:
-    """Match a template against a node, (params, body) pair, or call.
-
-    Returns the extended binding on success, None on mismatch.
-    """
+    """Match a template against a node: an argument list against a call's
+    arguments, a clause (a Lambda) against a definition's parameters and
+    body, a signature (a StaticCall) against a definition's name and
+    parameters too. Returns the extended binding, or None on mismatch."""
     b: Binding = dict(binding or {})
-    if isinstance(t, HeadTemplate):
-        if not isinstance(subject, FunDef):
-            return None
-        if match_seq(t.params, subject.params, b) and match_seq(t.body, subject.body.exprs, b):
-            return b
-        return None
-    if isinstance(t, ArgsTemplate):
-        args = subject.args if isinstance(subject, StaticCall) else tuple(subject)
-        return b if match_seq(t.args, args, b) else None
-    if isinstance(t, SigTemplate):
-        if isinstance(subject, FunDef):
-            subj_name, subj_args = subject.name, subject.params
-        elif isinstance(subject, StaticCall):
-            subj_name, subj_args = subject.name, subject.args
-        else:
-            return None
-        ok = _match_name(t.name, subj_name, b) and match_seq(t.args, subj_args, b)
-        return b if ok else None
-    if not isinstance(subject, Node):
-        return None
-    return b if match_fragment(t, subject, b) else None
+    if type(t) is tuple:
+        ok = type(subject) is StaticCall and match_seq(t, subject.args, b)
+    elif type(subject) is FunDef and type(t) is Lambda:
+        ok = match_seq(t.params, subject.params, b) and match_fragment(t.body, subject.body, b)
+    elif type(subject) is FunDef and type(t) is StaticCall:
+        ok = _match_name(t.name, subject.name, b) and match_seq(t.args, subject.params, b)
+    else:
+        ok = isinstance(subject, Node) and match_fragment(t, subject, b)
+    return b if ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +313,8 @@ def _as_sort(frag: Fragment, ctx: SubstCtx, slot: str) -> Node:
     if isinstance(frag, Node) and (is_expr(frag) or is_pattern(frag)):
         if is_pattern(frag) == to_pattern:
             return ctx.take(frag)
-        return expr_to_pattern(frag, ctx.gen) if to_pattern else pattern_to_expr(frag, ctx.gen)
+        with suppress(ValueError):  # raised when no pattern mirrors an expression
+            return expr_to_pattern(frag, ctx.gen) if to_pattern else pattern_to_expr(frag, ctx.gen)
     # the type, not the repr: a tree may be too deep to print
     sort = "a pattern" if to_pattern else "an expression"
     raise UnboundMetavariable(f"cannot use a {type(frag).__name__} as {sort}")
@@ -407,12 +356,10 @@ def subst_fragment(pat: Node, binding: Binding, ctx: SubstCtx, slot: str) -> Nod
     t = type(pat)
     if t is MetaVar:
         return _as_sort(_lookup(binding, pat.name), ctx, slot)
-    slots = SLOTS.get(t)
-    if t in MIRROR and not slots:
-        # a leaf takes the sort of its slot
-        out = t if is_pattern(pat) == (slot == "pattern") else MIRROR[t]
-        return remake(out, pat, {}, ctx.fresh())
-    if slots is None:
+    if t in MIRROR and is_pattern(pat) != (slot == "pattern"):
+        t = MIRROR[t]  # a template node takes the sort of its slot
+    slots = SLOTS.get(t, ())
+    if not slots and t not in MIRROR:
         raise TypeError(f"cannot substitute into {t.__name__}")
     if t is Body and len(pat.exprs) == 1 and type(pat.exprs[0]) is MetaVar:
         frag = binding.get(pat.exprs[0].name)
@@ -427,17 +374,11 @@ def subst_fragment(pat: Node, binding: Binding, ctx: SubstCtx, slot: str) -> Nod
     return remake(t, pat, changes, ctx.fresh())
 
 
-def substitute(t: Template, binding: Binding, ctx: SubstCtx, arg_slot: str = "pattern"):
-    """Instantiate a template; returns a node, or structured parts for
-    head/args/signature templates. arg_slot is the sort of a signature's
-    arguments: patterns in a head, expressions at a call site."""
-    if isinstance(t, HeadTemplate):
-        return (subst_seq(t.params, binding, ctx, "pattern"),
-                subst_seq(t.body, binding, ctx, "expr"))
-    if isinstance(t, ArgsTemplate):
-        return subst_seq(t.args, binding, ctx, "expr")
-    if isinstance(t, SigTemplate):
-        return _subst_name(t.name, binding), subst_seq(t.args, binding, ctx, arg_slot)
+def substitute(t: Template, binding: Binding, ctx: SubstCtx):
+    """Instantiate a template: an argument list as a tuple of expressions,
+    a node as an expression."""
+    if type(t) is tuple:
+        return subst_seq(t, binding, ctx, "expr")
     return subst_fragment(t, binding, ctx, "expr")
 
 
@@ -643,6 +584,8 @@ def reports_violations(run: Callable[..., StepOutcome]) -> Callable[..., StepOut
             return run(*args, **kwargs)
         except ConditionFailure as f:
             return PreconditionViolated(f.predicate, f.location)
+        except UnboundMetavariable as err:  # or bound to what its slot cannot take
+            return NotApplicable(f"the block cannot take this target: {err}")
     return checked
 
 
@@ -666,10 +609,9 @@ class RewriteRule(Record):
         validate_template(self.rhs)
 
 
-def parse_rule_text(text: str, lhs_kind: str = "expr", rhs_kind: Optional[str] = None) -> RewriteRule:
-    """Parse ``lhs ----- rhs [WHEN cond]``; kinds select the template parser
-    (expr, head, args, signature)."""
-    rhs_kind = rhs_kind or lhs_kind
+def parse_rule_text(text: str, kind: str = "expr") -> RewriteRule:
+    """Parse ``lhs ----- rhs [WHEN cond]``; kind selects the template
+    parser of both sides (expr, head, args, signature)."""
     when_split = re.split(r"^\s*WHEN\b", text, maxsplit=1, flags=re.M)
     rules_part = when_split[0]
     cond = Condition.parse(when_split[1]) if len(when_split) > 1 else Condition(())
@@ -683,8 +625,8 @@ def parse_rule_text(text: str, lhs_kind: str = "expr", rhs_kind: Optional[str] =
         "signature": parse_template_signature,
     }
     try:
-        lhs = parsers[lhs_kind](pieces[0].strip())
-        rhs = parsers[rhs_kind](pieces[1].strip())
+        lhs = parsers[kind](pieces[0].strip())
+        rhs = parsers[kind](pieces[1].strip())
     except ParseError as err:
         raise TemplateError(f"cannot parse rule: {err}") from None
     return RewriteRule(lhs, rhs, cond)
@@ -699,7 +641,7 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcom
     the instantiated right side in place of the target.
     """
     subj = snap.node(target)
-    if not isinstance(rule.lhs, Node) or not (is_expr(rule.lhs) or isinstance(rule.lhs, MetaVar)):
+    if not (is_expr(rule.lhs) or type(rule.lhs) is MetaVar):
         return NotApplicable("rule left side is not an expression template")
     if not is_expr(subj):
         return NotApplicable("target is not an expression")

@@ -37,15 +37,15 @@ from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
     Binding, Condition, NotApplicable, PreconditionViolated, RewriteRule,
-    SigTemplate, StepOutcome, SubstCtx, TemplateError, UnboundMetavariable,
-    _locate, _lookup_seq, _subst_name, apply_rule, eval_condition, finish_step,
-    match_template, parse_rule_text, parse_template_def, parse_template_expr,
-    reports_violations, subst_fragment, subst_seq, substitute, template_metavars,
+    StepOutcome, SubstCtx, TemplateError, _locate, _lookup_seq, _subst_name,
+    apply_rule, eval_condition, finish_step, match_template, parse_rule_text,
+    parse_template_def, parse_template_expr, reports_violations, subst_fragment,
+    subst_seq, substitute, template_metavars,
 )
 from .syntax import (
     KEYWORDS, AtomLit, Body, Expr, FunDef, Match, MetaSeq, ModuleAst, Node,
     ParseError, Pattern, Record, StaticCall, VarRef, edit_definitions, is_expr,
-    module_replace, parse_expr_text, pretty_expr, rebuild, record, walk,
+    node_ids, parse_expr_text, pretty_expr, rebuild, record, walk,
 )
 
 
@@ -127,6 +127,16 @@ _INTRODUCE_VARIABLE_WHEN = Condition.parse(
     "fresh(@Name) AND pure(@E) AND closed(@E) AND total(@E)")
 _INTRODUCE_FUNCTION_WHEN = Condition.parse(
     "is_subset(free_vars(@E), vars(@Params...)) AND non_bind(@E)")
+
+
+def signature_clash(snap: Snapshot, key: FunKey) -> Optional[PreconditionViolated]:
+    """A new function's key must be neither defined nor called: a call
+    to it would call the new function."""
+    if snap.find_def(key) is not None:
+        return PreconditionViolated("signature_clash", f"{key} already defined")
+    if snap.callers(key):
+        return PreconditionViolated("signature_clash", f"{key} already called")
+    return None
 
 
 def _with_instance_when(inherent: Condition, rule: RewriteRule) -> Condition:
@@ -225,24 +235,24 @@ def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
                        b, snap, target)
 
     ctx = SubstCtx.for_snapshot(snap, freed=[subj])
-    try:
-        new_def = subst_fragment(inst.definition, b, ctx, "expr")
-        # a clash concerns the new function's key, not a fragment
-        key = FunKey(new_def.name, new_def.arity)
-        if snap.find_def(key) is not None:
-            return PreconditionViolated("signature_clash", f"{key} already defined")
-        replacement = subst_fragment(inst.ref_rule.rhs, b, ctx, "expr")
-    except UnboundMetavariable as err:
-        # a Body target can only be a definition's whole body
-        return NotApplicable(f"the block cannot take this target: {err}")
+    new_def = subst_fragment(inst.definition, b, ctx, "expr")
+    clash = signature_clash(snap, FunKey(new_def.name, new_def.arity))
+    if clash is not None:
+        return clash
+    replacement = subst_fragment(inst.ref_rule.rhs, b, ctx, "expr")
     if isinstance(subj, Body):
         # a Body target is the new definition's body (see subst_fragment),
         # and what replaces it must be a Body too
         replacement = Body((replacement,), node_id=ctx.fresh())
-    module = module_replace(snap.module, {subj.node_id: replacement}, ctx.gen.high,
-                            snap.fundef_of)
-    module = ModuleAst(module.definitions + (new_def,), module.next_node_id)
-    return finish_step(snap, module, new_def.node_id)
+    holder = rebuild(snap.fundef_of(subj.node_id),
+                     lambda n: replacement if n.node_id == subj.node_id else n)
+    # a parameter must be bound where the call passes it
+    passed = node_ids(replacement)
+    for o in analysis.resolve(holder).occurrences:
+        if o.kind == "unbound" and o.node_id in passed:
+            return PreconditionViolated("bound", _locate(snap, target, o.name))
+    defs = edit_definitions(snap.module, {holder.node_id}, lambda d: holder)
+    return finish_step(snap, ModuleAst(defs + (new_def,), ctx.gen.high), new_def.node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +315,15 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
 
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
     ctx = SubstCtx.for_snapshot(snap, freed=[d] + refs)
-    new_params, new_body_exprs = substitute(inst.def_rule.rhs, b, ctx)
+    clause = inst.def_rule.rhs
+    new_params = subst_seq(clause.params, b, ctx, "pattern")
+    new_body_exprs = subst_seq(clause.body.exprs, b, ctx, "expr")
     if not new_body_exprs:
         return NotApplicable("resulting body would be empty")
     new_key = FunKey(d.name, len(new_params))
-    if new_key != old_key:
-        clash = snap.find_def(new_key)
-        if clash is not None:
-            return PreconditionViolated("signature_clash", f"{new_key} already defined")
+    clash = signature_clash(snap, new_key) if new_key != old_key else None
+    if clash is not None:
+        return clash
     new_def = FunDef(d.name, new_params, Body(new_body_exprs, node_id=ctx.fresh()),
                      node_id=d.node_id)
 
@@ -344,7 +355,7 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
     b = eval_condition(inst.head_rule.condition, b, snap, target)
 
     rhs = inst.head_rule.rhs
-    if not isinstance(rhs, SigTemplate):
+    if type(rhs) is not StaticCall:
         raise TemplateError("signature rule right side must be a signature")
     # the new key is known before the callers are walked, so a clash is
     # refused in time independent of their number
@@ -353,8 +364,9 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
     if not _NAME_RE.match(new_name):
         return NotApplicable(f"invalid function name {new_name!r}")
     old_key, new_key = FunKey(d.name, d.arity), FunKey(new_name, arity)
-    if new_key != old_key and snap.find_def(new_key) is not None:
-        return PreconditionViolated("signature_clash", f"{new_key} already defined")
+    clash = signature_clash(snap, new_key) if new_key != old_key else None
+    if clash is not None:
+        return clash
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
     ctx = SubstCtx.for_snapshot(snap, freed=list(d.params) + refs)
     new_params = subst_seq(rhs.args, b, ctx, "pattern")
@@ -365,8 +377,8 @@ def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
             raise _SiteFailure(NotApplicable(
                 f"head rule does not match {_site(snap, call)}"))
         rb = eval_condition(inst.head_rule.condition, rb, snap, snap.ref(call.node_id))
-        ref_name, ref_args = substitute(inst.head_rule.rhs, rb, ctx, "expr")
-        return StaticCall(ref_name, ref_args, node_id=call.node_id)
+        return StaticCall(_subst_name(rhs.name, rb), subst_seq(rhs.args, rb, ctx, "expr"),
+                          node_id=call.node_id)
 
     new_def = FunDef(new_name, new_params, d.body, node_id=d.node_id)
     return _replace_def(snap, d, new_def, rewrite_ref, ctx)

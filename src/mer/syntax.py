@@ -1140,6 +1140,14 @@ def parse_fundef_text(source: str, *, meta: bool = False) -> FunDef:
     return d
 
 
+def parse_clause_text(source: str, *, meta: bool = False) -> Lambda:
+    """Parse ``(patterns) -> body`` as the Lambda ``fun .. end`` holds."""
+    p = _Parser(lex(source, meta=meta), IdGen(), meta=meta)
+    params, body = p._clause()
+    p.expect("eof")
+    return Lambda(params, body, p.gen.fresh())
+
+
 def parse_patterns_text(source: str, *, meta: bool = False, gen: Optional[IdGen] = None) -> tuple[Pattern, ...]:
     """Parse a comma-separated pattern list (may be empty)."""
     p = _Parser(lex(source, meta=meta), gen or IdGen(), meta=meta)

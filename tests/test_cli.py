@@ -172,6 +172,23 @@ def test_generalise_clash_names_step_and_keeps_file(tmp_path, capsys):
     assert p.read_text() == src  # untouched even with --write
 
 
+@pytest.mark.parametrize("src, step, message", [
+    # h(Y) would read Y before it is bound
+    ("f(X) -> print(1), Y = X, Y + 1.\n",
+     ["extract_to_function", "--pos", "1:9", "--name", "h", "--params", "Y"],
+     "mer: precondition bound violated (f/1: Y)"),
+    # f's call to g/0 would reach the renamed h/0
+    ("f() -> g().\nh() -> 1.\n", ["rename_function", "--fun", "h/0", "--to", "g"],
+     "mer: precondition signature_clash violated (g/0 already called)"),
+], ids=["unbound-parameter", "called-key"])
+def test_step_that_would_change_behaviour_is_refused(tmp_path, capsys, src, step, message):
+    p = tmp_path / "m.mer"
+    p.write_text(src)
+    assert main(["refactor", "step", step[0], str(p), *step[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == message
+
+
 def test_step_write_keeps_file_mode(l1, capsys):
     os.chmod(l1, 0o644)
     assert main(["refactor", "step", "wrap", str(l1), "--pos", "1:19",

@@ -80,7 +80,7 @@ def _as_twin(v):
 
 
 def test_every_dataclass_in_mer_is_a_record():
-    assert len(RECORDS) >= 50
+    assert len(RECORDS) >= 47
     for name in ("mer.syntax.ModuleAst", "mer.syntax.BinOp", "mer.interp.ClosureV",
                  "mer.equiv.TrialPlan", "mer.rewrite.RewriteRule", "mer.analysis.FunKey"):
         assert name in RECORDS

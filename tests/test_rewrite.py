@@ -254,6 +254,14 @@ def test_apply_rule_not_applicable_on_fundef(doubler):
     assert isinstance(out, NotApplicable)
 
 
+def test_apply_rule_not_applicable_where_no_pattern_mirrors_the_match():
+    # @E in a parameter slot takes X + 1, which no pattern mirrors
+    rule = parse_rule_text("@E\n-----\n(fun(@E) -> 1 end)()")
+    snap = Snapshot.from_source("f(X) -> X + 1.\n")
+    out = apply_rule(rule, snap, target_of(snap, "X + 1"))
+    assert isinstance(out, NotApplicable) and "BinOp" in out.reason
+
+
 def test_apply_rule_origin_stability(doubler):
     target = target_of(doubler, "X * 2")
     before_ids = node_ids(doubler.node(target))

@@ -15,8 +15,9 @@ from mer.schemes import (
 from mer.refactorings import (
     EXTRACT_TO_VARIABLE_REF_TEXT, OUTER_VARIABLE_REF_TEXT, WRAP_RULE,
     WRAP_RULE_TEXT, _EXTRACT_FUN, _EXTRACT_VAR, _OUTER_VAR, _RENAME, _VAR_TO_PARAM,
-    rename_function,
+    _fresh_fun_name, rename_function,
 )
+from mer.interp import IntV, eval_call
 from mer.syntax import parse_patterns_text, pretty
 
 from conftest import defs_of, target_of
@@ -272,6 +273,30 @@ def test_rename_clash_is_refused_before_the_callers_are_walked(monkeypatch):
     monkeypatch.setattr(analysis, "references", walk_callers)
     out = rename_function(snap, snap.ref(snap.module.definitions[0].node_id), "g")
     assert out == PreconditionViolated("signature_clash", "g/2 already defined")
+
+
+def test_signature_argument_patterns_become_expressions_at_call_sites():
+    snap = _snap("f({X}) -> X.\nh(X) -> f({X}).\n")
+    _, _, inst = parse_scheme_instance(
+        "FUNCTION SIGNATURE REFACTORING r()\nf({X})\n-----\ng({X})\n")
+    out = run_signature_refactoring(inst, snap, snap.ref(snap.module.definitions[0].node_id))
+    assert isinstance(out, Applied)
+    assert pretty(out.snapshot.module) == "g({X}) -> X.\nh(X) -> g({X}).\n"
+    assert eval_call(out.snapshot.module, FunKey("h", 1), [IntV(1)]).value == IntV(1)
+
+
+def test_a_new_key_already_called_is_a_clash():
+    # each step would make g/0, h/0 or tmp/2, which f calls, defined: the
+    # call would then reach the new function instead of failing
+    snap = _snap("f(X) -> g(), h(), tmp(X, 1).\ntmp(X) -> Y = 1, X + Y.\nk() -> 1.\n")
+    tmp, k = (snap.ref(d.node_id) for d in snap.module.definitions[1:])
+    assert rename_function(snap, k, "h") == PreconditionViolated(
+        "signature_clash", "h/0 already called")
+    assert run_introduce_function(_intro_fun("g", ()), snap, target_of(snap, "1")) == \
+        PreconditionViolated("signature_clash", "g/0 already called")
+    assert run_function_refactoring(_VAR_TO_PARAM, snap, tmp) == PreconditionViolated(
+        "signature_clash", "tmp/2 already called")
+    assert _fresh_fun_name(snap, "g", ()) == "g1"
 
 
 def test_rename_identity():
