@@ -7,14 +7,15 @@ expression level the comparison also covers the environment after
 evaluation; at module level entry calls return no environment. A fuel
 timeout on either side makes the trial (and, absent a stronger verdict,
 the whole check) Unknown: nontermination is never classified as equal
-or different. Evaluation is deterministic, so within one module check a
-repeated trial (same entry, same arguments) is evaluated once and
-counted every time, its timeout included. A trial of an entry whose
+or different. Evaluation is deterministic, so a repeated trial (same
+entry, same arguments) is evaluated once in a check and counted every
+time, its timeout included; ``before``'s side is evaluated once per
+module, across every check made against it. A trial of an entry whose
 reachable definitions are the very same objects in both modules
 (``interp.same_code``) runs on ``before`` alone: equal, or unknown if it
-timed out. A trial with a closure argument is neither repeated from
-an earlier one nor run on ``before`` alone: the closure's body calls
-into whichever module runs it.
+timed out. A trial with a closure argument is neither repeated from an
+earlier trial or check nor run on ``before`` alone: the closure's body
+calls into whichever module runs it.
 
 All generators are deterministic in their seed, so every Inequivalent
 verdict carries a directly replayable witness.
@@ -203,10 +204,11 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
 
     Evaluation is deterministic, so a trial repeating an earlier (entry,
     arguments) pair of the same check is not run again: it counts as a
-    trial, and as a timeout if the first one timed out. A trial of an
-    entry that runs the same code in both modules is run on before only.
-    Arguments that cannot be hashed, such as closures, are run every
-    time, on both modules.
+    trial, and as a timeout if the first one timed out. before keeps its
+    outcome of each (entry, arguments, fuel) for later checks, which run
+    only after's side. A trial of an entry that runs the same code in
+    both modules is run on before only. Arguments that cannot be hashed,
+    such as closures, are run every time, on both modules.
     """
     _check_budget(plan.trials, plan.fuel, plan.arg_lo, plan.arg_hi)
     if not plan.entries:
@@ -216,27 +218,31 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
         key = (entry.name, entry.arity)
         if key not in before_defs or key not in after_defs:
             raise PlanError(f"entry {entry} is not defined in both modules")
-    entries = [(i, entry, same_code(before, after, entry))
-               for i, entry in enumerate(plan.entries)]
+    entries = [((e.name, e.arity, plan.fuel), e, same_code(before, after, e)) for e in plan.entries]
+    outcomes = _program(before).outcomes  # before's side, kept across checks
     make_args = plan.arg_maker()
     rng = random.Random(plan.seed)
-    seen: dict = {}  # (entry position, args) of an evaluated trial -> it timed out
+    seen: dict = {}  # (call, args) of a trial evaluated in this check -> it timed out
     timeouts = 0
     trial_no = 0
     for _ in range(plan.trials):
-        for i, entry, unchanged in entries:
+        for call, entry, unchanged in entries:
             trial_no += 1
             args = make_args(rng, entry.arity)
             if len(args) != entry.arity:
                 raise PlanError(f"the arguments made for entry {entry} number "
                                 f"{len(args)}, not {entry.arity}")
-            key = (i, args)
+            key = (call, args)
             try:
                 timed_out = seen.get(key)
             except TypeError:  # unhashable: a closure's env is a dict
                 key = timed_out = None
             if timed_out is None:
-                o1 = eval_call(before, entry, args, plan.fuel)
+                o1 = outcomes.get(key)  # None is never a key
+                if o1 is None:
+                    o1 = eval_call(before, entry, args, plan.fuel)
+                    if key is not None:
+                        outcomes[key] = o1
                 if key is not None and unchanged:
                     timed_out = isinstance(o1, Timeout)
                 else:

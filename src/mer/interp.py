@@ -291,14 +291,16 @@ Function = Callable[[_State, Sequence[Value], Env], Value]
 
 class _Evaluator:
     """A module's program: its definitions by (name, arity), each
-    compiled on its first call, and the definitions each entry reaches.
-    Built once per module (see _program)."""
+    compiled on its first call, the definitions each entry reaches, and
+    the oracle's outcomes of its calls (see equiv.check_module_equiv).
+    Built once per module (see _program), so it dies with the module."""
 
     def __init__(self, module: Optional[ModuleAst]):
         self.defs: dict[tuple[str, int], FunDef] = (
             {} if module is None else {(d.name, d.arity): d for d in module.definitions})
         self.functions: dict[tuple[str, int], Function] = {}
         self.reaches: dict[tuple[str, int], dict] = {}
+        self.outcomes: dict[tuple, Outcome] = {}
 
     def reach(self, key: tuple[str, int]) -> dict[tuple[str, int], Optional[FunDef]]:
         """The definitions a call of key can reach through static calls,

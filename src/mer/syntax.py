@@ -46,8 +46,8 @@ expressions or patterns, and ``MIRROR`` pairs each expression type with
 the pattern type of the same shape. Traversal, rebuild, cloning,
 structural equality, and the template matcher, substituter and validator
 are all derived from these two tables. ``rebuild`` keeps the nodes left
-to rebuild and those rebuilt on two stacks, and ``clone_fresh`` is a
-``rebuild``, so neither is bounded by Python's stack.
+to rebuild and those rebuilt on two stacks, and ``clone_fresh`` runs
+that loop too, so neither is bounded by Python's stack.
 """
 
 from __future__ import annotations
@@ -583,8 +583,9 @@ def _map_children(n: Node, fn: Callable[[Node], Node]) -> dict:
 
 
 def clone_fresh(n: Node, gen: IdGen) -> Node:
-    """Deep copy with all-new node ids, taken in postorder, and no spans."""
-    return rebuild(n, lambda x: remake(type(x), x, {}, gen.fresh()))
+    """Deep copy, each node built once, with new ids in postorder and no spans."""
+    return _rebuild(n, lambda x: x if type(x) in SLOTS else remake(type(x), x, {}, gen.fresh()),
+                    gen)
 
 
 def rebuild(n: Node, f: Callable[[Node], Node]) -> Node:
@@ -592,6 +593,11 @@ def rebuild(n: Node, f: Callable[[Node], Node]) -> Node:
     then apply f to the result; so f sees n's nodes in postorder.
     Unchanged subtrees are shared, and f's result is not descended into.
     """
+    return _rebuild(n, f, None)
+
+
+def _rebuild(n: Node, f: Callable[[Node], Node], gen: Optional[IdGen]) -> Node:
+    # with gen (clone_fresh), every compound node is remade: gen's next id, no span
     done: list[Node] = []  # rebuilt nodes whose parent is not yet rebuilt
     todo: list = [n]  # a node, or (node, its children) once those are queued
     while todo:
@@ -600,16 +606,18 @@ def rebuild(n: Node, f: Callable[[Node], Node]) -> Node:
             x, old = x
             new = done[len(done) - len(old):]
             del done[len(done) - len(old):]
-            if any(map(is_not, new, old)):  # remade with its new children
+            if gen or any(map(is_not, new, old)):  # remade with its new children
                 changes, i = {}, 0
                 for name, seq, _ in SLOTS[type(x)]:
                     j = i + len(getattr(x, name)) if seq else i + 1
                     changes[name] = tuple(new[i:j]) if seq else new[i]
                     i = j
-                x = remake(type(x), x, changes, x.node_id, x.span)
+                x = (remake(type(x), x, changes, gen.fresh()) if gen
+                     else remake(type(x), x, changes, x.node_id, x.span))
         else:
-            old = children(x)
-            if old:
+            get = _CHILDREN.get(type(x))  # children(x), inlined on this hot loop
+            if get:  # a compound node, even one without children
+                old = get(x)
                 todo.append((x, old))
                 todo += reversed(old)
                 continue

@@ -12,10 +12,11 @@ import pytest
 from mer import cli
 from mer.analysis import FunKey
 from mer.cli import main
-from mer.equiv import TrialPlan
-from mer.syntax import MAX_NESTING, parse
+from mer.equiv import Inequivalent, TrialPlan, check_module_equiv, gen_module
+from mer.syntax import MAX_NESTING, parse, pretty
 
 from conftest import DOUBLER_SRC, GENERALISED_SRC, defs_of
+from test_syntax import _mutant
 
 
 GENERALISED_DEFS = {
@@ -575,3 +576,63 @@ def test_argument_parser_built_once_per_process(l1, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["verify"])
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# token-mutation fuzz over every command
+
+
+def _position(rng: random.Random, text: str) -> str:
+    """LINE:COL of a random non-blank character of text (1:1 if none)."""
+    spots = [i for i, c in enumerate(text) if not c.isspace()]
+    if not spots:
+        return "1:1"
+    i = rng.choice(spots)
+    line, line_start = text.count("\n", 0, i) + 1, text.rfind("\n", 0, i) + 1
+    return f"{line}:{i - line_start + 1}"
+
+
+def _fuzz_commands(rng: random.Random, base: str, path: str, text: str, fun: str):
+    yield ["check", path]
+    for step, extra in (("wrap", []), ("extract_to_variable", ["--name", "Y"]),
+                        ("outer_variable", []), ("var_to_param", []),
+                        ("extract_to_function", ["--name", "h", "--params", "X"])):
+        yield ["refactor", "step", step, path, "--pos", _position(rng, text), *extra]
+    yield ["refactor", "step", "rename_function", path, "--fun", fun, "--to", "h"]
+    yield ["refactor", "generalise", path, "--pos", _position(rng, text), "--param", "Y"]
+    yield ["verify", base, path, "--entry", fun, "--trials", "10"]
+
+
+def test_mutated_inputs_never_crash_a_command(tmp_path, capsys):
+    # README's two modules and generated ones, each mutated by token or
+    # character edits: every command exits 0-3 with no traceback, and a
+    # refactoring it applies is not shown different from its input
+    bases = [DOUBLER_SRC, GENERALISED_SRC] + [pretty(gen_module(s, 3)) for s in range(4)]
+    rng = random.Random(1708)
+    applied = 0
+    for n in range(300):
+        base = bases[n % len(bases)]
+        first = parse(base).definitions[0]
+        text = _mutant(rng, base)
+        (tmp_path / "base.mer").write_text(base)
+        path = tmp_path / "m.mer"
+        path.write_text(text)
+        for argv in _fuzz_commands(rng, str(tmp_path / "base.mer"), str(path), text,
+                                   f"{first.name}/{first.arity}"):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the arguments
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, text, err)
+            assert "Traceback" not in err, (argv, text, err)
+            if code == 0 and argv[0] == "refactor":
+                applied += 1
+                before, after = parse(text), parse(out)
+                keys = {(d.name, d.arity) for d in after.definitions}
+                entries = tuple(FunKey(d.name, d.arity) for d in before.definitions
+                                if (d.name, d.arity) in keys)
+                if entries:
+                    v = check_module_equiv(before, after, TrialPlan(entries, trials=10))
+                    assert not isinstance(v, Inequivalent), (argv, text, out, v)
+    assert applied >= 30

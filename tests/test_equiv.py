@@ -267,10 +267,14 @@ def test_callee_defined_only_after_is_detected():
     assert isinstance(v.outcome1, Exn) and isinstance(v.outcome2, Ok)
 
 
-def distinct_trials(plan: TrialPlan) -> int:
+def trial_pairs(plan: TrialPlan) -> set:
     rng = random.Random(plan.seed)
-    return len({(entry, plan.make_args(rng, entry.arity))
-                for _ in range(plan.trials) for entry in plan.entries})
+    return {(entry, plan.make_args(rng, entry.arity))
+            for _ in range(plan.trials) for entry in plan.entries}
+
+
+def distinct_trials(plan: TrialPlan) -> int:
+    return len(trial_pairs(plan))
 
 
 def test_entry_not_reaching_the_edit_runs_once_per_distinct_trial(runs):
@@ -290,6 +294,58 @@ def test_check_against_itself_runs_each_distinct_trial_once(runs):
     m = parse(DOUBLER_SRC)
     assert check_module_equiv(m, m, PLAN) == Equivalent(100)
     assert len(runs) == distinct_trials(PLAN)
+
+
+def test_later_checks_against_a_module_run_only_the_after_side(runs):
+    before = parse(DOUBLER_SRC)
+    afters = [parse(GENERALISED_SRC), parse("f(X) -> begin X * 3 end.\ng(X) -> f(X+1).\n")]
+    expected = [unshared_verdict(before, after, PLAN) for after in afters]
+    runs.clear()
+    assert check_module_equiv(before, afters[0], PLAN) == expected[0] == Equivalent(100)
+    assert runs.count(interp._program(before)) == distinct_trials(PLAN)
+    runs.clear()
+    v = check_module_equiv(before, afters[1], PLAN)
+    assert v == expected[1] and isinstance(v, Inequivalent)
+    assert format_verdict(v) == format_verdict(expected[1])
+    assert runs == [interp._program(afters[1])] * v.trial
+
+
+def test_fuel_is_part_of_a_kept_outcome():
+    # 30 additions take more than 40 units of fuel and far fewer than the default
+    src = "f(X) -> X" + " + 1" * 30 + ".\n"
+    before = parse(src)
+    plan = TrialPlan(entries=(FunKey("f", 1),), trials=10, fuel=40)
+    assert check_module_equiv(before, parse(src), plan) == Unknown(10, 10)
+    plan = TrialPlan(entries=(FunKey("f", 1),), trials=10)
+    assert check_module_equiv(before, parse(src), plan) == Equivalent(10)
+
+
+@pytest.mark.parametrize("second", [
+    TrialPlan(entries=(FunKey("g", 1), FunKey("f", 1)), trials=50),
+    TrialPlan(entries=(FunKey("f", 1), FunKey("g", 1)), trials=30, seed=7),
+])
+def test_outcomes_are_kept_by_entry_and_arguments_not_position(runs, second):
+    before, after = parse(DOUBLER_SRC), parse(GENERALISED_SRC)
+    assert check_module_equiv(before, after, PLAN) == Equivalent(100)
+    new_pairs = trial_pairs(second) - trial_pairs(PLAN)
+    expected = unshared_verdict(before, after, second)
+    runs.clear()
+    assert check_module_equiv(before, after, second) == expected == Equivalent(2 * second.trials)
+    assert runs.count(interp._program(before)) == len(new_pairs)
+    assert runs.count(interp._program(after)) == len(trial_pairs(second))
+
+
+def test_closure_arguments_evaluated_every_time_across_checks(monkeypatch):
+    closures = [eval_call(parse(f"k() -> fun(Y) -> Y * {i} end.\n"),
+                          FunKey("k", 0), ()).value for i in (2, 3)]
+    plan = TrialPlan(entries=(FunKey("f", 2),), trials=20, fuel=200,
+                     arg_gen=lambda rng, arity: (rng.choice(closures), IntV(rng.randint(0, 1))))
+    before, after = parse("f(F, X) -> F(X).\n"), parse("f(F, X) -> F(X - 1 + 1).\n")
+    calls = count_eval_calls(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        assert check_module_equiv(before, after, plan) == Equivalent(20)
+        assert [m for m, _, _ in calls] == [id(before), id(after)] * 20
 
 
 def test_trace_differences_detected():

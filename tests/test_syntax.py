@@ -24,7 +24,7 @@ from mer.rewrite import Applied
 from mer.syntax import (
     FIELDS, MAX_NESTING, SLOTS, Block, Body, DynCall, DuplicateDefinition,
     FunDef, IdGen, IntLit, Lambda, Match, Node, NotFound, ParseError, PVar,
-    StaticCall, VarRef, clone_fresh, find_node, module_struct_eq, parse, pretty,
+    StaticCall, VarRef, children, clone_fresh, find_node, module_struct_eq, parse, pretty,
     pretty_def, pretty_expr, parse_expr_text, parse_exprseq_text,
     parse_patterns_text, rebuild, struct_eq, walk,
 )
@@ -365,6 +365,29 @@ def test_schema_covers_every_node_type():
         assert node_fields == {f for f, _, _ in SLOTS.get(t, ())}, t.__name__
         assert struct_eq(clone_fresh(n, gen), n), t.__name__
         assert rebuild(n, lambda x: x) is n, t.__name__
+
+
+def _postorder(n: Node) -> list:
+    return [x for c in children(n) for x in _postorder(c)] + [n]
+
+
+def test_clone_fresh_builds_each_node_once_with_a_fresh_id_in_postorder(monkeypatch):
+    # compound nodes without children too: g() and {}
+    src = "f(X) -> {A} = {X}, g(), {}, (fun() -> A end)(), f(X, fun() -> 2 end).\n"
+    d = parse(src).definitions[0]
+    made, remake = [], syntax.remake
+
+    def counting_remake(*args):
+        made.append(args[1])
+        return remake(*args)
+
+    monkeypatch.setattr(syntax, "remake", counting_remake)
+    copy = clone_fresh(d, IdGen(500))
+    old, new = _postorder(d), _postorder(copy)
+    assert struct_eq(copy, d)
+    assert [x.node_id for x in new] == list(range(500, 500 + len(old)))
+    assert all(x.span is None for x in new) and any(x.span is not None for x in old)
+    assert made == old  # one remake a node, children first
 
 
 # ---------------------------------------------------------------------------
