@@ -7,10 +7,15 @@ expression level the comparison also covers the environment after
 evaluation; at module level entry calls return no environment. A fuel
 timeout on either side makes the trial (and, absent a stronger verdict,
 the whole check) Unknown: nontermination is never classified as equal
-or different. Evaluation is deterministic, so a repeated trial (same
-entry, same arguments) is evaluated once in a check and counted every
-time, its timeout included; ``before``'s side is evaluated once per
-module, across every check made against it. A trial of an entry whose
+or different. A plan without ``arg_gen`` draws each argument from its
+integer range as ``random.Random.randint`` does, and keys a trial by
+its entry, fuel and those plain ints: the key hashes in C, it reads the
+same whatever the range, and the ``IntV`` arguments are built only for
+a trial that is evaluated. A plan with ``arg_gen`` keys a trial by the
+values it makes. Evaluation is deterministic, so a repeated trial (same
+key) is evaluated once in a check and counted every time, its timeout
+included; ``before``'s side is evaluated once per module, across every
+check made against it. A trial of an entry whose
 reachable definitions are the very same objects in both modules
 (``interp.same_code``) runs on ``before`` alone: equal, or unknown if it
 timed out. A trial with a closure argument is neither repeated from an
@@ -168,23 +173,35 @@ class TrialPlan(Record):
     arg_gen: Optional[Callable[[random.Random, int], tuple]] = None
 
     def make_args(self, rng: random.Random, arity: int) -> tuple[Value, ...]:
-        return self.arg_maker()(rng, arity)
-
-    def arg_maker(self) -> Callable[[random.Random, int], tuple[Value, ...]]:
-        """make_args as a function of its own, made once per check: without
-        arg_gen it indexes a table of the IntVs in [arg_lo, arg_hi]."""
-        gen = self.arg_gen
-        if gen is not None:
-            return lambda rng, arity: tuple(gen(rng, arity))
-        values = tuple(map(IntV, range(self.arg_lo, self.arg_hi + 1)))
-        width = len(values)
-        # rng.randrange(width) draws as rng.randint(arg_lo, arg_hi) does:
-        # one _randbelow(width), so the stream is the same
-        return lambda rng, arity: tuple([values[rng.randrange(width)] for _ in range(arity)])
+        """One trial's arguments for an entry of the given arity, drawn
+        from rng as check_module_equiv draws them."""
+        if self.arg_gen is not None:
+            return tuple(self.arg_gen(rng, arity))
+        return tuple(map(IntV, _int_drawer(rng, self.arg_lo, self.arg_hi)(arity)))
 
 
-# the most argument values a plan's range may hold: make_args tabulates them
+# the most argument values a plan's range may hold
 MAX_ARG_RANGE = 4096
+
+
+def _int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[int], tuple[int, ...]]:
+    """draw(arity): arity ints in [lo, hi] from rng, as rng.randint(lo, hi)
+    draws each: randint's _randbelow(width) takes getrandbits(k) for
+    width's bit length k until it is below width. The loop is the same
+    from Python 3.10 to 3.13, so the stream is too."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw(arity: int) -> tuple[int, ...]:
+        ints = []
+        for _ in range(arity):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            ints.append(lo + r)
+        return tuple(ints)
+    return draw
 
 
 def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
@@ -202,13 +219,17 @@ def _check_budget(trials: int, fuel: int, arg_lo: int = 0, arg_hi: int = 0):
 def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> Verdict:
     """Run every plan entry on both modules with identical arguments.
 
-    Evaluation is deterministic, so a trial repeating an earlier (entry,
-    arguments) pair of the same check is not run again: it counts as a
-    trial, and as a timeout if the first one timed out. before keeps its
-    outcome of each (entry, arguments, fuel) for later checks, which run
-    only after's side. A trial of an entry that runs the same code in
-    both modules is run on before only. Arguments that cannot be hashed,
-    such as closures, are run every time, on both modules.
+    Without arg_gen a trial's arguments are drawn as plain ints, as
+    make_args draws them, and the trial is keyed by its call (entry
+    and fuel) and those ints; the IntV arguments are built only for a
+    trial that is evaluated. With arg_gen it is keyed by the values
+    made. Evaluation is deterministic, so a trial repeating an earlier
+    key of the same check is not run again: it counts as a trial, and
+    as a timeout if the first one timed out. before keeps its outcome
+    of each key for later checks, which run only after's side. A trial
+    of an entry that runs the same code in both modules is run on
+    before only. Arguments that cannot be hashed, such as closures,
+    are run every time, on both modules.
     """
     _check_budget(plan.trials, plan.fuel, plan.arg_lo, plan.arg_hi)
     if not plan.entries:
@@ -220,24 +241,32 @@ def check_module_equiv(before: ModuleAst, after: ModuleAst, plan: TrialPlan) -> 
             raise PlanError(f"entry {entry} is not defined in both modules")
     entries = [((e.name, e.arity, plan.fuel), e, same_code(before, after, e)) for e in plan.entries]
     outcomes = _program(before).outcomes  # before's side, kept across checks
-    make_args = plan.arg_maker()
     rng = random.Random(plan.seed)
-    seen: dict = {}  # (call, args) of a trial evaluated in this check -> it timed out
+    gen = plan.arg_gen
+    if gen is None:
+        draw = _int_drawer(rng, plan.arg_lo, plan.arg_hi)
+    seen: dict = {}  # key of a trial evaluated in this check -> it timed out
     timeouts = 0
     trial_no = 0
     for _ in range(plan.trials):
         for call, entry, unchanged in entries:
             trial_no += 1
-            args = make_args(rng, entry.arity)
-            if len(args) != entry.arity:
-                raise PlanError(f"the arguments made for entry {entry} number "
-                                f"{len(args)}, not {entry.arity}")
-            key = (call, args)
+            if gen is None:
+                ints = draw(entry.arity)
+                key, args = (call, ints), None
+            else:
+                args = tuple(gen(rng, entry.arity))
+                if len(args) != entry.arity:
+                    raise PlanError(f"the arguments made for entry {entry} number "
+                                    f"{len(args)}, not {entry.arity}")
+                key = (call, args)
             try:
                 timed_out = seen.get(key)
             except TypeError:  # unhashable: a closure's env is a dict
                 key = timed_out = None
             if timed_out is None:
+                if args is None:
+                    args = tuple(map(IntV, ints))
                 o1 = outcomes.get(key)  # None is never a key
                 if o1 is None:
                     o1 = eval_call(before, entry, args, plan.fuel)

@@ -38,6 +38,10 @@ code reaches definitions through the run's state, never through the
 module it was compiled in. Compiling and evaluating both nest Python
 calls, one per tree level, so evaluation depth is still bounded by
 Python's recursion limit; hitting that limit is reported as a Timeout.
+Integer size is a resource limit too: fuel bounds the steps of a run but
+not the width of its integers, which doubles with each ``X * X``, so a
+``*`` whose operands' bit lengths sum past ``MAX_INT_BITS`` ends the run
+as a Timeout before it multiplies.
 
 The program also knows, per entry, the definitions a call can reach
 through static calls, lambda bodies included; ``same_code`` tells
@@ -140,30 +144,60 @@ class EnvConflict(Exception):
 
 def values_equal(a: Value, b: Value) -> bool:
     """Structural value equality; closure code compares modulo node ids."""
-    if type(a) is not type(b):
+    t = type(a)
+    if t is not type(b):
         return False
-    if isinstance(a, IntV):
+    if t is IntV:
         return a.value == b.value
-    if isinstance(a, AtomV):
+    if t is AtomV:
         return a.name == b.name
-    if isinstance(a, TupleV):
-        return len(a.elements) == len(b.elements) and all(
-            values_equal(x, y) for x, y in zip(a.elements, b.elements))
-    if isinstance(a, ClosureV):
-        if not struct_eq(a.params, b.params) or not struct_eq(a.body, b.body):
-            return False
-        if a.env.keys() != b.env.keys():
-            return False
-        return all(values_equal(a.env[k], b.env[k]) for k in a.env)
-    raise TypeError(f"not a value: {type(a).__name__}")
+    return _all_equal([(a, b)])
 
 
 def envs_equal(e1: Env, e2: Env) -> bool:
-    return e1.keys() == e2.keys() and all(values_equal(e1[k], e2[k]) for k in e1)
+    return e1.keys() == e2.keys() and _all_equal([(e1[k], e2[k]) for k in e1])
 
 
 def traces_equal(t1: Sequence[Value], t2: Sequence[Value]) -> bool:
-    return len(t1) == len(t2) and all(values_equal(a, b) for a, b in zip(t1, t2))
+    return len(t1) == len(t2) and (not t1 or _all_equal(list(zip(t1, t2))))
+
+
+def _all_equal(todo: list[tuple[Value, Value]]) -> bool:
+    """Whether every pair of values on todo is equal, walked from an
+    explicit stack so a value of any depth compares. Values are immutable
+    and acyclic, so a pair of compound objects is compared once however
+    often it is shared, and a value shared 2**n ways in n levels costs n."""
+    done = None  # id pairs of the compound values already compared
+    while todo:
+        a, b = todo.pop()
+        t = type(a)
+        if t is not type(b):
+            return False
+        if t is IntV:
+            if a.value != b.value:
+                return False
+        elif t is AtomV:
+            if a.name != b.name:
+                return False
+        elif a is not b:
+            if done is None:
+                done = set()
+            pair = (id(a), id(b))
+            if pair in done:
+                continue
+            done.add(pair)
+            if t is TupleV:
+                if len(a.elements) != len(b.elements):
+                    return False
+                todo.extend(zip(a.elements, b.elements))
+            elif t is ClosureV:
+                if (not struct_eq(a.params, b.params) or not struct_eq(a.body, b.body)
+                        or a.env.keys() != b.env.keys()):
+                    return False
+                todo.extend((a.env[k], b.env[k]) for k in a.env)
+            else:
+                raise TypeError(f"not a value: {t.__name__}")
+    return True
 
 
 # str() refuses an int longer than sys.get_int_max_str_digits() (4,300
@@ -188,15 +222,30 @@ def _int_text(n: int) -> str:
 
 
 def format_value(v: Value) -> str:
-    if isinstance(v, IntV):
-        return _int_text(v.value)
-    if isinstance(v, AtomV):
-        return v.name
-    if isinstance(v, TupleV):
-        return "{" + ", ".join(format_value(x) for x in v.elements) + "}"
-    if isinstance(v, ClosureV):
-        return f"#fun/{len(v.params)}"
-    raise TypeError(f"not a value: {type(v).__name__}")
+    # expanded from an explicit stack, so a value of any depth prints; an
+    # item on it is a piece of output (a str) or a value still to print
+    out, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        t = type(v)
+        if t is str:
+            out.append(v)
+        elif t is IntV:
+            out.append(_int_text(v.value))
+        elif t is AtomV:
+            out.append(v.name)
+        elif t is TupleV:
+            out.append("{")
+            todo.append("}")
+            for i in range(len(v.elements) - 1, 0, -1):
+                todo += (v.elements[i], ", ")
+            if v.elements:
+                todo.append(v.elements[0])
+        elif t is ClosureV:
+            out.append(f"#fun/{len(v.params)}")
+        else:
+            raise TypeError(f"not a value: {t.__name__}")
+    return "".join(out)
 
 
 def format_outcome(o: Outcome) -> str:
@@ -266,7 +315,7 @@ class _Raise(Exception):
 
 
 class _NoFuel(Exception):
-    pass
+    """A resource limit ran out: fuel, or the width of an integer."""
 
 
 class _State:
@@ -292,7 +341,8 @@ Function = Callable[[_State, Sequence[Value], Env], Value]
 class _Evaluator:
     """A module's program: its definitions by (name, arity), each
     compiled on its first call, the definitions each entry reaches, and
-    the oracle's outcomes of its calls (see equiv.check_module_equiv).
+    the oracle's outcomes of its calls, by trial key (see
+    equiv.check_module_equiv).
     Built once per module (see _program), so it dies with the module."""
 
     def __init__(self, module: Optional[ModuleAst]):
@@ -357,6 +407,18 @@ def _int_op(f: Callable[[int, int], Value]) -> Callable[[Value, Value], Value]:
     return op
 
 
+# the widest product a run may compute, in bits (about 39,000 decimal
+# digits): multiplying at this width takes milliseconds, and each
+# doubling of it triples that
+MAX_INT_BITS = 1 << 17
+
+
+def _mul(a: int, b: int) -> Value:
+    if a.bit_length() + b.bit_length() > MAX_INT_BITS:
+        raise _NoFuel
+    return IntV(a * b)
+
+
 def _div(a: int, b: int) -> Value:
     if b == 0:
         raise _Raise("badarith")
@@ -370,7 +432,7 @@ _BINOPS: dict[str, Callable[[Value, Value], Value]] = {
     "==": lambda a, b: TRUE if values_equal(a, b) else FALSE,
     "+": _int_op(lambda a, b: IntV(a + b)),
     "-": _int_op(lambda a, b: IntV(a - b)),
-    "*": _int_op(lambda a, b: IntV(a * b)),
+    "*": _int_op(_mul),
     "div": _int_op(_div),
     "<": _int_op(lambda a, b: TRUE if a < b else FALSE),
 }

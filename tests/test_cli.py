@@ -5,6 +5,7 @@ import gc
 import os
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -393,6 +394,44 @@ def test_verify_deeply_nested_lambdas(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("verdict=equivalent\n")
+
+
+def test_verify_squaring_at_default_fuel_is_unknown(tmp_path, capsys):
+    # each call doubles X's width; fuel alone would let it run for ever
+    sq = tmp_path / "sq.mer"
+    sq.write_text("f(X) -> f(X * X).\n")
+    started = time.perf_counter()
+    code = main(["verify", str(sq), str(sq), "--entry", "f/1", "--trials", "3"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert capsys.readouterr().out == "verdict=unknown\ntrials=3\ntimeouts=3\n"
+
+
+def chain(n: int, shared: bool, tail: str) -> str:
+    """f/1 binding A0 = X and A{i} = {A{i-1}} (or {A{i-1}, A{i-1}}) up to
+    A{n-1}, then ending in tail."""
+    lines = ["f(X) ->", "    A0 = X,"]
+    for i in range(1, n):
+        element = f"A{i - 1}, A{i - 1}" if shared else f"A{i - 1}"
+        lines.append(f"    A{i} = {{{element}}},")
+    return "\n".join(lines + [f"    {tail}.\n"])
+
+
+@pytest.mark.parametrize("n,shared,tail,code", [
+    (1500, False, "begin A1499 end", 0),
+    (1500, False, "{A1499}", 1),
+    (40, True, "begin A39 end", 0),
+])
+def test_verify_compares_deep_and_shared_values(tmp_path, capsys, n, shared, tail, code):
+    a, b = tmp_path / "a.mer", tmp_path / "b.mer"
+    a.write_text(chain(n, shared, f"A{n - 1}"))
+    b.write_text(chain(n, shared, tail))
+    assert main(["verify", str(a), str(b), "--entry", "f/1", "--trials", "5"]) == code
+    out = capsys.readouterr().out
+    if code == 1:  # the witness prints, 1,499 and 1,500 levels deep
+        value = out.partition("outcome2=ok value=")[2].split()[0]
+        assert value.strip("{}").lstrip("-").isdigit()
+        assert value.startswith("{" * 1500) and value.endswith("}" * 1500)
 
 
 def test_verify_unknown_on_tiny_fuel(l1, l2, capsys):

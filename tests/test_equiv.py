@@ -9,8 +9,8 @@ import pytest
 from mer import equiv, interp
 from mer.analysis import FunKey, Snapshot
 from mer.equiv import (
-    DIFFERENT, EQUAL, UNKNOWN, Equivalent, GenerationExhausted, Inequivalent,
-    PlanError, TrialPlan, Unknown, Verdict, check_module_equiv,
+    DIFFERENT, EQUAL, MAX_ARG_RANGE, UNKNOWN, Equivalent, GenerationExhausted,
+    Inequivalent, PlanError, TrialPlan, Unknown, Verdict, check_module_equiv,
     check_rule_equiv, eq_outcomes, format_verdict, gen_args, gen_expr,
     gen_module,
 )
@@ -179,6 +179,53 @@ def test_arity_zero_entry_evaluated_once(monkeypatch):
                            TrialPlan(entries=(FunKey("k", 0),), trials=50))
     assert v == Equivalent(50)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("width", [1, 2, 11, 16, 17, MAX_ARG_RANGE])
+def test_check_draws_arguments_from_the_randrange_stream(monkeypatch, width):
+    # one value, a power of two and each side of it, and the widest range.
+    # after's f differs from before's, so each distinct trial runs on both
+    # sides, in the order it first occurs
+    params = ", ".join(f"X{i}" for i in range(6))
+    before = parse(f"f({params}) -> {{{params}}}.\n")
+    after = parse(f"f({params}) -> {{X0 + 0, {params.partition(', ')[2]}}}.\n")
+    lo = -(width // 2)
+    plan = TrialPlan((FunKey("f", 6),), trials=40, seed=width,
+                     arg_lo=lo, arg_hi=lo + width - 1)
+    calls = count_eval_calls(monkeypatch)
+    assert check_module_equiv(before, after, plan) == Equivalent(40)
+    rng = random.Random(plan.seed)
+    drawn = [tuple(IntV(lo + rng.randrange(width)) for _ in range(6))
+             for _ in range(plan.trials)]
+    first = list(dict.fromkeys(drawn))
+    assert [m for m, _, _ in calls] == [id(before), id(after)] * len(first)
+    assert [args for _, _, args in calls[::2]] == first
+
+
+def range_as_values(rng: random.Random, arity: int) -> tuple:
+    """The default range's arguments, made by an arg_gen."""
+    return tuple(IntV(rng.randint(-5, 5)) for _ in range(arity))
+
+
+@pytest.mark.parametrize("gens", [(range_as_values, None), (None, range_as_values)])
+def test_int_keys_and_value_keys_never_mix(monkeypatch, gens):
+    # both plans draw the same trials; a range plan keeps before's outcomes
+    # by ints and an arg_gen plan by values, so the second check runs every
+    # trial as the first did, as it would on freshly parsed modules
+    plans = [TrialPlan(PLAN.entries, PLAN.trials, arg_gen=gen) for gen in gens]
+    calls = count_eval_calls(monkeypatch)
+
+    def check(before, after, plan):
+        calls.clear()
+        return check_module_equiv(before, after, plan), len(calls)
+
+    before, after = parse(DOUBLER_SRC), parse(GENERALISED_SRC)
+    shared = [check(before, after, plan) for plan in plans]
+    fresh = [check(parse(DOUBLER_SRC), parse(GENERALISED_SRC), plan) for plan in plans]
+    assert shared == fresh
+    assert shared[0] == (Equivalent(100), 2 * distinct_trials(plans[0]))
+    # the same plan again finds before's outcomes
+    assert check(before, after, plans[1]) == (Equivalent(100), distinct_trials(plans[1]))
 
 
 def unshared_verdict(before, after, plan: TrialPlan) -> Verdict:

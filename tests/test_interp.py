@@ -14,9 +14,10 @@ from mer.equiv import (
     GenConfig, TrialPlan, check_module_equiv, gen_args, gen_expr, gen_module,
 )
 from mer.interp import (
-    AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, UnboundVariable,
-    env_concat, env_lookup, env_remove, eval_call, eval_expr, format_outcome,
-    format_value, get_matching, is_matching, same_code, values_equal,
+    MAX_INT_BITS, AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, TupleV,
+    UnboundVariable, env_concat, env_lookup, env_remove, envs_equal, eval_call,
+    eval_expr, format_outcome, format_value, get_matching, is_matching,
+    same_code, traces_equal, values_equal,
 )
 from mer.syntax import (
     Lambda, ModuleAst, PVar, IdGen, VarRef, parse, parse_expr_text, pretty, walk,
@@ -277,6 +278,49 @@ def test_values_equal_ignores_node_ids():
     assert values_equal(c1, c2)
     c3 = ev("fun() -> 3 end").value
     assert not values_equal(c1, c3)
+
+
+def nested(depth: int, shared: bool, leaf: int = 0) -> TupleV:
+    """{{...{leaf}...}} depth levels deep, or {V, V} at each level."""
+    v = IntV(leaf)
+    for _ in range(depth):
+        v = TupleV((v, v) if shared else (v,))
+    return v
+
+
+def test_values_of_any_depth_compare_and_print():
+    a, b = nested(5000, False), nested(5000, False)
+    assert values_equal(a, b)
+    assert not values_equal(a, TupleV((b,)))
+    assert not values_equal(a, nested(5000, False, leaf=1))
+    assert traces_equal((IntV(1), a), (IntV(1), b))
+    assert envs_equal({"A": a, "B": AtomV("b")}, {"A": b, "B": AtomV("b")})
+    closure = ev("fun() -> A end", {"A": a}).value
+    assert values_equal(closure, ev("fun() -> A end", {"A": b}).value)
+    assert format_value(a) == "{" * 5000 + "0" + "}" * 5000
+
+
+def test_shared_values_compare_each_pair_once():
+    # 60 levels of {V, V} unfold to 2**60 leaves
+    a, b = nested(60, True), nested(60, True)
+    assert values_equal(a, b)
+    assert not values_equal(a, nested(60, True, leaf=1))
+    assert format_value(nested(2, True)) == "{{0, 0}, {0, 0}}"
+
+
+def test_integer_width_is_a_resource_limit():
+    # fuel bounds the steps of a run, not the width of its integers: each
+    # call doubles X's bits, so without the limit the run never ends
+    out = eval_call(parse("f(X) -> print(X), f(X * X).\n"), FunKey("f", 1), (IntV(3),))
+    assert isinstance(out, Timeout)
+    assert [v.value for v in out.trace[:4]] == [3, 9, 81, 6561]
+    # the last square printed is the widest within the limit
+    assert MAX_INT_BITS // 2 < out.trace[-1].value.bit_length() <= MAX_INT_BITS
+    # a product of MAX_INT_BITS bits is computed, one bit wider is not
+    widest = IntV((1 << MAX_INT_BITS // 2) - 1)
+    assert ev("X * X", {"X": widest}) == Ok(IntV(widest.value ** 2), {"X": widest}, ())
+    assert ev("X * 2", {"X": widest}).value == IntV(widest.value * 2)
+    assert isinstance(ev("X * X", {"X": IntV(widest.value + 1)}), Timeout)
 
 
 @pytest.mark.parametrize("n", [0, 7, -7, 10 ** 600, 10 ** 1200 - 1, 10 ** 5000, -(3 ** 20000)],
