@@ -15,9 +15,9 @@ its occurrences. One walk, ``_summary``, finds the facts ``pure``,
 All queries are pure functions over an immutable :class:`Snapshot`;
 node references carry the snapshot version and fail with
 :class:`StaleRef` when resolved against any other snapshot. A derived
-snapshot's index checks the definitions it adds as it walks them. No
-walk in this module recurses: each keeps its nodes on an explicit
-stack, so a definition of any depth is analysed.
+snapshot's index walks each definition it adds once, to check and
+index it. No walk in this module recurses: each keeps its nodes on an
+explicit stack, so a definition of any depth is analysed.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from typing import Iterable, KeysView, Optional
 
 from .syntax import (
     AtomLit, BinOp, Block, Body, DynCall, FunDef, IntLit, Lambda, Match, ModuleAst, Node,
-    PATTERN_TYPES, PVar, Pattern, Print, Record, StaticCall, SyntacticFlaw, TupleExpr, VarRef,
-    NODE_ID, check_module, children, is_expr, node_ids, parse, record, syntactic_flaws, walk,
+    MAX_NESTING, PATTERN_TYPES, PVar, Pattern, Print, Record, StaticCall, SyntacticFlaw, TupleExpr,
+    VarRef, NODE_ID, _shape, check_module, children, is_expr, node_ids, parse, record,
+    shape_flaws, walk,
 )
 
 
@@ -83,9 +84,10 @@ class _Index:
     dropping the nodes of the definitions removed and then adding those
     of the definitions added; the rest is parent's, copied, not walked.
     Built from nothing (parent None), it is the index of the definitions
-    added. The walk that adds a definition also checks it: a ValueError
-    names a key or node id already held, or an id not below
-    next_node_id, as syntax.check_module does.
+    added. Each added definition d is walked once, by syntax._shape: its
+    ids are checked (a ValueError names d) and indexed, and its calls
+    indexed. flagged lists (d, flaws, nesting bound) for each d whose walk
+    found a flaw or a bound past MAX_NESTING; Snapshot.derive raises them.
     """
 
     def __init__(self, parent: Optional[_Index], removed: Iterable[FunDef],
@@ -108,22 +110,22 @@ class _Index:
             del defs[d.node_id], by_key[d.name, d.arity]
             local.pop(d.node_id, None)
             effects.pop(d.node_id, None)
+        self.flagged = []
         for d in added:
             if (d.name, d.arity) in by_key:
                 raise ValueError(f"duplicate definition {d.name}/{d.arity}")
-            by_key[d.name, d.arity] = d.node_id
-            defs[d.node_id] = d
-            stack = [d]  # as walk, without a generator's cost per node
-            while stack:
-                n = stack.pop()
-                if n.node_id in def_of:
-                    raise ValueError(f"duplicate node id {n.node_id} in {d.name}/{d.arity}")
-                if n.node_id >= next_node_id:
-                    raise ValueError(f"node id {n.node_id} beyond next_node_id {next_node_id}")
-                def_of[n.node_id] = d.node_id
-                if type(n) is StaticCall:
-                    new[n.name, len(n.args)].add(d.node_id)
-                stack += children(n)
+            by_key[d.name, d.arity] = did = d.node_id
+            defs[did] = d
+            flaws, bound, ids, calls = _shape(d)
+            if flaws or bound > MAX_NESTING:
+                self.flagged.append((d, flaws, bound))
+            size = len(def_of)
+            for i in ids:  # faster than a dict.update for a definition's dozen ids
+                def_of[i] = did
+            if len(def_of) != size + len(ids) or max(ids) >= next_node_id:
+                raise ValueError(f"node id held twice or too high in {d.name}/{d.arity}")
+            for key in calls:
+                new[key].add(did)
         for key in gone.keys() | new.keys():
             callers[key] = (callers.get(key, frozenset()) - gone[key]) | new[key]
             if not callers[key]:
@@ -170,9 +172,9 @@ class Snapshot:
     first snapshot is derived from it.
     """
 
-    def __init__(self, module: ModuleAst, version: Optional[int] = None):
+    def __init__(self, module: ModuleAst):
         self.module = module
-        self.version = next(_version_counter) if version is None else version
+        self.version = next(_version_counter)
 
     @classmethod
     def from_source(cls, source: str,
@@ -198,22 +200,24 @@ class Snapshot:
     def derive(self, module: ModuleAst) -> "Snapshot":
         """The snapshot of module, an edit of this snapshot's module. Only
         the definitions of module that are not, the very object, at their
-        place in this one are checked, for flaws (syntax.syntactic_flaws)
-        and by the index that adds them; the rest of the index is carried
-        over. Raises what syntax.check_module(module) raises. If this
+        place in this one are walked, once, by the index that checks and adds
+        them; the rest of the index is carried over. Raises what
+        syntax.check_module(module) raises: the flaws the index flags here,
+        any other refusal through check_module, which names it. If this
         module is not well formed, every definition counts as added."""
         if self.well_formed:
             base = self._index
             removed, added = _changed(self.module.definitions, module.definitions)
         else:
             base, removed, added = None, (), module.definitions
-        for flaw in syntactic_flaws(added):
-            raise SyntacticFlaw(flaw)
         try:
             index = _Index(base, removed, added, module.next_node_id)
         except ValueError:
-            check_module(module)  # the definition it names depends on module order
+            check_module(module)  # which raises any flaw first, and names the id
             raise
+        for d, found, bound in index.flagged:
+            for flaw in shape_flaws(d, found, bound):
+                raise SyntacticFlaw(flaw)
         snap = Snapshot(module)
         snap._index = index
         snap.well_formed = True

@@ -221,10 +221,16 @@ def _int_text(n: int) -> str:
     return ("-" if n < 0 else "") + "".join(reversed(chunks))
 
 
+# The text of a value is cut after this many characters and ends in "...":
+# a value shared n ways unfolds to 2**n leaves, so without a cut the time
+# spent would grow with its unfolded size
+MAX_VALUE_TEXT = 100_000
+
+
 def format_value(v: Value) -> str:
     # expanded from an explicit stack, so a value of any depth prints; an
     # item on it is a piece of output (a str) or a value still to print
-    out, todo = [], [v]
+    out, todo, size = [], [v], 0
     while todo:
         v = todo.pop()
         t = type(v)
@@ -245,6 +251,9 @@ def format_value(v: Value) -> str:
             out.append(f"#fun/{len(v.params)}")
         else:
             raise TypeError(f"not a value: {t.__name__}")
+        size += len(out[-1])  # each kind of item adds one piece
+        if size > MAX_VALUE_TEXT:
+            return "".join(out)[:MAX_VALUE_TEXT] + "..."
     return "".join(out)
 
 

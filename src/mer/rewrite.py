@@ -45,10 +45,10 @@ from .analysis import NodeRef, Snapshot, StaleRef
 from .syntax import (
     FIELDS, MIRROR, SLOTS, AtomLit, Body, Expr, FunDef, IdGen, Lambda, Match,
     MetaSeq, MetaVar, ModuleAst, Node, ParseError, PVar, Record, StaticCall,
-    SyntacticFlaw, VarRef, clone_fresh, expr_to_pattern, is_expr, is_pattern,
-    module_replace, node_ids, parse_clause_text, parse_expr_text,
+    SyntacticFlaw, VarRef, clone_fresh, edit_definitions, expr_to_pattern, is_expr,
+    is_pattern, node_ids, parse_clause_text, parse_expr_text,
     parse_exprseq_text, parse_fundef_text, parse_patterns_text, pattern_to_expr,
-    pretty_expr, pretty_fragment, record, remake, struct_eq, walk,
+    pretty_expr, pretty_fragment, rebuild, record, remake, struct_eq, walk,
 )
 
 
@@ -651,6 +651,6 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcom
     b = eval_condition(rule.condition, b, snap, target)
     ctx = SubstCtx.for_snapshot(snap, freed=[subj])
     new_frag = subst_fragment(rule.rhs, b, ctx, "expr")
-    new_module = module_replace(snap.module, {subj.node_id: new_frag}, ctx.gen.high,
-                                snap.fundef_of)
-    return finish_step(snap, new_module, new_frag.node_id)
+    defs = edit_definitions(snap.module, {snap.fundef_of(subj.node_id).node_id},
+                            lambda d: rebuild(d, lambda n: new_frag if n is subj else n))
+    return finish_step(snap, ModuleAst(defs, ctx.gen.high), new_frag.node_id)

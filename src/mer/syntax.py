@@ -636,17 +636,6 @@ def edit_definitions(m: ModuleAst, holders: Container[int],
     return tuple(defs)
 
 
-def module_replace(m: ModuleAst, replacements: dict[int, Node], next_node_id: int,
-                   holder: Callable[[int], FunDef]) -> ModuleAst:
-    """Replace nodes by id; a replacement is inserted as-is. holder(i) is
-    the definition holding node i: only those definitions are rebuilt."""
-    def f(n: Node) -> Node:
-        return replacements.get(n.node_id, n)
-
-    holders = {holder(i).node_id for i in replacements}
-    return ModuleAst(edit_definitions(m, holders, lambda d: rebuild(d, f)), next_node_id)
-
-
 def _mirror(n: Node, gen: IdGen, to_pattern: bool) -> Node:
     t = type(n)
     if t is MetaVar or t is MetaSeq:
@@ -1271,44 +1260,45 @@ def find_node(m: ModuleAst, line: int, col: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Well-formedness (used by engines after every edit)
+# Well-formedness: _shape is the one walk of a definition an edit adds
 
 
 def syntactic_flaws(defs: Iterable[FunDef]) -> list[str]:
     """Shape violations a transformation may legitimately run into (the
-    language simply cannot express the result), reported rather than raised.
-    A definition whose printed text would nest deeper than MAX_NESTING is
-    one: it is printed and parsed again only if the bound _shape takes says
-    it may be."""
-    flaws = []
-    for d in defs:
-        found, bound = _shape(d)
-        flaws += found
-        if bound > MAX_NESTING:
-            try:
-                parse(pretty_def(d))
-            except ParseError as exc:
-                flaws.append(f"{exc.message} in {d.name}/{d.arity}")
-            except RecursionError:
-                # pretty_def recurses about once a level, the parser stops
-                # at MAX_NESTING: a definition too deep to print is too deep
-                flaws.append(f"nesting deeper than {MAX_NESTING} levels in {d.name}/{d.arity}")
-    return flaws
+    language simply cannot express the result), reported rather than raised."""
+    return [flaw for d in defs for flaw in shape_flaws(d, *_shape(d)[:2])]
 
 
-def _shape(d: FunDef) -> tuple[list[str], int]:
-    """d's flaws other than its nesting, in preorder, and an upper bound on
-    the parser's nesting depth in pretty_def(d), from one walk. The parser
-    takes a level for each expression it parses below a definition's head
-    and for each tuple pattern; so each edge counts one, except a BinOp's
-    operands. Its left one takes none if pretty_expr prints it on the
-    chain's spine, as it does a left-associative chain of any length; its
-    right one takes two if it is an operator, which may be parenthesized."""
-    flaws = []
+def shape_flaws(d: FunDef, found: list[str], bound: int) -> list[str]:
+    """found, the flaws _shape(d) found, then the parser's refusal of
+    pretty_def(d), which is tried only if bound, _shape(d)'s, passes MAX_NESTING."""
+    if bound <= MAX_NESTING:
+        return found
+    try:
+        parse(pretty_def(d))
+    except ParseError as exc:
+        return found + [f"{exc.message} in {d.name}/{d.arity}"]
+    except RecursionError:
+        # pretty_def recurses about once a level, the parser stops at
+        # MAX_NESTING: a definition too deep to print is too deep
+        return found + [f"nesting deeper than {MAX_NESTING} levels in {d.name}/{d.arity}"]
+    return found
+
+
+def _shape(d: FunDef) -> tuple[list[str], int, list[int], list[tuple[str, int]]]:
+    """From one walk: d's flaws other than its nesting, in preorder, an upper
+    bound on the parser's nesting depth in pretty_def(d), its node ids and
+    its static calls' keys. The parser takes a level for each expression it
+    parses below a definition's head and for each tuple pattern; so each
+    edge counts one, except a BinOp's operands. Its left one takes none if
+    pretty_expr prints it on the chain's spine, as it does a left-associative
+    chain of any length; its right one takes two if it is an operator."""
+    flaws, ids, calls = [], [], []
     deepest = 0
     stack = [(d, 0)]
     while stack:
         n, depth = stack.pop()
+        ids.append(n.node_id)
         if depth > deepest:
             deepest = depth
         t = type(n)
@@ -1318,13 +1308,18 @@ def _shape(d: FunDef) -> tuple[list[str], int]:
             stack.append((right, depth + 2 if type(right) in (BinOp, Match) else depth + 1))
             stack.append((left, depth if spine else depth + 1))
             continue
-        kids = children(n)
-        if (t is Body or t is Block) and not kids:
+        get = _CHILDREN.get(t)  # children(n), inlined on this hot loop
+        if get is None:
+            continue
+        kids = get(n)
+        if t is StaticCall:
+            calls.append((n.name, len(kids)))
+        elif (t is Body or t is Block) and not kids:
             flaws.append(f"empty expression sequence in {d.name}/{d.arity}")
         elif t is DynCall and type(n.callee) not in (VarRef, Lambda):
             flaws.append(f"dynamic call callee must be a variable or lambda in {d.name}/{d.arity}")
-        stack.extend([(c, depth + 1) for c in reversed(kids)])
-    return flaws, deepest
+        stack += [(c, depth + 1) for c in reversed(kids)]
+    return flaws, deepest, ids, calls
 
 
 class SyntacticFlaw(ValueError):

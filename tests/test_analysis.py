@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from mer import analysis
+from mer import analysis, syntax
 from mer.analysis import FunKey, NotApplicableError, Snapshot, StaleRef
 from mer.equiv import GenConfig, gen_expr, gen_module
 from mer.interp import IntV, Ok, eval_expr
@@ -15,9 +16,9 @@ from mer.refactorings import (
 )
 from mer.rewrite import Applied, NotApplicable
 from mer.syntax import (
-    AtomLit, Body, FunDef, IdGen, IntLit, Lambda, Match, ModuleAst, PVar, VarRef, check_module,
-    children, clone_fresh, find_node, is_expr, parse, parse_expr_text, pretty, pretty_expr,
-    rebuild, struct_eq, walk,
+    MAX_NESTING, SLOTS, AtomLit, Block, Body, DynCall, FunDef, IdGen, IntLit, Lambda, Match,
+    ModuleAst, PVar, TupleExpr, VarRef, check_module, children, clone_fresh, find_node, is_expr,
+    parse, parse_expr_text, pretty, pretty_expr, rebuild, struct_eq, walk,
 )
 
 from conftest import DOUBLER_SRC, target_of
@@ -576,14 +577,30 @@ def _raised(fn):
     return None
 
 
+def _nested(e, levels: int) -> TupleExpr:
+    """e inside levels one-element tuples, whose ids, below zero, are
+    unique and below any module's next_node_id."""
+    for i in range(1, levels + 1):
+        e = TupleExpr((e,), -i)
+    return e
+
+
 @pytest.mark.parametrize("edit", [
     lambda f, h, top: replace(f, body=replace(f.body, exprs=())),
     lambda f, h, top: replace(f, name="g"),
     lambda f, h, top: replace(f, body=replace(f.body, exprs=(h.body.exprs[0],))),
     lambda f, h, top: replace(f, body=replace(f.body, node_id=top)),
     lambda f, h, top: replace(f, body=replace(f.body, node_id=f.body.exprs[0].node_id)),
+    # f's body X + 1 gives up its ids to what takes its place
+    lambda f, h, top: replace(f, body=replace(f.body, exprs=(
+        Block((), f.body.exprs[0].node_id),))),
+    lambda f, h, top: replace(f, body=replace(f.body, exprs=(
+        DynCall(IntLit(1, f.body.exprs[0].left.node_id), (), f.body.exprs[0].node_id),))),
+    lambda f, h, top: replace(f, body=replace(f.body, exprs=(
+        _nested(f.body.exprs[0].left, MAX_NESTING + 1),))),
 ], ids=["empty-body", "duplicate-key", "id-of-a-later-definition", "id-beyond-next",
-        "id-repeated-inside"])
+        "id-repeated-inside", "empty-block", "callee-not-a-variable-or-lambda",
+        "nested-past-the-parser"])
 def test_derived_snapshot_is_refused_as_the_whole_check_refuses(edit):
     # the check walks the changed definition only, and raises what the
     # check of the whole module raises
@@ -591,6 +608,26 @@ def test_derived_snapshot_is_refused_as_the_whole_check_refuses(edit):
     f, g, h = snap.module.definitions
     m = ModuleAst((edit(f, h, snap.module.next_node_id), g, h), snap.module.next_node_id)
     assert _raised(lambda: snap.derive(m)) == _raised(lambda: check_module(m)) is not None
+
+
+def test_derive_expands_each_node_of_an_added_definition_once(monkeypatch):
+    # one walk of an added definition both checks it and indexes it; every
+    # compound node's children are read through the schema's getters
+    snap = Snapshot.from_source(
+        "f(X) -> {Y} = {X, g(X)}, F = fun(Z) -> print(Z) end, F(begin Y end).\ng(X) -> X.\n")
+    assert snap._index and snap.well_formed  # built before counting
+    f, g = snap.module.definitions
+    gen = IdGen(snap.module.next_node_id)
+    new_f, h = clone_fresh(f, gen), replace(clone_fresh(f, gen), name="h")
+    compound = [n for d in (new_f, h) for n in walk(d) if type(n) in SLOTS]
+    expanded = Counter()
+    for t, get in list(syntax._CHILDREN.items()):
+        monkeypatch.setitem(syntax._CHILDREN, t,
+                            lambda n, get=get: expanded.update([id(n)]) or get(n))
+    out = snap.derive(ModuleAst((new_f, g, h), gen.high))
+    assert len(compound) > 15
+    assert [expanded[id(n)] for n in compound] == [1] * len(compound)
+    assert out.find_def(FunKey("h", 1)) is h
 
 
 def test_hand_built_snapshot_is_checked_whole():

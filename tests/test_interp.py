@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import sys
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from mer.equiv import (
     GenConfig, TrialPlan, check_module_equiv, gen_args, gen_expr, gen_module,
 )
 from mer.interp import (
-    MAX_INT_BITS, AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, TupleV,
+    MAX_INT_BITS, MAX_VALUE_TEXT, AtomV, ClosureV, EnvConflict, Exn, IntV, Ok, Timeout, TupleV,
     UnboundVariable, env_concat, env_lookup, env_remove, envs_equal, eval_call,
     eval_expr, format_outcome, format_value, get_matching, is_matching,
     same_code, traces_equal, values_equal,
@@ -306,6 +307,18 @@ def test_shared_values_compare_each_pair_once():
     assert values_equal(a, b)
     assert not values_equal(a, nested(60, True, leaf=1))
     assert format_value(nested(2, True)) == "{{0, 0}, {0, 0}}"
+
+
+def test_text_of_a_shared_value_is_cut_at_the_bound():
+    # 40 levels of {V, V} unfold to 2**40 leaves; the text stops at the bound
+    start = time.perf_counter()
+    text = format_value(nested(40, True))
+    assert time.perf_counter() - start < 5
+    assert len(text) == MAX_VALUE_TEXT + 3
+    assert text.startswith("{" * 40 + "0, 0}, {0, 0}}, ") and text.endswith("...")
+    # a text as long as the bound is whole
+    whole = format_value(TupleV((AtomV("a" * (MAX_VALUE_TEXT - 2)),)))
+    assert len(whole) == MAX_VALUE_TEXT and not whole.endswith("...")
 
 
 def test_integer_width_is_a_resource_limit():

@@ -468,7 +468,9 @@ def test_rejections_are_located_in_the_target_function():
 
 @pytest.fixture
 def reparses(monkeypatch):
-    """The texts the step check parses again (see syntax.syntactic_flaws)."""
+    """The texts the step check parses again: Snapshot.derive prints and
+    parses an added definition only if its walk's nesting bound passes
+    MAX_NESTING (see syntax.shape_flaws)."""
     from mer import syntax
     texts = []
     parse = syntax.parse
