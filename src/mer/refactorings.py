@@ -7,7 +7,7 @@ Primes (each one scheme instance):
 * extract_to_variable(Name)   -- bind an expression at the front of its scope
 * outer_variable()            -- lift a binding one scope outwards
 * extract_to_function(N, Ps)  -- append a definition, call it in place
-* var_to_param(X)             -- turn a leading binding into a parameter,
+* var_to_param()              -- turn a leading binding into a parameter,
                                  passing the bound expression at call sites
 * rename_function(NewName)    -- rename a definition and its references
 
@@ -40,7 +40,7 @@ from .rewrite import (
     Applied, NotApplicable, PreconditionViolated, StepOutcome, is_applied,
 )
 from .schemes import (
-    CompositeError, CompositeProgram, parse_scheme_instance,
+    CompositeError, CompositeProgram, bind_args, parse_scheme_instance,
     run_function_refactoring, run_introduce_function, run_introduce_variable,
     run_local, run_signature_refactoring, signature_clash,
 )
@@ -70,26 +70,6 @@ OUTER_VARIABLE_REF_TEXT = """\
 @Name
 """
 
-VAR_TO_PARAM_DEF_TEXT = """\
-(@Args...) -> @X = @E, @Body...
------
-(@Args..., @X) -> @Body...
-"""
-
-VAR_TO_PARAM_REF_TEXT = """\
-(@Args2...)
------
-(@Args2..., @E)
-"""
-
-VAR_TO_PARAM_CONDITION = "pure(@E) AND closed(@E)"
-
-RENAME_FUNCTION_RULE_TEXT = """\
-@Name(@Args...)
------
-@NewName(@Args...)
-"""
-
 # the six primes as scheme-instance blocks, the one source of their rules
 PRIME_BLOCKS = (
     "LOCAL REFACTORING wrap()\n" + WRAP_RULE_TEXT,
@@ -100,10 +80,12 @@ PRIME_BLOCKS = (
     "INTRODUCE FUNCTION extract_to_function(Name, Params...)\n"
     "DEFINITION\n@Name(@Params...) -> @E .\n"
     "REFERENCE\n@E\n-----\n@Name(@Params...)\n",
-    "FUNCTION REFACTORING var_to_param(X)\n"
-    "DEFINITION\n" + VAR_TO_PARAM_DEF_TEXT + "REFERENCE\n" + VAR_TO_PARAM_REF_TEXT
-    + "WHEN " + VAR_TO_PARAM_CONDITION + "\n",
-    "FUNCTION SIGNATURE REFACTORING rename_function(NewName)\n" + RENAME_FUNCTION_RULE_TEXT,
+    "FUNCTION REFACTORING var_to_param()\n"
+    "DEFINITION\n(@Args...) -> @X = @E, @Body...\n-----\n(@Args..., @X) -> @Body...\n"
+    "REFERENCE\n(@Args2...)\n-----\n(@Args2..., @E)\n"
+    "WHEN pure(@E) AND closed(@E)\n",
+    "FUNCTION SIGNATURE REFACTORING rename_function(NewName)\n"
+    "@Name(@Args...)\n-----\n@NewName(@Args...)\n",
 )
 
 (_WRAP_INSTANCE, _EXTRACT_VAR, _OUTER_VAR, _EXTRACT_FUN, _VAR_TO_PARAM,
@@ -121,7 +103,7 @@ def wrap(snap: Snapshot, target: NodeRef) -> StepOutcome:
 
 
 def extract_to_variable(snap: Snapshot, target: NodeRef, name: str) -> StepOutcome:
-    return run_introduce_variable(replace(_EXTRACT_VAR, name=name), snap, target)
+    return run_introduce_variable(_EXTRACT_VAR, snap, target, name)
 
 
 def outer_variable(snap: Snapshot, target: NodeRef) -> StepOutcome:
@@ -130,8 +112,7 @@ def outer_variable(snap: Snapshot, target: NodeRef) -> StepOutcome:
 
 def extract_to_function(snap: Snapshot, target: NodeRef, name: str,
                         params: Sequence[Pattern]) -> StepOutcome:
-    inst = replace(_EXTRACT_FUN, name=name, params=tuple(params))
-    return run_introduce_function(inst, snap, target)
+    return run_introduce_function(_EXTRACT_FUN, snap, target, name, params)
 
 
 def var_to_param(snap: Snapshot, fn: NodeRef, match_node: NodeRef) -> StepOutcome:
@@ -146,8 +127,7 @@ def var_to_param(snap: Snapshot, fn: NodeRef, match_node: NodeRef) -> StepOutcom
 
 
 def rename_function(snap: Snapshot, fn: NodeRef, new_name: str) -> StepOutcome:
-    inst = replace(_RENAME, pre_binding={"NewName": new_name})
-    return run_signature_refactoring(inst, snap, fn)
+    return run_signature_refactoring(_RENAME, snap, fn, new_name)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +190,7 @@ class _Runner:
 
     def run(self, program: CompositeProgram, target: NodeRef,
             args: Sequence[object]) -> StepOutcome:
-        if len(args) != len(program.params):
-            raise CompositeError(f"{program.name} expects {len(program.params)} argument(s)")
-        locals_ = {"THIS": target, **dict(zip(program.params, args))}
+        locals_ = {"THIS": target, **bind_args(program.params, args)}
         result, traced_count = target, 0
         for idx, (assign, iterate, (op, terms), traced) in enumerate(program.steps, 1):
             if traced:

@@ -25,11 +25,11 @@ Rule text format::
 
 where each conjunct is an object-language expression parsed in meta
 mode, like the templates: a predicate call (pure, closed, total,
-non_bind, fresh, is_subset), or a match binding a metavariable such as
-``@Vars... = free_vars(@E)``; call arguments are calls, metavariables and
-names. Conditions are evaluated through the analysis module when a
-snapshot is given, and in a pessimistic standalone mode (used by the
-rule-level equivalence checker) otherwise.
+non_bind, relocatable, fresh, is_subset), or a match binding a
+metavariable such as ``@Vars... = free_vars(@E)``; call arguments are
+calls, metavariables and names. Conditions are evaluated through the
+analysis module when a snapshot is given, and in a pessimistic
+standalone mode (used by the rule-level equivalence checker) otherwise.
 """
 
 from __future__ import annotations
@@ -400,7 +400,7 @@ def finish_step(snap: Snapshot, module: ModuleAst, result_id: int) -> StepOutcom
 
 # condition function -> the number of arguments it takes
 _ARITY = {"free_vars": 1, "vars": 1, "non_bind": 1, "pure": 1, "closed": 1,
-          "total": 1, "fresh": 1, "is_subset": 2}
+          "total": 1, "relocatable": 1, "fresh": 1, "is_subset": 2}
 
 
 def _parse_conjunct(text: str) -> Expr:
@@ -508,8 +508,9 @@ def eval_condition(cond: Condition, binding: Binding, snap: Optional[Snapshot] =
     With a snapshot, predicates run through the analysis module on the
     matched in-tree fragments, and a failure is located in target's
     function. Standalone (snap None), they run pessimistically on bare
-    fragments: any call counts as impure, non_bind requires no visible
-    bindings at all, and fresh(N) requires N to occur in no bound fragment.
+    fragments: any call counts as impure or, to relocatable, as a
+    self-reference, non_bind requires no visible bindings at all, and
+    fresh(N) requires N to occur in no bound fragment.
     """
     b = dict(binding)
     for c in cond.conjuncts:
@@ -555,8 +556,11 @@ def _value(e: Expr, b: Binding, snap: Optional[Snapshot], target: Optional[NodeR
                                    _locate(snap, target, tuple(sorted(small - big))))
         return True
     n = args[0]
+    if fn == "relocatable" and not isinstance(n, Node):
+        return True  # a name or a sequence moves no code
     if not isinstance(n, Node):
-        raise TemplateError(f"expected a fragment, got {n!r}")
+        # the type, not the repr: a tree may be too deep to print
+        raise UnboundMetavariable(f"{fn} needs a fragment, got a {type(n).__name__}")
     ref = None if snap is None else snap.ref(n.node_id)
     if fn == "free_vars":
         return tuple(analysis.expr_free_vars(n) if snap is None
@@ -567,11 +571,21 @@ def _value(e: Expr, b: Binding, snap: Optional[Snapshot], target: Optional[NodeR
         ok = not analysis.expr_free_vars(n) if snap is None else analysis.closed(snap, ref)
     elif fn == "total":
         ok = analysis.total(n)
+    elif fn == "relocatable":
+        # code moved from target's function to each of its call sites must
+        # not call that function (standalone: make no static call), nor raise
+        d = None if snap is None else snap.fundef_of(snap.node(target).node_id)
+        key = None if d is None else analysis.FunKey(d.name, d.arity)
+        if any(type(x) is StaticCall and (key is None or analysis.is_call_to(x, key))
+               for x in walk(n)):
+            raise ConditionFailure("no_self_reference", _locate(snap, target, n))
+        ok = not is_expr(n) or analysis.total(n)
     else:  # non_bind
         ok = not analysis.visible_bindings(n) if snap is None else analysis.non_bind(snap, ref)
     if not ok:
         # an expression that may raise is impure to the code it moves past
-        raise ConditionFailure("pure" if fn == "total" else fn, _locate(snap, target, n))
+        raise ConditionFailure("pure" if fn in ("total", "relocatable") else fn,
+                               _locate(snap, target, n))
     return True
 
 
@@ -633,8 +647,11 @@ def parse_rule_text(text: str, kind: str = "expr") -> RewriteRule:
 
 
 @reports_violations
-def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcome:
-    """Apply an expression rewrite rule at one node.
+def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef,
+               binding: Optional[Binding] = None) -> StepOutcome:
+    """Apply an expression rewrite rule at one node, binding's
+    metavariables (a block's arguments) fixed before the left side is
+    matched.
 
     NotApplicable when the left side fails to match; PreconditionViolated
     when it matches but the condition fails; otherwise a new snapshot with
@@ -645,7 +662,7 @@ def apply_rule(rule: RewriteRule, snap: Snapshot, target: NodeRef) -> StepOutcom
         return NotApplicable("rule left side is not an expression template")
     if not is_expr(subj):
         return NotApplicable("target is not an expression")
-    b = match_template(rule.lhs, subj)
+    b = match_template(rule.lhs, subj, binding)
     if b is None:
         return NotApplicable("left side does not match")
     b = eval_condition(rule.condition, b, snap, target)

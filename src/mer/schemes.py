@@ -15,12 +15,15 @@ side conditions and multi-site bookkeeping its instances rely on:
 * function signature refactoring -- one rule on the head and on every
   reference; the resulting signature must not already exist.
 
-An INTRODUCE scheme instantiates its instance's DEFINITION and REFERENCE
-through the template engine and evaluates its own side conditions, as
-fixed WHEN conjuncts, ahead of the instance's WHEN: introduce variable
-adds ``fresh(@Name) AND pure(@E) AND closed(@E) AND total(@E)``, and
-introduce function ``is_subset(free_vars(@E), vars(@Params...)) AND
-non_bind(@E)``.
+An instance is its block. Each engine takes the step's arguments after
+its target and binds them by position to the header's names (a
+``Name...`` binds a tuple) before it matches. The parser puts a scheme's
+own side conditions into the instance's condition as WHEN text:
+introduce variable's ``fresh(@Name) AND pure(@E) AND closed(@E) AND
+total(@E)`` and introduce function's ``is_subset(free_vars(@E),
+vars(@Params...)) AND non_bind(@E)`` ahead of the WHEN, and a function
+refactoring's ``relocatable(@M)``, for each metavariable @M that its
+REFERENCE moves from the definition to the call sites, after it.
 
 Every engine either returns Applied with a fresh snapshot or leaves the
 input snapshot untouched; there are no partial edits.
@@ -44,7 +47,7 @@ from .rewrite import (
 )
 from .syntax import (
     KEYWORDS, AtomLit, Body, Expr, FunDef, Match, MetaSeq, ModuleAst, Node,
-    ParseError, Pattern, Record, StaticCall, VarRef, edit_definitions, is_expr,
+    ParseError, Record, StaticCall, VarRef, edit_definitions, is_expr,
     node_ids, parse_expr_text, pretty_expr, rebuild, record, walk,
 )
 
@@ -58,30 +61,30 @@ class Local(Record):
     """A rule that rewrites the target node in place."""
 
     rule: RewriteRule
+    params: tuple[str, ...] = ()
 
 
 @record
 class IntroduceVariable(Record):
     """The definition, a match template, goes first in the target's own
     scope ("in_scope") or the next outer one ("outer_scope"). In scope,
-    @Name is the instance's name and the target an expression; outer,
-    the target is a binding, and the reference rule binds @Name."""
+    @Name is a header argument and the target an expression; outer, the
+    target is a binding, and the reference rule binds @Name."""
 
     placement: str  # "in_scope" | "outer_scope"
     definition: Expr
     ref_rule: RewriteRule
-    name: Optional[str] = None
+    params: tuple[str, ...] = ()
 
 
 @record
 class IntroduceFunction(Record):
     """The definition, a function definition template, is appended to the
-    module; @Name and @Params... are the instance's name and parameters."""
+    module, its name a valid function name."""
 
     definition: FunDef
     ref_rule: RewriteRule
-    name: str = ""
-    params: tuple[Pattern, ...] = ()
+    params: tuple[str, ...] = ()
 
 
 @record
@@ -91,16 +94,16 @@ class FunctionRefactoring(Record):
 
     def_rule: RewriteRule  # head/body shaped, carrying the WHEN clause
     ref_rule: RewriteRule  # argument-list shaped
+    params: tuple[str, ...] = ()
 
 
 @record
 class SignatureRefactoring(Record):
     """A rule for a function's signature, applied to its head and to
-    every call; pre_binding, when set, binds metavariables before
-    the head is matched."""
+    every call."""
 
     head_rule: RewriteRule  # signature shaped
-    pre_binding: Optional[Binding] = None
+    params: tuple[str, ...] = ()
 
 
 @record
@@ -121,12 +124,18 @@ class CompositeError(TemplateError):
 _NAME_RE = re.compile(r"^(?!(?:%s)$)[a-z]\w*$" % "|".join(sorted(KEYWORDS)))
 _VAR_RE = re.compile(r"^[A-Z_]\w*$")
 
-# each INTRODUCE scheme's side conditions, evaluated ahead of the
-# instance's WHEN
-_INTRODUCE_VARIABLE_WHEN = Condition.parse(
-    "fresh(@Name) AND pure(@E) AND closed(@E) AND total(@E)")
-_INTRODUCE_FUNCTION_WHEN = Condition.parse(
-    "is_subset(free_vars(@E), vars(@Params...)) AND non_bind(@E)")
+# each INTRODUCE scheme's side conditions, put ahead of the instance's
+# WHEN. A variable's binding moves to the scope front, so its expression
+# must emit nothing and provably evaluate to a value (raising earlier
+# would truncate the trace of the code it jumps ahead of); lifted out of a
+# lambda, fresh(@Name) would find the binding itself, so the engine checks
+# the code outside the lambda. A function's parameters must cover the
+# free variables, and bindings made by the extracted code would die in it.
+_SCHEME_WHEN = {
+    "in_scope": "fresh(@Name) AND pure(@E) AND closed(@E) AND total(@E)",
+    "outer_scope": "pure(@E) AND closed(@E) AND total(@E)",
+    "introduce_function": "is_subset(free_vars(@E), vars(@Params...)) AND non_bind(@E)",
+}
 
 
 def signature_clash(snap: Snapshot, key: FunKey) -> Optional[PreconditionViolated]:
@@ -139,16 +148,21 @@ def signature_clash(snap: Snapshot, key: FunKey) -> Optional[PreconditionViolate
     return None
 
 
-def _with_instance_when(inherent: Condition, rule: RewriteRule) -> Condition:
-    return Condition(inherent.conjuncts + rule.condition.conjuncts)
+def bind_args(params: Sequence[str], args: Sequence) -> Binding:
+    """A block's arguments bound by position to its header's names; a
+    ``Name...`` binds a tuple."""
+    if len(args) != len(params):
+        raise TemplateError(f"the block takes {len(params)} argument(s), got {len(args)}")
+    return {p.removesuffix("..."): tuple(a) if p.endswith("...") else a
+            for p, a in zip(params, args)}
 
 
 # ---------------------------------------------------------------------------
 # Local
 
 
-def run_local(inst: Local, snap: Snapshot, target: NodeRef) -> StepOutcome:
-    return apply_rule(inst.rule, snap, target)
+def run_local(inst: Local, snap: Snapshot, target: NodeRef, *args) -> StepOutcome:
+    return apply_rule(inst.rule, snap, target, bind_args(inst.params, args))
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +171,25 @@ def run_local(inst: Local, snap: Snapshot, target: NodeRef) -> StepOutcome:
 
 @reports_violations
 def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
-                           target: NodeRef) -> StepOutcome:
+                           target: NodeRef, *args) -> StepOutcome:
+    pre = bind_args(inst.params, args)
     subj = snap.node(target)
     in_scope = inst.placement == "in_scope"
     if in_scope:
         if not is_expr(subj):
             return NotApplicable("target is not an expression")
-        if inst.name is None or not _VAR_RE.match(inst.name):
-            return NotApplicable(f"invalid variable name {inst.name!r}")
+        name = _subst_name("@Name", pre)
+        if not _VAR_RE.match(name):
+            return NotApplicable(f"invalid variable name {name!r}")
     elif not isinstance(subj, Match):
         return NotApplicable("target is not a variable binding")
-    b = match_template(inst.ref_rule.lhs, subj, {"Name": inst.name} if in_scope else {})
+    b = match_template(inst.ref_rule.lhs, subj, pre)
     if b is None:
         return NotApplicable("reference rule does not match the target")
     if not (isinstance(b.get("E"), Node) and isinstance(b.get("Name"), (str, Node))):
         return NotApplicable("reference rule does not capture @Name and @E")
 
-    dest, inherent = analysis.scope(snap, target), _INTRODUCE_VARIABLE_WHEN
+    dest = analysis.scope(snap, target)
     if not in_scope:
         owner = snap.parent_of(snap.node(dest).node_id)
         if isinstance(owner, FunDef):
@@ -183,17 +199,12 @@ def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
             dest = analysis.scope(snap, snap.ref(owner.node_id))
         except NotApplicableError:
             return NotApplicable("no outer scope")
-        # fresh(@Name) would find the lifted binding itself: only the
-        # code outside the lambda must not use its names
+        # only the code outside the lambda must not use its names
         fundef = snap.fundef_of(subj.node_id)
         for nm in analysis.pattern_vars(b["Name"]):
             if analysis.occurs_var(nm, fundef, owner):
                 return PreconditionViolated("fresh", _locate(snap, target, nm))
-        inherent = Condition(inherent.conjuncts[1:])  # all but fresh(@Name)
-    # the binding moves to the scope front, so on top of emitting nothing
-    # the expression must provably evaluate to a value (raising earlier
-    # would truncate the trace of the code it jumps ahead of)
-    b = eval_condition(_with_instance_when(inherent, inst.ref_rule), b, snap, target)
+    b = eval_condition(inst.ref_rule.condition, b, snap, target)
 
     ctx = SubstCtx.for_snapshot(snap, freed=[subj])
     binding = subst_fragment(inst.definition, b, ctx, "expr")
@@ -217,22 +228,20 @@ def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
 
 @reports_violations
 def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
-                           target: NodeRef) -> StepOutcome:
+                           target: NodeRef, *args) -> StepOutcome:
+    pre = bind_args(inst.params, args)
     subj = snap.node(target)
     if not (is_expr(subj) or isinstance(subj, Body)):
         return NotApplicable("target is not an expression or body")
-    if not _NAME_RE.match(inst.name):
-        return NotApplicable(f"invalid function name {inst.name!r}")
-    b = match_template(inst.ref_rule.lhs, subj,
-                       {"Name": inst.name, "Params": tuple(inst.params)})
+    name = _subst_name(inst.definition.name, pre)
+    if not _NAME_RE.match(name):
+        return NotApplicable(f"invalid function name {name!r}")
+    b = match_template(inst.ref_rule.lhs, subj, pre)
     if b is None:
         return NotApplicable("reference rule does not match the target")
     if not isinstance(b.get("E"), Node):
         return NotApplicable("reference rule does not capture @E")
-    # the parameters must cover the free variables, and bindings made by
-    # the extracted code would die inside the new function
-    b = eval_condition(_with_instance_when(_INTRODUCE_FUNCTION_WHEN, inst.ref_rule),
-                       b, snap, target)
+    b = eval_condition(inst.ref_rule.condition, b, snap, target)
 
     ctx = SubstCtx.for_snapshot(snap, freed=[subj])
     new_def = subst_fragment(inst.definition, b, ctx, "expr")
@@ -290,29 +299,17 @@ def _replace_def(snap: Snapshot, d: FunDef, new_def: FunDef,
 
 @reports_violations
 def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
-                             target: NodeRef) -> StepOutcome:
+                             target: NodeRef, *args) -> StepOutcome:
+    pre = bind_args(inst.params, args)
     d = snap.node(target)
     if not isinstance(d, FunDef):
         return NotApplicable("target is not a function definition")
-    b = match_template(inst.def_rule.lhs, d)
+    b = match_template(inst.def_rule.lhs, d, pre)
     if b is None:
         return NotApplicable("definition rule does not match")
     b = eval_condition(inst.def_rule.condition, b, snap, target)
 
     old_key = FunKey(d.name, d.arity)
-    # metavariables the reference rule re-inserts but does not itself match
-    # hold code relocated from the definition to every call site
-    relocated = template_metavars(inst.ref_rule.rhs) - template_metavars(inst.ref_rule.lhs)
-    for mv in sorted(relocated):
-        frag = b.get(mv)
-        if not isinstance(frag, Node):
-            continue
-        if any(is_call_to(x, old_key) for x in walk(frag)):
-            return PreconditionViolated("no_self_reference", _locate(snap, target, frag))
-        # relocation to call sites changes the evaluation point
-        if is_expr(frag) and not analysis.total(frag):
-            return PreconditionViolated("pure", _locate(snap, target, frag))
-
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
     ctx = SubstCtx.for_snapshot(snap, freed=[d] + refs)
     clause = inst.def_rule.rhs
@@ -344,11 +341,11 @@ def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
 
 @reports_violations
 def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
-                              target: NodeRef) -> StepOutcome:
+                              target: NodeRef, *args) -> StepOutcome:
+    pre = bind_args(inst.params, args)
     d = snap.node(target)
     if not isinstance(d, FunDef):
         return NotApplicable("target is not a function definition")
-    pre = inst.pre_binding or {}
     b = match_template(inst.head_rule.lhs, d, pre)
     if b is None:
         return NotApplicable("head rule does not match")
@@ -443,11 +440,8 @@ def _term(e: Node, ops: dict, selectors: dict, assigned: set):
     return e.name, terms
 
 
-def _parse_composite(name, argspec, body, selectors, steps) -> CompositeProgram:
-    params = tuple(p.strip() for p in argspec.split(",") if p.strip())
-    if not all(map(_VAR_RE.match, params)):
-        raise CompositeError(f"composite parameters must be variables: {argspec!r}")
-    assigned, out = {"THIS", *params}, []
+def _parse_composite(name, params, body, selectors, steps) -> CompositeProgram:
+    assigned, out = {"THIS", *(p.removesuffix("...") for p in params)}, []
     for line in filter(None, map(str.strip, body.splitlines())):
         m = _STEP_RE.fullmatch(line)
         if not m:
@@ -483,6 +477,19 @@ def _check_reference_calls(definition: FunDef, ref_rule: RewriteRule):
                             "arguments as the DEFINITION has parameters")
 
 
+def _relocation_checks(ref_rule: RewriteRule) -> Condition:
+    """``relocatable(@M)`` for each scalar metavariable, by name, that the
+    REFERENCE inserts but does not match: it holds code moved from the
+    definition to every call site."""
+    lists = {x.name for r in ref_rule.rhs for x in walk(r) if type(x) is MetaSeq}
+    moved = template_metavars(ref_rule.rhs) - template_metavars(ref_rule.lhs) - lists
+    return Condition.parse(" AND ".join(f"relocatable(@{mv})" for mv in sorted(moved)))
+
+
+def _with_condition(rule: RewriteRule, *conds: Condition) -> RewriteRule:
+    return replace(rule, condition=Condition(sum((c.conjuncts for c in conds), ())))
+
+
 def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
                           steps: Optional[dict] = None):
     """Parse a scheme-instance block into (kind, name, instance).
@@ -493,9 +500,8 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
     followed by a match template; an INTRODUCE FUNCTION block's is a
     function definition template. An INTRODUCE block's REFERENCE is an
     expression rule, and its WHEN clause is evaluated after the scheme's
-    own side conditions (see the module docstring). The caller sets the
-    header's arguments on an INTRODUCE instance (``name``, and
-    ``params`` for a function) before running it.
+    own side conditions (see the module docstring). Every block's header
+    names, such as ``(Name, Params...)``, are the instance's ``params``.
 
     A COMPOSITE block, one ``[Local :=] [ITERATE] op(Target, Arg, ..)
     [TRACED]`` step per line over the selectors and steps, two name ->
@@ -512,13 +518,14 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
     m = re.match(r"^(\w+)\s*\(([^)]*)\)\s*(.*)$", rest, re.S)
     if not m:
         raise TemplateError("expected name(args) after the scheme header")
-    name, argspec, body = m.group(1), m.group(2).strip(), m.group(3)
+    name, body = m.group(1), m.group(3)
+    params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
+    if not all(_VAR_RE.match(p.removesuffix("...")) for p in params):
+        raise TemplateError(f"block parameters must be variables: {m.group(2)!r}")
     if kind == "local":
-        rule = parse_rule_text(body, "expr")
-        return kind, name, Local(rule)
+        return kind, name, Local(parse_rule_text(body, "expr"), params)
     if kind == "signature":
-        rule = parse_rule_text(body, "signature")
-        return kind, name, SignatureRefactoring(rule)
+        return kind, name, SignatureRefactoring(parse_rule_text(body, "signature"), params)
     if kind in ("introduce_variable", "introduce_function"):
         sections = _split_sections(body, ("DEFINITION", "REFERENCE"))
         ref_rule = parse_rule_text(sections["REFERENCE"], "expr")
@@ -526,7 +533,9 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
             if kind == "introduce_function":
                 definition = parse_template_def(sections["DEFINITION"])
                 _check_reference_calls(definition, ref_rule)
-                return kind, name, IntroduceFunction(definition, ref_rule)
+                ref_rule = _with_condition(ref_rule, Condition.parse(_SCHEME_WHEN[kind]),
+                                           ref_rule.condition)
+                return kind, name, IntroduceFunction(definition, ref_rule, params)
             where, _, def_text = sections["DEFINITION"].partition("SCOPE")
             placement = _PLACEMENTS.get(" ".join(where.split()))
             definition = parse_template_expr(def_text)
@@ -534,14 +543,17 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
             raise TemplateError(f"cannot parse definition: {err}") from None
         if placement is None or type(definition) is not Match:
             raise TemplateError("definition must be 'IN [OUTER] SCOPE Pattern = Expr'")
-        return kind, name, IntroduceVariable(placement, definition, ref_rule)
+        ref_rule = _with_condition(ref_rule, Condition.parse(_SCHEME_WHEN[placement]),
+                                   ref_rule.condition)
+        return kind, name, IntroduceVariable(placement, definition, ref_rule, params)
     if kind == "function":
         sections = _split_sections(body, ("DEFINITION", "REFERENCE", "WHEN"))
-        def_rule = parse_rule_text(sections["DEFINITION"], "head")
-        def_rule = replace(def_rule, condition=Condition.parse(sections.get("WHEN", "")))
         ref_rule = parse_rule_text(sections["REFERENCE"], "args")
-        return kind, name, FunctionRefactoring(def_rule, ref_rule)
+        def_rule = _with_condition(parse_rule_text(sections["DEFINITION"], "head"),
+                                   Condition.parse(sections.get("WHEN", "")),
+                                   _relocation_checks(ref_rule))
+        return kind, name, FunctionRefactoring(def_rule, ref_rule, params)
     if kind == "composite":
-        return kind, name, _parse_composite(name, argspec, body,
+        return kind, name, _parse_composite(name, params, body,
                                              selectors or {}, steps or {})
     raise TemplateError(f"unhandled scheme kind {kind}")

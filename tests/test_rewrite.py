@@ -202,6 +202,30 @@ def test_condition_standalone_evaluation():
         eval_condition(c, {})
 
 
+def test_fragment_predicate_on_a_non_fragment_does_not_take_the_target():
+    # free_vars yields names, which pure cannot judge: the step does not
+    # apply, and a rule-level check would skip the instantiation
+    c = Condition.parse("@Vars... = free_vars(@E) AND pure(@Vars...)")
+    with pytest.raises(UnboundMetavariable, match="pure needs a fragment"):
+        eval_condition(c, {"E": parse_expr_text("X + 1")})
+    rule = parse_rule_text("@E\n-----\n@E\nWHEN @Vars... = free_vars(@E) AND pure(@Vars...)")
+    snap = Snapshot.from_source("f(X) -> X + 1.\n")
+    assert apply_rule(rule, snap, target_of(snap, "X + 1")) == NotApplicable(
+        "the block cannot take this target: pure needs a fragment, got a tuple")
+
+
+def test_relocatable_standalone():
+    c = Condition.parse("relocatable(@E)")
+    eval_condition(c, {"E": parse_expr_text("{1, fun() -> 2 end}")})
+    eval_condition(c, {"E": ("X", "Y")})  # not a node: nothing moves
+    with pytest.raises(ConditionFailure) as failed:
+        eval_condition(c, {"E": parse_expr_text("g(1)")})  # any static call
+    assert failed.value.predicate == "no_self_reference"
+    with pytest.raises(ConditionFailure) as failed:
+        eval_condition(c, {"E": parse_expr_text("1 div 0")})
+    assert failed.value.predicate == "pure"
+
+
 @pytest.mark.parametrize("text", [
     "pure(@E",
     "pure(@E) AND",

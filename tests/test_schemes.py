@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from mer import analysis
 from mer.analysis import FunKey, Snapshot, references
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated, TemplateError
 from mer.schemes import (
-    Local, SignatureRefactoring,
+    Local,
     parse_scheme_instance, run_function_refactoring, run_introduce_function,
     run_introduce_variable, run_local, run_signature_refactoring,
 )
@@ -18,7 +16,7 @@ from mer.refactorings import (
     _fresh_fun_name, rename_function,
 )
 from mer.interp import IntV, eval_call
-from mer.syntax import parse_patterns_text, pretty
+from mer.syntax import parse_expr_text, parse_patterns_text, pretty, pretty_expr
 
 from conftest import defs_of, target_of
 
@@ -55,14 +53,10 @@ def test_run_local_not_applicable_on_fundef(doubler):
 # introduce variable (in scope)
 
 
-def _in_scope(name):
-    return dataclasses.replace(_EXTRACT_VAR, name=name)
-
-
 def test_introduce_variable_in_scope():
     snap = _snap("tmp(X) -> begin X * (fun() -> 2 end)() end.\n")
     target = target_of(snap, "fun() -> 2 end")
-    out = run_introduce_variable(_in_scope("Y"), snap, target)
+    out = run_introduce_variable(_EXTRACT_VAR, snap, target, "Y")
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == \
         "tmp(X) -> Y = fun() -> 2 end, begin X * Y() end.\n"
@@ -71,19 +65,19 @@ def test_introduce_variable_in_scope():
 
 
 def test_introduce_variable_fresh_violation(doubler):
-    out = run_introduce_variable(_in_scope("X"), doubler, target_of(doubler, "2"))
+    out = run_introduce_variable(_EXTRACT_VAR, doubler, target_of(doubler, "2"), "X")
     assert isinstance(out, PreconditionViolated) and out.predicate == "fresh"
 
 
 def test_introduce_variable_pure_violation():
     snap = _snap("f() -> print(1).\n")
-    out = run_introduce_variable(_in_scope("Y"), snap, target_of(snap, "print(1)"))
+    out = run_introduce_variable(_EXTRACT_VAR, snap, target_of(snap, "print(1)"), "Y")
     assert isinstance(out, PreconditionViolated) and out.predicate == "pure"
 
 
 def test_introduce_variable_closed_violation(doubler):
-    out = run_introduce_variable(_in_scope("Y"), doubler,
-                                 target_of(doubler, "X * 2"))
+    out = run_introduce_variable(_EXTRACT_VAR, doubler,
+                                 target_of(doubler, "X * 2"), "Y")
     assert isinstance(out, PreconditionViolated) and out.predicate == "closed"
 
 
@@ -125,15 +119,11 @@ def test_outer_scope_name_clash_rejected():
 # introduce function
 
 
-def _intro_fun(name, params):
-    return dataclasses.replace(_EXTRACT_FUN, name=name, params=tuple(params))
-
-
 def test_introduce_function_on_body():
     snap = _snap("f(X) -> begin X * (fun() -> 2 end)() end.\ng(X) -> f(X+1).\n")
     f = snap.module.definitions[0]
-    out = run_introduce_function(
-        _intro_fun("tmp", f.params), snap, snap.ref(f.body.node_id))
+    out = run_introduce_function(_EXTRACT_FUN, snap, snap.ref(f.body.node_id),
+                                 "tmp", f.params)
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {
         "f(X) -> tmp(X).",
@@ -148,25 +138,22 @@ def test_introduce_function_on_body():
 
 def test_introduce_function_free_var_not_covered():
     snap = _snap("f(X) -> X + Z.\n")
-    out = run_introduce_function(
-        _intro_fun("tmp", parse_patterns_text("X")), snap,
-        target_of(snap, "X + Z"))
+    out = run_introduce_function(_EXTRACT_FUN, snap, target_of(snap, "X + Z"),
+                                 "tmp", parse_patterns_text("X"))
     assert isinstance(out, PreconditionViolated) and out.predicate == "is_subset"
 
 
 def test_introduce_function_name_clash():
     snap = _snap("f(X) -> X.\ng(X) -> X + 1.\n")
-    out = run_introduce_function(
-        _intro_fun("g", parse_patterns_text("X")), snap,
-        target_of(snap, "X + 1"))
+    out = run_introduce_function(_EXTRACT_FUN, snap, target_of(snap, "X + 1"),
+                                 "g", parse_patterns_text("X"))
     assert isinstance(out, PreconditionViolated) and out.predicate == "signature_clash"
 
 
 def test_introduce_function_superset_params_allowed():
     snap = _snap("f(X) -> 7.\n")
-    out = run_introduce_function(
-        _intro_fun("tmp", parse_patterns_text("X")), snap,
-        target_of(snap, "7"))
+    out = run_introduce_function(_EXTRACT_FUN, snap, target_of(snap, "7"),
+                                 "tmp", parse_patterns_text("X"))
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {"f(X) -> tmp(X).", "tmp(X) -> 7."}
 
@@ -239,14 +226,10 @@ def test_function_refactoring_empty_result_body():
 # signature refactoring
 
 
-def _rename(new_name):
-    return SignatureRefactoring(_RENAME.head_rule, {"NewName": new_name})
-
-
 def test_rename_function():
     snap = _snap("tmp(X, Y) -> begin X * Y() end.\nf(X) -> tmp(X, fun() -> 2 end).\n")
     fn = snap.ref(snap.module.definitions[0].node_id)
-    out = run_signature_refactoring(_rename("f"), snap, fn)
+    out = run_signature_refactoring(_RENAME, snap, fn, "f")
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {
         "f(X, Y) -> begin X * Y() end.",
@@ -260,7 +243,7 @@ def test_rename_function():
 def test_rename_clash():
     snap = _snap("tmp(X, Y) -> X.\ng(X, Y) -> X + Y.\n")
     fn = snap.ref(snap.module.definitions[0].node_id)
-    out = run_signature_refactoring(_rename("g"), snap, fn)
+    out = run_signature_refactoring(_RENAME, snap, fn, "g")
     assert isinstance(out, PreconditionViolated) and out.predicate == "signature_clash"
 
 
@@ -292,7 +275,7 @@ def test_a_new_key_already_called_is_a_clash():
     tmp, k = (snap.ref(d.node_id) for d in snap.module.definitions[1:])
     assert rename_function(snap, k, "h") == PreconditionViolated(
         "signature_clash", "h/0 already called")
-    assert run_introduce_function(_intro_fun("g", ()), snap, target_of(snap, "1")) == \
+    assert run_introduce_function(_EXTRACT_FUN, snap, target_of(snap, "1"), "g", ()) == \
         PreconditionViolated("signature_clash", "g/0 already called")
     assert run_function_refactoring(_VAR_TO_PARAM, snap, tmp) == PreconditionViolated(
         "signature_clash", "tmp/2 already called")
@@ -302,7 +285,7 @@ def test_a_new_key_already_called_is_a_clash():
 def test_rename_identity():
     snap = _snap("f(X) -> X.\n")
     fn = snap.ref(snap.module.definitions[0].node_id)
-    out = run_signature_refactoring(_rename("f"), snap, fn)
+    out = run_signature_refactoring(_RENAME, snap, fn, "f")
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == "f(X) -> X.\n"
 
@@ -310,7 +293,7 @@ def test_rename_identity():
 def test_rename_recursive_function():
     snap = _snap("loop(X) -> loop(X - 1).\n")
     fn = snap.ref(snap.module.definitions[0].node_id)
-    out = run_signature_refactoring(_rename("go"), snap, fn)
+    out = run_signature_refactoring(_RENAME, snap, fn, "go")
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == "go(X) -> go(X - 1).\n"
 
@@ -325,7 +308,7 @@ def test_reference_consistency_on_generated_modules():
         for d in snap.module.definitions:
             old_key = FunKey(d.name, d.arity)
             before = len(references(snap, old_key))
-            out = run_signature_refactoring(_rename("zz9"), snap, snap.ref(d.node_id))
+            out = run_signature_refactoring(_RENAME, snap, snap.ref(d.node_id), "zz9")
             if isinstance(out, Applied):
                 renamed += 1
                 assert len(references(out.snapshot, FunKey("zz9", d.arity))) == before
@@ -348,7 +331,7 @@ def test_reference_consistency_on_generated_modules():
 
 def test_introduce_variable_rejects_raising_expression():
     snap = _snap("f() -> print(1), W2 = 1 div 0.\n")
-    out = run_introduce_variable(_in_scope("W"), snap, target_of(snap, "1 div 0"))
+    out = run_introduce_variable(_EXTRACT_VAR, snap, target_of(snap, "1 div 0"), "W")
     assert isinstance(out, PreconditionViolated) and out.predicate == "pure"
 
 
@@ -360,8 +343,8 @@ def test_outer_scope_rejects_raising_expression():
 
 def test_introduce_function_rejects_leaking_binding():
     snap = _snap("f() -> V1 = 5, V1.\n")
-    out = run_introduce_function(_intro_fun("ex0", ()), snap,
-                                 target_of(snap, "V1 = 5"))
+    out = run_introduce_function(_EXTRACT_FUN, snap,
+                                 target_of(snap, "V1 = 5"), "ex0", ())
     assert isinstance(out, PreconditionViolated) and out.predicate == "non_bind"
 
 
@@ -369,8 +352,8 @@ def test_introduce_function_rejects_rematch():
     # the second V1 = 4 re-checks the first binding, so V1 is a free
     # variable of the extracted code and must be covered by the parameters
     snap = _snap("f() -> V1 = 4, V1 = 4.\n")
-    out = run_introduce_function(_intro_fun("ex0", ()), snap,
-                                 target_of(snap, "V1 = 4", occurrence=2))
+    out = run_introduce_function(_EXTRACT_FUN, snap,
+                                 target_of(snap, "V1 = 4", occurrence=2), "ex0", ())
     assert isinstance(out, PreconditionViolated) and out.predicate == "is_subset"
 
 
@@ -383,8 +366,8 @@ def test_var_to_param_rejects_binding_expression():
 
 def test_rename_rewrites_nested_references():
     snap = _snap("f0(X) -> X.\nf1(X) -> f0(f0(X)).\n")
-    out = run_signature_refactoring(_rename("q"), snap,
-                                    snap.ref(snap.module.definitions[0].node_id))
+    out = run_signature_refactoring(_RENAME, snap,
+                                    snap.ref(snap.module.definitions[0].node_id), "q")
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {"q(X) -> X.", "f1(X) -> q(q(X))."}
 
@@ -425,6 +408,55 @@ def test_parse_local_block_matches_builtin(doubler):
     assert pretty(out1.snapshot.module) == pretty(out2.snapshot.module)
 
 
+def test_local_block_binds_its_header_argument():
+    _, _, inst = parse_scheme_instance("LOCAL REFACTORING twice(K)\n@E\n-----\n@E * @K\n")
+    assert inst.params == ("K",)
+    snap = _snap("f(X) -> X + 1.\n")
+    out = run_local(inst, snap, target_of(snap, "X + 1"), parse_expr_text("2"))
+    assert isinstance(out, Applied)
+    assert pretty(out.snapshot.module) == "f(X) -> (X + 1) * 2.\n"
+    with pytest.raises(TemplateError, match="takes 1 argument"):
+        run_local(inst, snap, target_of(snap, "X + 1"))
+    with pytest.raises(TemplateError, match="takes 1 argument"):
+        run_local(inst, snap, target_of(snap, "X + 1"), parse_expr_text("2"), "Y")
+
+
+def test_block_header_arguments_are_variables():
+    _, _, inst = parse_scheme_instance(
+        "INTRODUCE FUNCTION extract_to_function(Name, Params...)\n"
+        "DEFINITION\n@Name(@Params...) -> @E .\nREFERENCE\n@E\n-----\n@Name(@Params...)\n")
+    assert inst.params == ("Name", "Params...")
+    with pytest.raises(TemplateError, match="must be variables"):
+        parse_scheme_instance("LOCAL REFACTORING twice(k)\n@E\n-----\n@E * @k\n")
+
+
+def _condition_text(cond) -> str:
+    return " AND ".join(map(pretty_expr, cond.conjuncts))
+
+
+def test_function_refactoring_relocation_checks_are_when_text():
+    assert _condition_text(_VAR_TO_PARAM.def_rule.condition) == \
+        "pure(@E) AND closed(@E) AND relocatable(@E)"
+    # two bindings become parameters: each moved fragment gets a
+    # conjunct, after the block's own WHEN and in name order
+    _, _, inst = parse_scheme_instance(
+        "FUNCTION REFACTORING two_to_params()\n"
+        "DEFINITION\n(@Args...) -> @V = @B, @W = @A, @Body...\n-----\n"
+        "(@Args..., @V, @W) -> @Body...\n"
+        "REFERENCE\n(@Args2...)\n-----\n(@Args2..., @B, @A)\n"
+        "WHEN closed(@B) AND closed(@A)\n")
+    assert _condition_text(inst.def_rule.condition) == \
+        "closed(@B) AND closed(@A) AND relocatable(@A) AND relocatable(@B)"
+    snap = _snap("tmp(X) -> Y = 1, Z = 2, X + Y + Z.\nf(X) -> tmp(X).\n")
+    out = run_function_refactoring(inst, snap, snap.ref(snap.module.definitions[0].node_id))
+    assert isinstance(out, Applied)
+    assert defs_of(out.snapshot.module) == {"tmp(X, Y, Z) -> X + Y + Z.",
+                                            "f(X) -> tmp(X, 1, 2)."}
+    snap = _snap("tmp(X) -> Y = 1, Z = tmp(0), X.\n")
+    out = run_function_refactoring(inst, snap, snap.ref(snap.module.definitions[0].node_id))
+    assert out == PreconditionViolated("no_self_reference", "tmp/1: tmp(0)")
+
+
 def test_parse_introduce_variable_blocks():
     kind, name, inst = parse_scheme_instance(
         "INTRODUCE VARIABLE extract_to_variable(Name)\n"
@@ -433,8 +465,7 @@ def test_parse_introduce_variable_blocks():
     assert (kind, name, inst.placement) == ("introduce_variable",
                                             "extract_to_variable", "in_scope")
     snap = _snap("tmp(X) -> begin X * (fun() -> 2 end)() end.\n")
-    out = run_introduce_variable(dataclasses.replace(inst, name="Y"), snap,
-                                 target_of(snap, "fun() -> 2 end"))
+    out = run_introduce_variable(inst, snap, target_of(snap, "fun() -> 2 end"), "Y")
     assert isinstance(out, Applied)
 
     kind2, name2, inst2 = parse_scheme_instance(
@@ -452,8 +483,8 @@ def test_parse_introduce_function_block():
         "WHEN is_subset(free_vars(@E), vars(@Params...))\n")
     assert (kind, name) == ("introduce_function", "extract_to_function")
     snap = _snap("f(X) -> X + 1.\n")
-    inst = dataclasses.replace(inst, name="helper", params=parse_patterns_text("X"))
-    out = run_introduce_function(inst, snap, target_of(snap, "X + 1"))
+    out = run_introduce_function(inst, snap, target_of(snap, "X + 1"),
+                                 "helper", parse_patterns_text("X"))
     assert isinstance(out, Applied)
     assert defs_of(out.snapshot.module) == {"f(X) -> helper(X).",
                                             "helper(X) -> X + 1."}
@@ -461,7 +492,7 @@ def test_parse_introduce_function_block():
 
 def test_parse_function_refactoring_block():
     kind, name, inst = parse_scheme_instance(
-        "FUNCTION REFACTORING var_to_param(X)\n"
+        "FUNCTION REFACTORING var_to_param()\n"
         "DEFINITION\n(@Args...) -> @X = @E, @Body...\n-----\n"
         "(@Args..., @X) -> @Body...\n"
         "REFERENCE\n(@Args2...)\n-----\n(@Args2..., @E)\n"
@@ -481,8 +512,7 @@ def test_parse_signature_block():
     assert (kind, name) == ("signature", "rename_function")
     snap = _snap("f(X) -> X.\n")
     fn = snap.ref(snap.module.definitions[0].node_id)
-    out = run_signature_refactoring(
-        dataclasses.replace(inst, pre_binding={"NewName": "h"}), snap, fn)
+    out = run_signature_refactoring(inst, snap, fn, "h")
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == "h(X) -> X.\n"
 
@@ -493,8 +523,7 @@ def test_signature_rule_with_a_concrete_variable_rewrites_call_sites():
         "f(X)\n-----\n@NewName(X)\n")
     snap = _snap("f(X) -> X.\ng(X) -> f(X).\n")
     fn = snap.ref(snap.module.definitions[0].node_id)
-    out = run_signature_refactoring(
-        dataclasses.replace(inst, pre_binding={"NewName": "h"}), snap, fn)
+    out = run_signature_refactoring(inst, snap, fn, "h")
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == "h(X) -> X.\ng(X) -> h(X).\n"
 
@@ -549,9 +578,8 @@ _DEFAULT_FUN_REF = "REFERENCE\n@E\n-----\n@Name(@Params...)\n"
 def test_introduce_function_instantiates_its_rule_text(definition, reference, expected):
     _, _, inst = parse_scheme_instance(_INTRO_FUN + definition + reference)
     snap = _snap("f(X) -> X + 1.\n")
-    out = run_introduce_function(
-        dataclasses.replace(inst, name="h", params=parse_patterns_text("X")),
-        snap, target_of(snap, "X + 1"))
+    out = run_introduce_function(inst, snap, target_of(snap, "X + 1"),
+                                 "h", parse_patterns_text("X"))
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == expected
 
@@ -562,9 +590,8 @@ def test_introduce_function_body_target_inside_a_block_not_applicable():
         _INTRO_FUN + "DEFINITION\n@Name(@Params...) -> begin @E end .\n" + _DEFAULT_FUN_REF)
     snap = _snap("f(X) -> X + 1, X.\n")
     body = snap.module.definitions[0].body
-    out = run_introduce_function(
-        dataclasses.replace(inst, name="h", params=parse_patterns_text("X")),
-        snap, snap.ref(body.node_id))
+    out = run_introduce_function(inst, snap, snap.ref(body.node_id),
+                                 "h", parse_patterns_text("X"))
     assert out == NotApplicable(
         "the block cannot take this target: cannot use a Body as an expression")
 
@@ -574,8 +601,7 @@ def test_introduce_variable_instantiates_its_definition():
         _INTRO_VAR + "DEFINITION IN SCOPE\n@Name = begin @E end\nREFERENCE\n"
         + EXTRACT_TO_VARIABLE_REF_TEXT)
     snap = _snap("tmp(X) -> begin X * (fun() -> 2 end)() end.\n")
-    out = run_introduce_variable(dataclasses.replace(inst, name="Y"), snap,
-                                 target_of(snap, "fun() -> 2 end"))
+    out = run_introduce_variable(inst, snap, target_of(snap, "fun() -> 2 end"), "Y")
     assert isinstance(out, Applied)
     assert pretty(out.snapshot.module) == \
         "tmp(X) -> Y = begin fun() -> 2 end end, begin X * Y() end.\n"
@@ -589,5 +615,5 @@ def test_introduce_variable_inherent_conditions_come_first():
         + EXTRACT_TO_VARIABLE_REF_TEXT + "WHEN non_bind(@E)\n")
     snap = _snap("f() -> V = print(1), V.\n")
     target = target_of(snap, "V = print(1)")
-    out = run_introduce_variable(dataclasses.replace(inst, name="Y"), snap, target)
+    out = run_introduce_variable(inst, snap, target, "Y")
     assert out == PreconditionViolated("pure", "f/0: V = print(1)")
