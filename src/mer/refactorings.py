@@ -38,11 +38,11 @@ from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, StaleRef
 from .rewrite import (
     Applied, NotApplicable, PreconditionViolated, StepOutcome, is_applied,
+    reports_violations,
 )
 from .schemes import (
     CompositeError, CompositeProgram, bind_args, parse_scheme_instance,
-    run_function_refactoring, run_introduce_function, run_introduce_variable,
-    run_local, run_signature_refactoring, signature_clash,
+    run_function_wide, run_introduce, run_local, signature_clash,
 )
 from .syntax import FunDef, Match, Node, Pattern, pretty_fragment
 
@@ -103,16 +103,16 @@ def wrap(snap: Snapshot, target: NodeRef) -> StepOutcome:
 
 
 def extract_to_variable(snap: Snapshot, target: NodeRef, name: str) -> StepOutcome:
-    return run_introduce_variable(_EXTRACT_VAR, snap, target, name)
+    return run_introduce(_EXTRACT_VAR, snap, target, name)
 
 
 def outer_variable(snap: Snapshot, target: NodeRef) -> StepOutcome:
-    return run_introduce_variable(_OUTER_VAR, snap, target)
+    return run_introduce(_OUTER_VAR, snap, target)
 
 
 def extract_to_function(snap: Snapshot, target: NodeRef, name: str,
                         params: Sequence[Pattern]) -> StepOutcome:
-    return run_introduce_function(_EXTRACT_FUN, snap, target, name, params)
+    return run_introduce(_EXTRACT_FUN, snap, target, name, params)
 
 
 def var_to_param(snap: Snapshot, fn: NodeRef, match_node: NodeRef) -> StepOutcome:
@@ -123,11 +123,11 @@ def var_to_param(snap: Snapshot, fn: NodeRef, match_node: NodeRef) -> StepOutcom
     m = snap.node(match_node)
     if not isinstance(m, Match) or not d.body.exprs or d.body.exprs[0] is not m:
         return NotApplicable("binding is not the first body element")
-    return run_function_refactoring(_VAR_TO_PARAM, snap, fn)
+    return run_function_wide(_VAR_TO_PARAM, snap, fn)
 
 
 def rename_function(snap: Snapshot, fn: NodeRef, new_name: str) -> StepOutcome:
-    return run_signature_refactoring(_RENAME, snap, fn, new_name)
+    return run_function_wide(_RENAME, snap, fn, new_name)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +241,7 @@ class _Runner:
             values = [outcome.result, *values[1:]]
 
 
+@reports_violations
 def run_composite(program: CompositeProgram, snap: Snapshot, target: NodeRef,
                   args: Sequence[object] = (), *, on_step: Optional[TraceFn] = None,
                   fail_at: Optional[int] = None) -> StepOutcome:

@@ -462,21 +462,19 @@ class ConditionFailure(Exception):
         self.location = location
 
 
-def _as_names(v) -> list[str]:
+def _as_names(fn: str, v) -> list[str]:
+    """The names a term gives fn: a name, a variable, a pattern's
+    variables, or those of a tuple of them."""
     if isinstance(v, str):
         return [v]
-    if isinstance(v, PVar):
-        return [v.name]
-    if isinstance(v, VarRef):
-        return [v.name]
     if isinstance(v, tuple):
-        out = []
-        for x in v:
-            out.extend(_as_names(x))
-        return out
-    if isinstance(v, Node):
+        return [nm for x in v for nm in _as_names(fn, x)]
+    if type(v) is VarRef:
+        return [v.name]
+    if isinstance(v, Node) and is_pattern(v):
         return analysis.pattern_vars(v)
-    raise TemplateError(f"expected names, got {v!r}")
+    # the type, not the repr: a tree may be too deep to print
+    raise UnboundMetavariable(f"{fn} needs names, got a {type(v).__name__}")
 
 
 def _locate(snap: Optional[Snapshot], target: Optional[NodeRef], frag) -> str:
@@ -538,9 +536,9 @@ def _value(e: Expr, b: Binding, snap: Optional[Snapshot], target: Optional[NodeR
     fn = e.name
     args = [_value(a, b, snap, target) for a in e.args]
     if fn == "vars":
-        return tuple(_as_names(args[0]))
+        return tuple(_as_names(fn, args[0]))
     if fn == "fresh":
-        for nm in _as_names(args[0]):
+        for nm in _as_names(fn, args[0]):
             if snap is None:
                 ok = not any(isinstance(v, Node) and analysis.occurs_var(nm, v)
                              for v in b.values())
@@ -550,7 +548,7 @@ def _value(e: Expr, b: Binding, snap: Optional[Snapshot], target: Optional[NodeR
                 raise ConditionFailure("fresh", _locate(snap, target, nm))
         return True
     if fn == "is_subset":
-        small, big = set(_as_names(args[0])), set(_as_names(args[1]))
+        small, big = set(_as_names(fn, args[0])), set(_as_names(fn, args[1]))
         if not small <= big:
             raise ConditionFailure("is_subset",
                                    _locate(snap, target, tuple(sorted(small - big))))

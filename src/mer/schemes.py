@@ -1,19 +1,22 @@
-"""The five refactoring scheme engines.
+"""The three refactoring scheme engines.
 
-A scheme fixes the shape of its parameter rewrite rules and owns the
-side conditions and multi-site bookkeeping its instances rely on:
+A scheme is a rule plus a strategy for where it applies. Every instance
+is one record, ``Instance``, and one of three engines runs it:
 
-* local -- one rewrite rule applied at the selected node;
-* introduce variable -- the DEFINITION, a binding template such as
-  ``@Name = @E``, is placed at the front of the target's scope (or the
-  next outer scope), and the REFERENCE rule rewrites the target;
-* introduce function -- the DEFINITION, a function definition template
-  such as ``@Name(@Params...) -> @E .``, is appended to the module, and
-  the REFERENCE rule rewrites the extracted code;
-* function refactoring -- one rule on the definition's (params, body)
-  pair and one on the argument list of every reference, all or nothing;
-* function signature refactoring -- one rule on the head and on every
-  reference; the resulting signature must not already exist.
+* local -- the rule rewrites the selected node;
+* introduce -- the rule, the block's REFERENCE, rewrites the target, and
+  the DEFINITION is placed by the instance's site: a binding template
+  such as ``@Name = @E`` at the front of the target's scope
+  ("in_scope") or of the next outer scope ("outer_scope"), or a function
+  definition template such as ``@Name(@Params...) -> @E .`` at the
+  module's end ("module_end", which the parser sets for INTRODUCE
+  FUNCTION);
+* function-wide -- the rule rewrites a function definition, and the
+  call rule every call of it, all or nothing. A function refactoring's
+  rule is a clause on the definition's (params, body) pair and its call
+  rule one on the argument list; a function signature refactoring's
+  one rule on the signature is both, matched afresh at every call. A
+  new signature must not already exist.
 
 An instance is its block. Each engine takes the step's arguments after
 its target and binds them by position to the header's names (a
@@ -23,7 +26,11 @@ introduce variable's ``fresh(@Name) AND pure(@E) AND closed(@E) AND
 total(@E)`` and introduce function's ``is_subset(free_vars(@E),
 vars(@Params...)) AND non_bind(@E)`` ahead of the WHEN, and a function
 refactoring's ``relocatable(@M)``, for each metavariable @M that its
-REFERENCE moves from the definition to the call sites, after it.
+REFERENCE moves from the definition to the call sites, after it. Four
+checks stay in Python, each in the strategy that needs it: a new
+function's ``signature_clash``, the outer scope's freshness of the
+lifted names, and at the module end a parameter ``bound`` where the
+call passes it and a call that replaces a ``Body`` target.
 
 Every engine either returns Applied with a fresh snapshot or leaves the
 input snapshot untouched; there are no partial edits.
@@ -40,13 +47,13 @@ from . import analysis
 from .analysis import FunKey, NodeRef, NotApplicableError, Snapshot, is_call_to
 from .rewrite import (
     Binding, Condition, NotApplicable, PreconditionViolated, RewriteRule,
-    StepOutcome, SubstCtx, TemplateError, _locate, _lookup_seq, _subst_name,
-    apply_rule, eval_condition, finish_step, match_template, parse_rule_text,
-    parse_template_def, parse_template_expr, reports_violations, subst_fragment,
-    subst_seq, substitute, template_metavars,
+    StepOutcome, SubstCtx, TemplateError, UnboundMetavariable, _locate,
+    _lookup_seq, _subst_name, apply_rule, eval_condition, finish_step,
+    match_template, parse_rule_text, parse_template_def, parse_template_expr,
+    reports_violations, subst_fragment, subst_seq, substitute, template_metavars,
 )
 from .syntax import (
-    KEYWORDS, AtomLit, Body, Expr, FunDef, Match, MetaSeq, ModuleAst, Node,
+    KEYWORDS, AtomLit, Body, FunDef, Match, MetaSeq, ModuleAst, Node,
     ParseError, Record, StaticCall, VarRef, edit_definitions, is_expr,
     node_ids, parse_expr_text, pretty_expr, rebuild, record, walk,
 )
@@ -57,53 +64,17 @@ from .syntax import (
 
 
 @record
-class Local(Record):
-    """A rule that rewrites the target node in place."""
+class Instance(Record):
+    """A scheme instance: its header's names and its rule, applied at the
+    target. An introduce instance also has its DEFINITION template and
+    site; a function-wide one the rule applied at every call, which is
+    the rule itself in a signature refactoring."""
 
     rule: RewriteRule
     params: tuple[str, ...] = ()
-
-
-@record
-class IntroduceVariable(Record):
-    """The definition, a match template, goes first in the target's own
-    scope ("in_scope") or the next outer one ("outer_scope"). In scope,
-    @Name is a header argument and the target an expression; outer, the
-    target is a binding, and the reference rule binds @Name."""
-
-    placement: str  # "in_scope" | "outer_scope"
-    definition: Expr
-    ref_rule: RewriteRule
-    params: tuple[str, ...] = ()
-
-
-@record
-class IntroduceFunction(Record):
-    """The definition, a function definition template, is appended to the
-    module, its name a valid function name."""
-
-    definition: FunDef
-    ref_rule: RewriteRule
-    params: tuple[str, ...] = ()
-
-
-@record
-class FunctionRefactoring(Record):
-    """A rule for a function's definition and one for each of its
-    call sites' arguments."""
-
-    def_rule: RewriteRule  # head/body shaped, carrying the WHEN clause
-    ref_rule: RewriteRule  # argument-list shaped
-    params: tuple[str, ...] = ()
-
-
-@record
-class SignatureRefactoring(Record):
-    """A rule for a function's signature, applied to its head and to
-    every call."""
-
-    head_rule: RewriteRule  # signature shaped
-    params: tuple[str, ...] = ()
+    definition: Optional[Node] = None  # a Match, or a FunDef at the module end
+    site: Optional[str] = None  # "in_scope" | "outer_scope" | "module_end"
+    call_rule: Optional[RewriteRule] = None
 
 
 @record
@@ -124,7 +95,7 @@ class CompositeError(TemplateError):
 _NAME_RE = re.compile(r"^(?!(?:%s)$)[a-z]\w*$" % "|".join(sorted(KEYWORDS)))
 _VAR_RE = re.compile(r"^[A-Z_]\w*$")
 
-# each INTRODUCE scheme's side conditions, put ahead of the instance's
+# each INTRODUCE site's side conditions, put ahead of the instance's
 # WHEN. A variable's binding moves to the scope front, so its expression
 # must emit nothing and provably evaluate to a value (raising earlier
 # would truncate the trace of the code it jumps ahead of); lifted out of a
@@ -134,7 +105,15 @@ _VAR_RE = re.compile(r"^[A-Z_]\w*$")
 _SCHEME_WHEN = {
     "in_scope": "fresh(@Name) AND pure(@E) AND closed(@E) AND total(@E)",
     "outer_scope": "pure(@E) AND closed(@E) AND total(@E)",
-    "introduce_function": "is_subset(free_vars(@E), vars(@Params...)) AND non_bind(@E)",
+    "module_end": "is_subset(free_vars(@E), vars(@Params...)) AND non_bind(@E)",
+}
+
+# each INTRODUCE site's targets, and the refusal of any other
+_SITE_TARGETS = {
+    "in_scope": (is_expr, "target is not an expression"),
+    "outer_scope": (lambda n: type(n) is Match, "target is not a variable binding"),
+    "module_end": (lambda n: is_expr(n) or type(n) is Body,
+                   "target is not an expression or body"),
 }
 
 
@@ -150,47 +129,57 @@ def signature_clash(snap: Snapshot, key: FunKey) -> Optional[PreconditionViolate
 
 def bind_args(params: Sequence[str], args: Sequence) -> Binding:
     """A block's arguments bound by position to its header's names; a
-    ``Name...`` binds a tuple."""
+    ``Name...`` binds a tuple, and a step given anything but a tuple or
+    a list for it does not apply."""
     if len(args) != len(params):
         raise TemplateError(f"the block takes {len(params)} argument(s), got {len(args)}")
-    return {p.removesuffix("..."): tuple(a) if p.endswith("...") else a
-            for p, a in zip(params, args)}
+    b = {}
+    for p, a in zip(params, args):
+        if p.endswith("...") and not isinstance(a, (tuple, list)):
+            raise UnboundMetavariable(f"{p} needs a sequence, got a {type(a).__name__}")
+        b[p.removesuffix("...")] = tuple(a) if p.endswith("...") else a
+    return b
 
 
 # ---------------------------------------------------------------------------
 # Local
 
 
-def run_local(inst: Local, snap: Snapshot, target: NodeRef, *args) -> StepOutcome:
+@reports_violations
+def run_local(inst: Instance, snap: Snapshot, target: NodeRef, *args) -> StepOutcome:
     return apply_rule(inst.rule, snap, target, bind_args(inst.params, args))
 
 
 # ---------------------------------------------------------------------------
-# Introduce variable
+# Introduce
 
 
 @reports_violations
-def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
-                           target: NodeRef, *args) -> StepOutcome:
+def run_introduce(inst: Instance, snap: Snapshot, target: NodeRef, *args) -> StepOutcome:
     pre = bind_args(inst.params, args)
-    subj = snap.node(target)
-    in_scope = inst.placement == "in_scope"
-    if in_scope:
-        if not is_expr(subj):
-            return NotApplicable("target is not an expression")
+    subj, site = snap.node(target), inst.site
+    takes, refusal = _SITE_TARGETS[site]
+    if not takes(subj):
+        return NotApplicable(refusal)
+    function = site == "module_end"
+    if function:
+        name = _subst_name(inst.definition.name, pre)
+        if not _NAME_RE.match(name):
+            return NotApplicable(f"invalid function name {name!r}")
+    elif site == "in_scope":
         name = _subst_name("@Name", pre)
         if not _VAR_RE.match(name):
             return NotApplicable(f"invalid variable name {name!r}")
-    elif not isinstance(subj, Match):
-        return NotApplicable("target is not a variable binding")
-    b = match_template(inst.ref_rule.lhs, subj, pre)
+    b = match_template(inst.rule.lhs, subj, pre)
     if b is None:
         return NotApplicable("reference rule does not match the target")
-    if not (isinstance(b.get("E"), Node) and isinstance(b.get("Name"), (str, Node))):
-        return NotApplicable("reference rule does not capture @Name and @E")
+    if not (isinstance(b.get("E"), Node)
+            and (function or isinstance(b.get("Name"), (str, Node)))):
+        return NotApplicable("reference rule does not capture "
+                             + ("@E" if function else "@Name and @E"))
 
-    dest = analysis.scope(snap, target)
-    if not in_scope:
+    dest = None if function else analysis.scope(snap, target)
+    if site == "outer_scope":
         owner = snap.parent_of(snap.node(dest).node_id)
         if isinstance(owner, FunDef):
             return NotApplicable("binding is already at function scope")
@@ -204,68 +193,42 @@ def run_introduce_variable(inst: IntroduceVariable, snap: Snapshot,
         for nm in analysis.pattern_vars(b["Name"]):
             if analysis.occurs_var(nm, fundef, owner):
                 return PreconditionViolated("fresh", _locate(snap, target, nm))
-    b = eval_condition(inst.ref_rule.condition, b, snap, target)
+    b = eval_condition(inst.rule.condition, b, snap, target)
 
     ctx = SubstCtx.for_snapshot(snap, freed=[subj])
-    binding = subst_fragment(inst.definition, b, ctx, "expr")
-    replacement = substitute(inst.ref_rule.rhs, b, ctx)
+    new = subst_fragment(inst.definition, b, ctx, "expr")
+    clash = signature_clash(snap, FunKey(new.name, new.arity)) if function else None
+    if clash is not None:
+        return clash
+    replacement = substitute(inst.rule.rhs, b, ctx)
+    if type(subj) is Body:
+        # a Body target is the new definition's body (see subst_fragment),
+        # and what replaces it must be a Body too
+        replacement = Body((replacement,), node_id=ctx.fresh())
+
+    dest_id = None if dest is None else dest.node_id
 
     def edit(n: Node) -> Node:
         if n.node_id == subj.node_id:
             return replacement
-        if n.node_id == dest.node_id:
-            return Body((binding,) + n.exprs, node_id=n.node_id)
+        if n.node_id == dest_id:
+            return Body((new,) + n.exprs, node_id=n.node_id)
         return n
 
-    holder = snap.fundef_of(subj.node_id).node_id  # dest's too
-    defs = edit_definitions(snap.module, {holder}, lambda d: rebuild(d, edit))
-    return finish_step(snap, ModuleAst(defs, ctx.gen.high), binding.node_id)
-
-
-# ---------------------------------------------------------------------------
-# Introduce function
-
-
-@reports_violations
-def run_introduce_function(inst: IntroduceFunction, snap: Snapshot,
-                           target: NodeRef, *args) -> StepOutcome:
-    pre = bind_args(inst.params, args)
-    subj = snap.node(target)
-    if not (is_expr(subj) or isinstance(subj, Body)):
-        return NotApplicable("target is not an expression or body")
-    name = _subst_name(inst.definition.name, pre)
-    if not _NAME_RE.match(name):
-        return NotApplicable(f"invalid function name {name!r}")
-    b = match_template(inst.ref_rule.lhs, subj, pre)
-    if b is None:
-        return NotApplicable("reference rule does not match the target")
-    if not isinstance(b.get("E"), Node):
-        return NotApplicable("reference rule does not capture @E")
-    b = eval_condition(inst.ref_rule.condition, b, snap, target)
-
-    ctx = SubstCtx.for_snapshot(snap, freed=[subj])
-    new_def = subst_fragment(inst.definition, b, ctx, "expr")
-    clash = signature_clash(snap, FunKey(new_def.name, new_def.arity))
-    if clash is not None:
-        return clash
-    replacement = subst_fragment(inst.ref_rule.rhs, b, ctx, "expr")
-    if isinstance(subj, Body):
-        # a Body target is the new definition's body (see subst_fragment),
-        # and what replaces it must be a Body too
-        replacement = Body((replacement,), node_id=ctx.fresh())
-    holder = rebuild(snap.fundef_of(subj.node_id),
-                     lambda n: replacement if n.node_id == subj.node_id else n)
-    # a parameter must be bound where the call passes it
-    passed = node_ids(replacement)
-    for o in analysis.resolve(holder).occurrences:
-        if o.kind == "unbound" and o.node_id in passed:
-            return PreconditionViolated("bound", _locate(snap, target, o.name))
+    holder = rebuild(snap.fundef_of(subj.node_id), edit)  # dest's too
+    if function:
+        # a parameter must be bound where the call passes it
+        passed = node_ids(replacement)
+        for o in analysis.resolve(holder).occurrences:
+            if o.kind == "unbound" and o.node_id in passed:
+                return PreconditionViolated("bound", _locate(snap, target, o.name))
     defs = edit_definitions(snap.module, {holder.node_id}, lambda d: holder)
-    return finish_step(snap, ModuleAst(defs + (new_def,), ctx.gen.high), new_def.node_id)
+    return finish_step(snap, ModuleAst(defs + ((new,) if function else ()), ctx.gen.high),
+                       new.node_id)
 
 
 # ---------------------------------------------------------------------------
-# Function refactoring
+# Function-wide
 
 
 def _site(snap: Snapshot, call: StaticCall) -> str:
@@ -297,88 +260,67 @@ def _replace_def(snap: Snapshot, d: FunDef, new_def: FunDef,
     return finish_step(snap, ModuleAst(defs, ctx.gen.high), d.node_id)
 
 
+def _length(seq: Sequence[Node], b: Binding) -> int:
+    """How many nodes substituting a template sequence makes."""
+    return sum(len(_lookup_seq(b, x.name)) if type(x) is MetaSeq else 1 for x in seq)
+
+
 @reports_violations
-def run_function_refactoring(inst: FunctionRefactoring, snap: Snapshot,
-                             target: NodeRef, *args) -> StepOutcome:
+def run_function_wide(inst: Instance, snap: Snapshot, target: NodeRef, *args) -> StepOutcome:
     pre = bind_args(inst.params, args)
     d = snap.node(target)
     if not isinstance(d, FunDef):
         return NotApplicable("target is not a function definition")
-    b = match_template(inst.def_rule.lhs, d, pre)
+    # a signature rule, name(P...), rewrites the head and every call and
+    # keeps the body; a function refactoring's clause, (P...) -> B...,
+    # rewrites the parameters and body and keeps the name
+    signature = inst.call_rule is inst.rule
+    b = match_template(inst.rule.lhs, d, pre)
     if b is None:
-        return NotApplicable("definition rule does not match")
-    b = eval_condition(inst.def_rule.condition, b, snap, target)
+        return NotApplicable(f"{'head' if signature else 'definition'} rule does not match")
+    b = eval_condition(inst.rule.condition, b, snap, target)
 
-    old_key = FunKey(d.name, d.arity)
-    refs = [snap.node(r) for r in analysis.references(snap, old_key)]
-    ctx = SubstCtx.for_snapshot(snap, freed=[d] + refs)
-    clause = inst.def_rule.rhs
-    new_params = subst_seq(clause.params, b, ctx, "pattern")
-    new_body_exprs = subst_seq(clause.body.exprs, b, ctx, "expr")
-    if not new_body_exprs:
+    rhs = inst.rule.rhs
+    name, params = (_subst_name(rhs.name, b), rhs.args) if signature else (d.name, rhs.params)
+    new_key = FunKey(name, _length(params, b))
+    if not signature and not _length(rhs.body.exprs, b):
         return NotApplicable("resulting body would be empty")
-    new_key = FunKey(d.name, len(new_params))
-    clash = signature_clash(snap, new_key) if new_key != old_key else None
-    if clash is not None:
-        return clash
-    new_def = FunDef(d.name, new_params, Body(new_body_exprs, node_id=ctx.fresh()),
-                     node_id=d.node_id)
-
-    def rewrite_ref(call: StaticCall) -> StaticCall:
-        rb = match_template(inst.ref_rule.lhs, call, b)
-        if rb is None:
-            raise _SiteFailure(NotApplicable(
-                f"reference rule does not match {_site(snap, call)}"))
-        new_args = substitute(inst.ref_rule.rhs, rb, ctx)
-        return StaticCall(call.name, new_args, node_id=call.node_id)
-
-    return _replace_def(snap, d, new_def, rewrite_ref, ctx)
-
-
-# ---------------------------------------------------------------------------
-# Function signature refactoring
-
-
-@reports_violations
-def run_signature_refactoring(inst: SignatureRefactoring, snap: Snapshot,
-                              target: NodeRef, *args) -> StepOutcome:
-    pre = bind_args(inst.params, args)
-    d = snap.node(target)
-    if not isinstance(d, FunDef):
-        return NotApplicable("target is not a function definition")
-    b = match_template(inst.head_rule.lhs, d, pre)
-    if b is None:
-        return NotApplicable("head rule does not match")
-    b = eval_condition(inst.head_rule.condition, b, snap, target)
-
-    rhs = inst.head_rule.rhs
-    if type(rhs) is not StaticCall:
-        raise TemplateError("signature rule right side must be a signature")
+    if signature and not _NAME_RE.match(name):
+        return NotApplicable(f"invalid function name {name!r}")
     # the new key is known before the callers are walked, so a clash is
     # refused in time independent of their number
-    new_name = _subst_name(rhs.name, b)
-    arity = sum(len(_lookup_seq(b, a.name)) if type(a) is MetaSeq else 1 for a in rhs.args)
-    if not _NAME_RE.match(new_name):
-        return NotApplicable(f"invalid function name {new_name!r}")
-    old_key, new_key = FunKey(d.name, d.arity), FunKey(new_name, arity)
+    old_key = FunKey(d.name, d.arity)
     clash = signature_clash(snap, new_key) if new_key != old_key else None
     if clash is not None:
         return clash
     refs = [snap.node(r) for r in analysis.references(snap, old_key)]
-    ctx = SubstCtx.for_snapshot(snap, freed=list(d.params) + refs)
-    new_params = subst_seq(rhs.args, b, ctx, "pattern")
+    ctx = SubstCtx.for_snapshot(snap, freed=(list(d.params) if signature else [d]) + refs)
+    new_params = subst_seq(params, b, ctx, "pattern")
+    body = d.body if signature else Body(subst_seq(rhs.body.exprs, b, ctx, "expr"),
+                                         node_id=ctx.fresh())
+    new_def = FunDef(name, new_params, body, node_id=d.node_id)
+    # matched afresh at each call, a signature rule starts from the
+    # header's arguments; a function refactoring's call rule uses what
+    # the definition rule bound
+    call_rule, start = inst.call_rule, pre if signature else b
+    call_args = call_rule.rhs.args if signature else call_rule.rhs
 
-    def rewrite_ref(call: StaticCall) -> StaticCall:
-        rb = match_template(inst.head_rule.lhs, call, pre)
+    def rewrite_call(call: StaticCall) -> StaticCall:
+        rb = match_template(call_rule.lhs, call, start)
         if rb is None:
             raise _SiteFailure(NotApplicable(
-                f"head rule does not match {_site(snap, call)}"))
-        rb = eval_condition(inst.head_rule.condition, rb, snap, snap.ref(call.node_id))
-        return StaticCall(_subst_name(rhs.name, rb), subst_seq(rhs.args, rb, ctx, "expr"),
-                          node_id=call.node_id)
+                f"{'head' if signature else 'reference'} rule does not match "
+                f"{_site(snap, call)}"))
+        rb = eval_condition(call_rule.condition, rb, snap, NodeRef(snap.version, call.node_id))
+        return StaticCall(name, subst_seq(call_args, rb, ctx, "expr"), node_id=call.node_id)
 
-    new_def = FunDef(new_name, new_params, d.body, node_id=d.node_id)
-    return _replace_def(snap, d, new_def, rewrite_ref, ctx)
+    return _replace_def(snap, d, new_def, rewrite_call, ctx)
+
+
+# perfbench/tracer.py wraps the engines under the names they had when
+# each scheme had its own
+run_introduce_variable = run_introduce_function = run_introduce
+run_function_refactoring = run_signature_refactoring = run_function_wide
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +440,11 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
     / REFERENCE / WHEN sections, and the engines honour all three. An
     INTRODUCE VARIABLE block's DEFINITION reads ``IN [OUTER] SCOPE``
     followed by a match template; an INTRODUCE FUNCTION block's is a
-    function definition template. An INTRODUCE block's REFERENCE is an
-    expression rule, and its WHEN clause is evaluated after the scheme's
-    own side conditions (see the module docstring). Every block's header
-    names, such as ``(Name, Params...)``, are the instance's ``params``.
+    function definition template, placed at the module end. An INTRODUCE
+    block's REFERENCE is an expression rule, and its WHEN clause is
+    evaluated after the scheme's own side conditions (see the module
+    docstring). Every block's header names, such as ``(Name,
+    Params...)``, are the instance's ``params``.
 
     A COMPOSITE block, one ``[Local :=] [ITERATE] op(Target, Arg, ..)
     [TRACED]`` step per line over the selectors and steps, two name ->
@@ -523,37 +466,33 @@ def parse_scheme_instance(text: str, selectors: Optional[dict] = None,
     if not all(_VAR_RE.match(p.removesuffix("...")) for p in params):
         raise TemplateError(f"block parameters must be variables: {m.group(2)!r}")
     if kind == "local":
-        return kind, name, Local(parse_rule_text(body, "expr"), params)
+        return kind, name, Instance(parse_rule_text(body, "expr"), params)
     if kind == "signature":
-        return kind, name, SignatureRefactoring(parse_rule_text(body, "signature"), params)
-    if kind in ("introduce_variable", "introduce_function"):
-        sections = _split_sections(body, ("DEFINITION", "REFERENCE"))
-        ref_rule = parse_rule_text(sections["REFERENCE"], "expr")
-        try:
-            if kind == "introduce_function":
-                definition = parse_template_def(sections["DEFINITION"])
-                _check_reference_calls(definition, ref_rule)
-                ref_rule = _with_condition(ref_rule, Condition.parse(_SCHEME_WHEN[kind]),
-                                           ref_rule.condition)
-                return kind, name, IntroduceFunction(definition, ref_rule, params)
-            where, _, def_text = sections["DEFINITION"].partition("SCOPE")
-            placement = _PLACEMENTS.get(" ".join(where.split()))
-            definition = parse_template_expr(def_text)
-        except ParseError as err:
-            raise TemplateError(f"cannot parse definition: {err}") from None
-        if placement is None or type(definition) is not Match:
-            raise TemplateError("definition must be 'IN [OUTER] SCOPE Pattern = Expr'")
-        ref_rule = _with_condition(ref_rule, Condition.parse(_SCHEME_WHEN[placement]),
-                                   ref_rule.condition)
-        return kind, name, IntroduceVariable(placement, definition, ref_rule, params)
+        rule = parse_rule_text(body, "signature")
+        return kind, name, Instance(rule, params, call_rule=rule)
     if kind == "function":
         sections = _split_sections(body, ("DEFINITION", "REFERENCE", "WHEN"))
         ref_rule = parse_rule_text(sections["REFERENCE"], "args")
         def_rule = _with_condition(parse_rule_text(sections["DEFINITION"], "head"),
                                    Condition.parse(sections.get("WHEN", "")),
                                    _relocation_checks(ref_rule))
-        return kind, name, FunctionRefactoring(def_rule, ref_rule, params)
+        return kind, name, Instance(def_rule, params, call_rule=ref_rule)
     if kind == "composite":
         return kind, name, _parse_composite(name, params, body,
                                              selectors or {}, steps or {})
-    raise TemplateError(f"unhandled scheme kind {kind}")
+    sections = _split_sections(body, ("DEFINITION", "REFERENCE"))
+    ref_rule = parse_rule_text(sections["REFERENCE"], "expr")
+    try:
+        if kind == "introduce_function":
+            site, definition = "module_end", parse_template_def(sections["DEFINITION"])
+            _check_reference_calls(definition, ref_rule)
+        else:
+            where, _, def_text = sections["DEFINITION"].partition("SCOPE")
+            site = _PLACEMENTS.get(" ".join(where.split()))
+            definition = parse_template_expr(def_text)
+            if site is None or type(definition) is not Match:
+                raise TemplateError("definition must be 'IN [OUTER] SCOPE Pattern = Expr'")
+    except ParseError as err:
+        raise TemplateError(f"cannot parse definition: {err}") from None
+    ref_rule = _with_condition(ref_rule, Condition.parse(_SCHEME_WHEN[site]), ref_rule.condition)
+    return kind, name, Instance(ref_rule, params, definition, site)

@@ -320,6 +320,19 @@ rename_function(THIS, zz)
         "not a direct lambda application", step=1, step_name="function_part")
 
 
+def test_a_name_is_not_a_parameter_list(doubler):
+    # a string given to Params... is not split into one-character names
+    refused = "the block cannot take this target: Params... needs a sequence, got a str"
+    prog = parse_composite("COMPOSITE c()\nextract_to_function(THIS, h, xy)\n")
+    assert run_composite(prog, doubler, target_of(doubler, "2")) == NotApplicable(
+        refused, step=1, step_name="extract_to_function")
+    assert extract_to_function(doubler, target_of(doubler, "2"), "h", "XY") == \
+        NotApplicable(refused)
+    prog = parse_composite("COMPOSITE c(Ps...)\nextract_to_function(THIS, h, Ps)\n")
+    assert run_composite(prog, doubler, target_of(doubler, "2"), ("XY",)) == NotApplicable(
+        "the block cannot take this target: Ps... needs a sequence, got a str")
+
+
 def test_single_assignment_locals():
     with pytest.raises(CompositeError, match="A assigned twice"):
         parse_composite("COMPOSITE dup()\nA := function(THIS)\nA := function(THIS)\n")

@@ -214,6 +214,19 @@ def test_fragment_predicate_on_a_non_fragment_does_not_take_the_target():
         "the block cannot take this target: pure needs a fragment, got a tuple")
 
 
+@pytest.mark.parametrize("when,reason", [
+    ("is_subset(vars(pure(@E)), free_vars(@E))", "vars needs names, got a bool"),
+    # an expression names nothing, so neither check may pass vacuously
+    ("fresh(@E)", "fresh needs names, got a BinOp"),
+    ("is_subset(@E, free_vars(@E))", "is_subset needs names, got a BinOp"),
+])
+def test_name_predicate_on_a_non_name_does_not_take_the_target(when, reason):
+    rule = parse_rule_text(f"@E\n-----\n@E\nWHEN {when}")
+    snap = Snapshot.from_source("f(X) -> X + 1.\n")
+    assert apply_rule(rule, snap, target_of(snap, "X + 1")) == NotApplicable(
+        f"the block cannot take this target: {reason}")
+
+
 def test_relocatable_standalone():
     c = Condition.parse("relocatable(@E)")
     eval_condition(c, {"E": parse_expr_text("{1, fun() -> 2 end}")})

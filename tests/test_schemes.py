@@ -6,7 +6,7 @@ from mer import analysis
 from mer.analysis import FunKey, Snapshot, references
 from mer.rewrite import Applied, NotApplicable, PreconditionViolated, TemplateError
 from mer.schemes import (
-    Local,
+    Instance,
     parse_scheme_instance, run_function_refactoring, run_introduce_function,
     run_introduce_variable, run_local, run_signature_refactoring,
 )
@@ -21,7 +21,7 @@ from mer.syntax import parse_expr_text, parse_patterns_text, pretty, pretty_expr
 from conftest import defs_of, target_of
 
 
-WRAP = Local(WRAP_RULE)
+WRAP = Instance(WRAP_RULE)
 
 
 def _snap(text: str) -> Snapshot:
@@ -435,7 +435,7 @@ def _condition_text(cond) -> str:
 
 
 def test_function_refactoring_relocation_checks_are_when_text():
-    assert _condition_text(_VAR_TO_PARAM.def_rule.condition) == \
+    assert _condition_text(_VAR_TO_PARAM.rule.condition) == \
         "pure(@E) AND closed(@E) AND relocatable(@E)"
     # two bindings become parameters: each moved fragment gets a
     # conjunct, after the block's own WHEN and in name order
@@ -445,7 +445,7 @@ def test_function_refactoring_relocation_checks_are_when_text():
         "(@Args..., @V, @W) -> @Body...\n"
         "REFERENCE\n(@Args2...)\n-----\n(@Args2..., @B, @A)\n"
         "WHEN closed(@B) AND closed(@A)\n")
-    assert _condition_text(inst.def_rule.condition) == \
+    assert _condition_text(inst.rule.condition) == \
         "closed(@B) AND closed(@A) AND relocatable(@A) AND relocatable(@B)"
     snap = _snap("tmp(X) -> Y = 1, Z = 2, X + Y + Z.\nf(X) -> tmp(X).\n")
     out = run_function_refactoring(inst, snap, snap.ref(snap.module.definitions[0].node_id))
@@ -462,7 +462,7 @@ def test_parse_introduce_variable_blocks():
         "INTRODUCE VARIABLE extract_to_variable(Name)\n"
         "DEFINITION IN SCOPE\n@Name = @E\nREFERENCE\n"
         + EXTRACT_TO_VARIABLE_REF_TEXT)
-    assert (kind, name, inst.placement) == ("introduce_variable",
+    assert (kind, name, inst.site) == ("introduce_variable",
                                             "extract_to_variable", "in_scope")
     snap = _snap("tmp(X) -> begin X * (fun() -> 2 end)() end.\n")
     out = run_introduce_variable(inst, snap, target_of(snap, "fun() -> 2 end"), "Y")
@@ -472,7 +472,7 @@ def test_parse_introduce_variable_blocks():
         "INTRODUCE VARIABLE outer_variable()\n"
         "DEFINITION IN OUTER SCOPE\n@Name = @E\nREFERENCE\n"
         + OUTER_VARIABLE_REF_TEXT)
-    assert inst2.placement == "outer_scope"
+    assert inst2.site == "outer_scope"
 
 
 def test_parse_introduce_function_block():
